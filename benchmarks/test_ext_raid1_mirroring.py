@@ -14,7 +14,6 @@ from repro.experiments import (
     format_series_table,
     make_factory,
 )
-from repro.extensions.raid1 import simulate_mirrored_workload
 from repro.simulation import simulate_workload
 
 PAPER_POPULATION = 40_000
@@ -43,9 +42,10 @@ def _run():
             tree, factory, queries, arrival_rate=float(rate),
             params=scale.system_parameters(), seed=5,
         )
-        raid1 = simulate_mirrored_workload(
+        raid1 = simulate_workload(
             tree, factory, queries, arrival_rate=float(rate),
             params=scale.system_parameters(), seed=5,
+            raid="raid1",
         )
         series["RAID-0"].append(raid0.mean_response)
         series["RAID-1 (shadowed)"].append(raid1.mean_response)

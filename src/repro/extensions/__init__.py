@@ -28,7 +28,7 @@ from repro.extensions.analysis import (
     response_time_lower_bound,
     service_time_moments,
 )
-from repro.extensions.raid1 import MirroredDiskArraySystem, simulate_mirrored_workload
+from repro.extensions.raid1 import MirroredDiskArraySystem
 from repro.extensions.range_search import (
     ParallelRangeSearch,
     ParallelSphereSearch,
@@ -81,5 +81,4 @@ __all__ = [
     "expected_range_query_nodes",
     "response_time_lower_bound",
     "service_time_moments",
-    "simulate_mirrored_workload",
 ]

@@ -5,9 +5,16 @@ every page exists on two physical drives, so a *read* can be served by
 either replica.  The classic benefit for read-heavy workloads is
 shorter queues: the scheduler sends each request to the replica that
 can serve it sooner.  This module models a mirrored pair per logical
-disk with a shortest-queue-then-nearest-head dispatch rule, and a
-workload runner mirroring :func:`repro.simulation.simulator.simulate_workload`
-so the RAID-0 vs RAID-1 comparison is one bench away.
+disk with a shortest-queue-then-nearest-head dispatch rule; run it with
+``simulate_workload(..., raid="raid1")`` (or ``serve_scenario`` /
+``run_chaos``), so the RAID-0 vs RAID-1 comparison is one argument away.
+
+:class:`MirroredDiskArraySystem` *is* a
+:class:`~repro.simulation.system.DiskArraySystem` with ``REPLICAS = 2``:
+queues, bus, CPU, buffer, observers, the retry/backoff loop and every
+timing record are inherited.  What lives here is only what is genuinely
+RAID-1 — replica choice (the overridden ``_attempt`` step), hedged first
+attempts, online rebuild and their report sections.
 
 **Failover.**  With a :class:`~repro.faults.plan.FaultPlan` attached —
 its disk ids address *physical* drives, ``logical * 2 + replica`` —
@@ -44,79 +51,25 @@ degrades a query to a partial answer downstream.
 from __future__ import annotations
 
 import math
-import random
-from typing import Callable, Dict, Generator, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.disks.model import DiskModel
-from repro.faults.health import (
-    DiskHealthMonitor,
-    HedgePolicy,
-    LatencyWindow,
-    RebuildPolicy,
-)
-from repro.faults.plan import CrashWindow, FaultPlan
-from repro.faults.policy import RetryPolicy
-from repro.geometry.point import Point
-from repro.simulation.buffer import BufferPool
-from repro.simulation.cpu import CpuModel
-from repro.simulation.engine import AnyOf, Environment, Resource
-from repro.simulation.parameters import SystemParameters
-from repro.simulation.scheduling import make_scheduler
-from repro.simulation.system import (
-    CpuTiming,
-    FetchFailure,
-    FetchTiming,
-    disk_attempt,
-    validate_fetch_args,
-)
+from repro.faults.health import HedgePolicy, LatencyWindow, RebuildPolicy
+from repro.faults.plan import CrashWindow
+from repro.simulation.engine import AnyOf, Environment
+from repro.simulation.system import DiskArraySystem, _Attempt
 
 
-from repro.simulation.simulator import (
-    AlgorithmFactory,
-    QueryRecord,
-    SimulatedExecutor,
-    WorkloadResult,
-    record_workload_metrics,
-)
-
-
-class _HedgeOutcome(NamedTuple):
-    """Outcome of one hedged arm (internal to the hedged read path)."""
-
-    status: str  # "ok" | "transient" | "crashed" | "cancelled"
-    replica: int
-    queue_wait: float
-    service: float
-
-
-class MirroredDiskArraySystem:
+class MirroredDiskArraySystem(DiskArraySystem):
     """A disk array whose logical disks are mirrored pairs.
 
-    Interface-compatible with
-    :class:`~repro.simulation.system.DiskArraySystem` (``fetch_page``,
-    ``cpu_work``, ``disk_utilizations``), so the simulated executor
-    drives it unchanged.
+    Takes every :class:`~repro.simulation.system.DiskArraySystem`
+    parameter: *num_disks* counts *logical* disks; *fault_plan* and
+    *health* address *physical* drives (``logical * 2 + replica``) and
+    per-drive tracks are named ``disk<L>r<R>``.  A rebuilding drive
+    additionally drives a ``disk<L>r<R>.rebuild`` timeline gauge (0 → 1
+    as its pages stream back).  On top of the base parameters:
 
-    :param env: simulation environment.
-    :param num_disks: number of *logical* disks (physical drives are
-        twice that).
-    :param params: timing parameters.
-    :param seed: rotational-latency RNG seed.
-    :param fault_plan: optional fault plan over *physical* drives
-        (``logical * 2 + replica``).
-    :param retry_policy: retry/timeout/backoff policy used when a fault
-        plan (or the policy itself) is given.
-    :param timeline: optional
-        :class:`~repro.obs.timeline.TimelineSampler`; when given, each
-        physical drive drives ``disk<L>r<R>.queue_depth`` /
-        ``disk<L>r<R>.busy`` tracks and the bus drives
-        ``bus.queue_depth`` / ``bus.busy``.  A rebuilding drive
-        additionally drives a ``disk<L>r<R>.rebuild`` progress gauge
-        (0 → 1 as its pages stream back).
-    :param health: optional
-        :class:`~repro.faults.health.DiskHealthMonitor` over the
-        *physical* drives (``2 × num_disks``); replica choice then
-        avoids open-breaker drives.
     :param hedge: optional :class:`~repro.faults.health.HedgePolicy`
         enabling hedged first attempts (see the module docstring).
     :param rebuild: optional
@@ -134,88 +87,17 @@ class MirroredDiskArraySystem:
         self,
         env: Environment,
         num_disks: int,
-        params: Optional[SystemParameters] = None,
-        seed: int = 0,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        timeline=None,
-        health: Optional[DiskHealthMonitor] = None,
+        *,
         hedge: Optional[HedgePolicy] = None,
         rebuild: Optional[RebuildPolicy] = None,
         rebuild_pages: Optional[Sequence[int]] = None,
+        **base,
     ):
-        if num_disks < 1:
-            raise ValueError(f"num_disks must be positive, got {num_disks}")
-        self.env = env
-        self.params = params if params is not None else SystemParameters()
-        self.num_disks = num_disks
-        self.cpu_model = CpuModel(self.params.cpu_mips)
-        self.fault_plan = fault_plan
-        self.faults = fault_plan.state() if fault_plan is not None else None
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
-        self.health = health
+        super().__init__(env, num_disks, **base)
+        fault_plan, health = self.fault_plan, self.health
         self.hedge = hedge
         self.rebuild = rebuild
-        self._faulty = (
-            fault_plan is not None
-            or retry_policy is not None
-            or health is not None
-            or hedge is not None
-        )
-        self.timeline = timeline
-
-        def _track(name: str, suffix: str):
-            if timeline is None:
-                return None
-            return timeline.track(f"{name}.{suffix}")
-
-        # replica_queues[logical][replica]
-        self.replica_queues: List[List[Resource]] = []
-        self.replica_models: List[List[DiskModel]] = []
-        for disk_id in range(num_disks):
-            queues, models = [], []
-            for replica in range(self.REPLICAS):
-                rng = (
-                    random.Random((seed << 9) ^ (disk_id * 2 + replica))
-                    if self.params.sample_rotation
-                    else None
-                )
-                model = DiskModel(self.params.disk, rng)
-                models.append(model)
-                # Each physical drive runs its own queue discipline
-                # against its own head (None for "fcfs" — the exact
-                # pre-scheduler code path).
-                drive = f"disk{disk_id}r{replica}"
-                queues.append(
-                    Resource(
-                        env,
-                        gauge=_track(drive, "queue_depth"),
-                        busy_gauge=_track(drive, "busy"),
-                        scheduler=make_scheduler(self.params.scheduler, model),
-                    )
-                )
-            self.replica_queues.append(queues)
-            self.replica_models.append(models)
-        self.bus = Resource(env, gauge=_track("bus", "queue_depth"),
-                            busy_gauge=_track("bus", "busy"))
-        self.cpu = Resource(env)
-        #: Optional LRU page buffer, owned here exactly as on the RAID-0
-        #: system so the executor's ``system.buffer`` contract holds on
-        #: every array type (a mirrored run used to silently lose the
-        #: buffer because this attribute did not exist).
-        self.buffer: Optional[BufferPool] = BufferPool.from_parameters(
-            self.params
-        )
-        #: The executor coalesces same-disk rounds when this is set.
-        self.coalesce = self.params.coalesce
-        self.pages_fetched = 0
-        self.coalesced_fetches = 0
-        #: Robustness counters (mirroring ``DiskArraySystem``'s).
-        self.retries = 0
-        self.failed_fetches = 0
-        self.failovers = 0
+        self._faulty = self._faulty or hedge is not None
         #: Hedging counters: hedges issued (the primary straggled past
         #: the delay), hedges won (the backup answered first), losers
         #: cancelled while still queued (no disk time spent), and
@@ -253,57 +135,53 @@ class MirroredDiskArraySystem:
             self._rebuild_pages = (
                 list(rebuild_pages) if rebuild_pages is not None else []
             )
+            # Started here, during construction, so every rebuild is on
+            # the calendar before any arrival process.
             for window in repairable:
-                if not 0 <= window.disk_id < num_disks * self.REPLICAS:
+                if not 0 <= window.disk_id < len(self.disk_queues):
                     continue
                 self._pending_rebuild[window.disk_id] = window
                 env.process(self._rebuild_process(window))
-
-    def physical_id(self, disk_id: int, replica: int) -> int:
-        """The fault-plan address of one physical drive."""
-        return disk_id * self.REPLICAS + replica
 
     @property
     def rebuild_active(self) -> bool:
         """True while at least one drive is streaming its pages back."""
         return self.rebuilds_active > 0
 
-    def _available_replicas(self, disk_id: int) -> List[int]:
-        """Replicas of *disk_id* currently able to serve reads.
+    def _replicas(self, disk_id: int) -> range:
+        """The physical ids of *disk_id*'s replicas."""
+        return range(disk_id * self.REPLICAS, (disk_id + 1) * self.REPLICAS)
+
+    def _available(self, disk_id: int) -> List[int]:
+        """Drives of *disk_id* currently able to serve reads.
 
         Excludes replicas inside a crash window and — with an online
         rebuild configured — replicas whose crash has started but whose
         rebuild stream has not finished (their data is not back yet).
         """
         now = self.env.now
+        plan = self.fault_plan
         available = []
-        for replica in range(self.REPLICAS):
-            phys = self.physical_id(disk_id, replica)
-            if self.fault_plan is not None and self.fault_plan.is_crashed(
-                phys, now
-            ):
+        for drive in self._replicas(disk_id):
+            if plan is not None and plan.is_crashed(drive, now):
                 continue
-            window = self._pending_rebuild.get(phys)
+            window = self._pending_rebuild.get(drive)
             if window is not None and now >= window.start:
                 continue
-            available.append(replica)
+            available.append(drive)
         return available
 
-    def _routable(self, disk_id: int, available: Sequence[int]) -> List[int]:
-        """Filter breaker-open replicas; falls back to *available* so a
+    def _routable(self, available: Sequence[int]) -> List[int]:
+        """Filter breaker-open drives; falls back to *available* so a
         pair with every breaker open still takes the attempt (RAID-1
         must not be made worse than no health tracking)."""
         if self.health is None:
             return list(available)
         now = self.env.now
-        healthy = [
-            replica
-            for replica in available
-            if self.health.allow(self.physical_id(disk_id, replica), now)
-        ]
+        healthy = [d for d in available if self.health.allow(d, now)]
         return healthy or list(available)
 
-    def _pick_replica(
+    def _pick_drive(
         self,
         disk_id: int,
         cylinder: int,
@@ -311,15 +189,13 @@ class MirroredDiskArraySystem:
     ) -> int:
         """Shortest queue first; ties broken by nearest head position."""
         if candidates is None:
-            candidates = range(self.REPLICAS)
-        queues = self.replica_queues[disk_id]
-        models = self.replica_models[disk_id]
+            candidates = self._replicas(disk_id)
 
-        def cost(replica: int) -> tuple:
-            queue = queues[replica]
+        def cost(drive: int) -> tuple:
+            queue = self.disk_queues[drive]
             backlog = queue.queue_length + queue.in_use
-            seek = abs(models[replica].head_cylinder - cylinder)
-            return (backlog, seek, replica)
+            seek = abs(self.disk_models[drive].head_cylinder - cylinder)
+            return (backlog, seek, drive)
 
         return min(candidates, key=cost)
 
@@ -327,17 +203,13 @@ class MirroredDiskArraySystem:
 
     def _record_rebuild(self, phys: int, fraction: float) -> None:
         if self.timeline is not None:
-            disk_id, replica = divmod(phys, self.REPLICAS)
             self.timeline.record(
-                f"disk{disk_id}r{replica}.rebuild", self.env.now, fraction
+                f"{self.drive_names[phys]}.rebuild", self.env.now, fraction
             )
 
-    def _rebuild_io(
-        self, disk_id: int, replica: int, cylinder: int, nbytes: int
-    ) -> Generator:
+    def _rebuild_io(self, drive: int, cylinder: int, nbytes: int) -> Generator:
         """Process fragment: one rebuild sweep on one physical drive."""
-        queue = self.replica_queues[disk_id][replica]
-        model = self.replica_models[disk_id][replica]
+        queue, model = self.disk_queues[drive], self.disk_models[drive]
         grant = queue.request(cylinder=cylinder)
         yield grant
         try:
@@ -359,8 +231,8 @@ class MirroredDiskArraySystem:
         env = self.env
         yield env.timeout(window.repair)
         phys = window.disk_id
-        disk_id, replica = divmod(phys, self.REPLICAS)
-        source = 1 - replica
+        disk_id = phys // self.REPLICAS
+        source = phys ^ 1  # the other drive of the pair
         total = 0
         if disk_id < len(self._rebuild_pages):
             total = self._rebuild_pages[disk_id]
@@ -380,22 +252,20 @@ class MirroredDiskArraySystem:
             cylinder = min(
                 cylinders - 1, (done * cylinders) // total
             )
-            if self.fault_plan is not None and self.fault_plan.is_crashed(
-                self.physical_id(disk_id, source), env.now
-            ):
+            if self.fault_plan.is_crashed(source, env.now):
                 # The surviving replica is itself inside a crash window:
                 # stall until the next pace tick rather than reading
                 # garbage (double faults leave the pair degraded).
                 yield env.timeout(pace)
                 continue
-            yield from self._rebuild_io(disk_id, source, cylinder, nbytes)
+            yield from self._rebuild_io(source, cylinder, nbytes)
             grant = self.bus.request()
             yield grant
             try:
                 yield env.timeout(self.params.bus_time)
             finally:
                 self.bus.release(grant)
-            yield from self._rebuild_io(disk_id, replica, cylinder, nbytes)
+            yield from self._rebuild_io(phys, cylinder, nbytes)
             done += batch
             self._record_rebuild(phys, done / total)
             elapsed = env.now - batch_start
@@ -443,13 +313,12 @@ class MirroredDiskArraySystem:
 
     def _hedge_arm(
         self,
-        disk_id: int,
-        replica: int,
+        drive: int,
         anchor: int,
         service_fn: Callable[[DiskModel], float],
         race: Dict[str, Optional[int]],
     ) -> Generator:
-        """Process: one arm of a hedged read at one replica.
+        """Process: one arm of a hedged read at one drive.
 
         Re-checks the race after its queue grant fires: if the other
         arm already delivered, the grant is withdrawn without spinning
@@ -458,50 +327,27 @@ class MirroredDiskArraySystem:
         arm to finish ``ok`` claims the race synchronously in event
         order, so the accounting is deterministic.
         """
-        env = self.env
-        queue = self.replica_queues[disk_id][replica]
-        model = self.replica_models[disk_id][replica]
-        phys = self.physical_id(disk_id, replica)
-        plan, state = self.fault_plan, self.faults
-        t0 = env.now
+        queue = self.disk_queues[drive]
+        t0 = self.env.now
         grant = queue.request(cylinder=anchor)
         yield grant
         if race["winner"] is not None:
             queue.release(grant)
             self.hedges_cancelled += 1
-            return _HedgeOutcome("cancelled", replica, env.now - t0, 0.0)
-        granted = env.now
-        try:
-            duration = service_fn(model)
-            if plan is not None:
-                factor = plan.slow_factor(phys, granted)
-                if factor > 1.0:
-                    extra = duration * (factor - 1.0)
-                    model.busy_time += extra
-                    duration += extra
-            yield env.timeout(duration)
-        finally:
-            queue.release(grant)
-        served = env.now
-        queue_wait, service = granted - t0, served - granted
-        if plan is not None and plan.is_crashed(phys, served):
-            status = "crashed"
-        elif state is not None and state.draw_transient(phys):
-            status = "transient"
-        else:
-            status = "ok"
-        if self.health is not None:
-            self.health.observe(
-                phys, status == "ok", queue_wait + service, served
-            )
-        if status == "ok":
+            return _Attempt("cancelled", self.env.now - t0, 0.0, drive)
+        # A hedge arm is a single attempt outside the retry budget: it
+        # is served and judged like any other, but under no time cap.
+        outcome = yield from self._serve_granted(
+            drive, grant, t0, service_fn, None
+        )
+        if outcome.status == "ok":
             if race["winner"] is None:
-                race["winner"] = replica
+                race["winner"] = drive
             else:
                 # The pair already answered: this arm spun a disk for a
                 # page nobody needs any more.
                 self.wasted_reads += 1
-        return _HedgeOutcome(status, replica, queue_wait, service)
+        return outcome
 
     def _hedged_attempt(
         self,
@@ -516,18 +362,18 @@ class MirroredDiskArraySystem:
         Starts the preferred replica, races it against the hedge delay,
         and re-issues against the backup replica if the primary is
         still outstanding when the delay expires.  Returns the winning
-        (first ``ok``) :class:`_HedgeOutcome`, or the primary's failed
+        (first ``ok``) arm's :class:`_Attempt`, or the primary's failed
         outcome when every arm failed — the caller's retry loop then
         proceeds exactly as for an ordinary failed attempt.
         """
         env = self.env
-        primary = self._pick_replica(disk_id, anchor, candidates)
-        backups = [r for r in candidates if r != primary] or [
-            r for r in available if r != primary
+        primary = self._pick_drive(disk_id, anchor, candidates)
+        backups = [d for d in candidates if d != primary] or [
+            d for d in available if d != primary
         ]
         race: Dict[str, Optional[int]] = {"winner": None}
         first = env.process(
-            self._hedge_arm(disk_id, primary, anchor, service_fn, race)
+            self._hedge_arm(primary, anchor, service_fn, race)
         )
         second = None
         if backups:
@@ -536,11 +382,9 @@ class MirroredDiskArraySystem:
             if not first.triggered:
                 self.hedges_issued += 1
                 second = env.process(
-                    self._hedge_arm(
-                        disk_id, backups[0], anchor, service_fn, race
-                    )
+                    self._hedge_arm(backups[0], anchor, service_fn, race)
                 )
-        result: Optional[_HedgeOutcome] = None
+        result: Optional[_Attempt] = None
         pending = []
         for proc in (first, second):
             if proc is None:
@@ -570,7 +414,7 @@ class MirroredDiskArraySystem:
                         still.append(proc)
                 pending = still
         if result is not None:
-            if second is not None and result.replica != primary:
+            if second is not None and result.drive != primary:
                 self.hedges_won += 1
             if self.health is None:
                 # With a monitor attached its observe() already fed the
@@ -579,362 +423,65 @@ class MirroredDiskArraySystem:
             return result
         return first.value
 
-    def fetch_page(
-        self,
-        disk_id: int,
-        cylinder: int,
-        pages: int = 1,
-        flow: Optional[int] = None,
-    ) -> Generator:
-        """Process: read one node from the better replica of the pair.
+    # -- the overridden step ------------------------------------------------
 
-        Returns a :class:`~repro.simulation.system.FetchTiming` (keyed
-        to the *logical* disk id) as the process value, or a
-        :class:`~repro.simulation.system.FetchFailure` when both
-        replicas are down / the retry budget is exhausted.
-        """
-        validate_fetch_args(
-            self.num_disks, self.params.disk.cylinders,
-            disk_id, cylinder, pages,
-        )
-        nbytes = self.params.page_size * pages
-        result = yield from self._fetch(
-            disk_id,
-            anchor=cylinder,
-            service_fn=lambda model: model.service(cylinder, nbytes),
-            pages=pages,
-        )
-        return result
-
-    def fetch_group(
-        self,
-        disk_id: int,
-        cylinders: Sequence[int],
-        pages: Optional[int] = None,
-        flow: Optional[int] = None,
-    ) -> Generator:
-        """Process: read several same-disk pages as one transaction.
-
-        The whole group is served by one replica of the pair (chosen by
-        the usual shortest-queue-then-nearest-head rule) in a single
-        head sweep; under faults it is retried — and fails over to the
-        other replica — as a unit, like
-        :meth:`~repro.simulation.system.DiskArraySystem.fetch_group`.
-        """
-        cylinders = tuple(cylinders)
-        if not cylinders:
-            raise ValueError("a fetch group needs at least one cylinder")
-        if pages is None:
-            pages = len(cylinders)
-        for cylinder in cylinders:
-            validate_fetch_args(
-                self.num_disks, self.params.disk.cylinders,
-                disk_id, cylinder, 1,
-            )
-        if pages < len(cylinders):
-            raise ValueError(
-                f"group spans {pages} pages but names {len(cylinders)} "
-                f"cylinders"
-            )
-        nbytes = self.params.page_size * pages
-        if len(cylinders) > 1:
-            self.coalesced_fetches += 1
-        result = yield from self._fetch(
-            disk_id,
-            anchor=min(cylinders),
-            service_fn=lambda model: model.service_coalesced(
-                cylinders, nbytes
-            ),
-            pages=pages,
-        )
-        return result
-
-    def _fetch(
+    def _attempt(
         self,
         disk_id: int,
         anchor: int,
         service_fn: Callable[[DiskModel], float],
-        pages: int,
+        attempt: int,
+        last: Optional[int],
     ) -> Generator:
-        """Shared fetch path: pick a replica, queue, service, then bus."""
-        start = self.env.now
+        """Process fragment: pick the replica that takes this attempt.
 
-        if not self._faulty:
-            replica = self._pick_replica(disk_id, anchor)
-            queue = self.replica_queues[disk_id][replica]
-            grant = queue.request(cylinder=anchor)
-            yield grant
-            granted = self.env.now
-            try:
-                duration = service_fn(self.replica_models[disk_id][replica])
-                yield self.env.timeout(duration)
-            finally:
-                queue.release(grant)
-            served = self.env.now
-            queue_wait, service = granted - start, served - granted
-            retry_wait, attempts, failovers = 0.0, 1, 0
-        else:
-            plan, state = self.fault_plan, self.faults
-            policy = self.retry_policy
-            queue_wait = service = retry_wait = 0.0
-            attempts = failovers = 0
-            status = "exhausted"
-            last_replica: Optional[int] = None
-            while attempts < policy.max_attempts:
-                attempts += 1
-                available = self._available_replicas(disk_id)
-                if not available:
-                    status = "crashed"  # the whole mirrored pair is down
-                else:
-                    # Health-aware routing: avoid open-breaker replicas
-                    # while a healthy candidate remains.
-                    candidates = self._routable(disk_id, available)
-                    # Failover preference: after a failed attempt, try
-                    # the *other* replica when it is up.
-                    if last_replica is not None and len(candidates) > 1:
-                        candidates = [
-                            r for r in candidates if r != last_replica
-                        ] or candidates
-                    if (
-                        self.hedge is not None
-                        and attempts == 1
-                        and len(available) > 1
-                    ):
-                        # First attempt with both replicas up: hedge.
-                        outcome = yield from self._hedged_attempt(
-                            disk_id, anchor, service_fn, candidates,
-                            available,
-                        )
-                        replica = outcome.replica
-                    else:
-                        replica = self._pick_replica(
-                            disk_id, anchor, candidates
-                        )
-                        degraded = len(available) < self.REPLICAS
-                        switched = (
-                            last_replica is not None
-                            and replica != last_replica
-                        )
-                        if degraded or switched:
-                            failovers += 1
-                            self.failovers += 1
-                        outcome = yield from disk_attempt(
-                            self.env,
-                            self.replica_queues[disk_id][replica],
-                            self.replica_models[disk_id][replica],
-                            self.physical_id(disk_id, replica),
-                            service_fn, plan, state, policy, cylinder=anchor,
-                        )
-                        if self.health is not None:
-                            self.health.observe(
-                                self.physical_id(disk_id, replica),
-                                outcome.status == "ok",
-                                outcome.queue_wait + outcome.service,
-                                self.env.now,
-                            )
-                        elif (
-                            self.hedge is not None
-                            and outcome.status == "ok"
-                        ):
-                            self._hedge_window.add(
-                                outcome.queue_wait + outcome.service
-                            )
-                    queue_wait += outcome.queue_wait
-                    service += outcome.service
-                    status = outcome.status
-                    if status == "ok":
-                        break
-                    last_replica = replica
-                if attempts >= policy.max_attempts:
-                    break
-                self.retries += 1
-                delay = policy.backoff(attempts)
-                if delay > 0.0:
-                    before = self.env.now
-                    yield self.env.timeout(delay)
-                    retry_wait += self.env.now - before
-            if status != "ok":
-                self.failed_fetches += 1
-                return FetchFailure(
-                    disk_id=disk_id,
-                    pages=pages,
-                    start=start,
-                    queue_wait=queue_wait,
-                    service=service,
-                    retry_wait=retry_wait,
-                    end=self.env.now,
-                    reason="crashed" if status == "crashed" else "exhausted",
-                    attempts=attempts,
-                    failovers=failovers,
-                )
-            served = self.env.now
-
-        grant = self.bus.request()
-        yield grant
-        bus_granted = self.env.now
-        try:
-            yield self.env.timeout(self.params.bus_time)
-        finally:
-            self.bus.release(grant)
-        end = self.env.now
-        self.pages_fetched += pages
-        return FetchTiming(
-            disk_id=disk_id,
-            pages=pages,
-            start=start,
-            queue_wait=queue_wait,
-            service=service,
-            bus_wait=bus_granted - served,
-            bus_transfer=end - bus_granted,
-            end=end,
-            retry_wait=retry_wait,
-            attempts=attempts,
-            failovers=failovers,
-        )
-
-    def cpu_work(
-        self, scanned: int, sorted_count: int, flow: Optional[int] = None
-    ) -> Generator:
-        """Process: charge CPU time for one fetched batch."""
-        start = self.env.now
-        grant = self.cpu.request()
-        yield grant
-        granted = self.env.now
-        try:
-            yield self.env.timeout(
-                self.cpu_model.batch_time(scanned, sorted_count)
-            )
-        finally:
-            self.cpu.release(grant)
-        return CpuTiming(
-            start=start,
-            queue_wait=granted - start,
-            service=self.env.now - granted,
-            end=self.env.now,
-        )
-
-    @property
-    def disk_queues(self) -> List[Resource]:
-        """Per-physical-drive queues, flattened in fault-plan id order.
-
-        Matches the ``DiskArraySystem.disk_queues`` shape so
-        :func:`~repro.simulation.simulator.collect_system_stats` works
-        on a mirrored array (the serving front end relies on this).
+        Available → routable → failover preference → pick, or hedge.
+        Unlike the striped array, an open breaker only steers the
+        choice: a pair with every breaker open still takes the attempt.
         """
-        return [q for pair in self.replica_queues for q in pair]
-
-    @property
-    def disk_models(self) -> List[DiskModel]:
-        """Per-physical-drive models, flattened in fault-plan id order."""
-        return [m for pair in self.replica_models for m in pair]
-
-    def disk_utilizations(self, elapsed: float) -> List[float]:
-        """Busy fraction per *physical* drive over *elapsed* seconds."""
-        if elapsed <= 0:
-            return [0.0] * (self.num_disks * self.REPLICAS)
-        return [
-            model.busy_time / elapsed
-            for pair in self.replica_models
-            for model in pair
-        ]
-
-    def seek_distances(self) -> List[int]:
-        """Cumulative cylinders traveled, per *physical* drive."""
-        return [
-            model.seek_distance_total
-            for pair in self.replica_models
-            for model in pair
-        ]
-
-
-def simulate_mirrored_workload(
-    tree,
-    factory: AlgorithmFactory,
-    queries: Sequence[Point],
-    arrival_rate: Optional[float] = None,
-    params: Optional[SystemParameters] = None,
-    seed: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    deadline: Optional[float] = None,
-    metrics=None,
-    timeline=None,
-    health: Optional[DiskHealthMonitor] = None,
-    hedge: Optional[HedgePolicy] = None,
-    rebuild: Optional[RebuildPolicy] = None,
-    rebuild_pages: Optional[Sequence[int]] = None,
-) -> WorkloadResult:
-    """Like :func:`~repro.simulation.simulator.simulate_workload`, on a
-    RAID-1 (shadowed) array instead of RAID-0.
-
-    *fault_plan* / *retry_policy* / *deadline* enable the same fault
-    injection and degraded-mode semantics, with fault-plan disk ids
-    addressing physical drives.  *timeline* attaches a
-    :class:`~repro.obs.timeline.TimelineSampler` (per-drive tracks are
-    named ``disk<L>r<R>.*`` — one per physical drive).  *health* /
-    *hedge* / *rebuild* / *rebuild_pages* are passed through to
-    :class:`MirroredDiskArraySystem` (tail-tolerance knobs — all
-    optional; the environment is bit-identical when they are absent).
-    """
-    if not queries:
-        raise ValueError("a workload needs at least one query")
-    if arrival_rate is not None and arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-
-    env = Environment()
-    system = MirroredDiskArraySystem(
-        env, tree.num_disks, params=params, seed=seed,
-        fault_plan=fault_plan, retry_policy=retry_policy,
-        timeline=timeline, health=health, hedge=hedge,
-        rebuild=rebuild, rebuild_pages=rebuild_pages,
-    )
-    executor = SimulatedExecutor(
-        env, system, tree, metrics=metrics, timeline=timeline,
-        deadline=deadline,
-    )
-    result = WorkloadResult()
-    arrival_rng = random.Random(seed ^ 0xA5A5A5)
-
-    def run_one(query: Point) -> Generator:
-        record: QueryRecord = yield env.process(
-            executor.query_process(factory(query))
+        available = self._available(disk_id)
+        if not available:
+            return _Attempt("crashed", 0.0, 0.0)  # the whole pair is down
+        # Health-aware routing: avoid open-breaker replicas while a
+        # healthy candidate remains.
+        candidates = self._routable(available)
+        # Failover preference: after a failed attempt, try the *other*
+        # replica when it is up.
+        if last is not None and len(candidates) > 1:
+            candidates = [d for d in candidates if d != last] or candidates
+        if self.hedge is not None and attempt == 1 and len(available) > 1:
+            # First attempt with both replicas up: hedge.
+            outcome = yield from self._hedged_attempt(
+                disk_id, anchor, service_fn, candidates, available
+            )
+            return outcome
+        drive = self._pick_drive(disk_id, anchor, candidates)
+        # A failover is a read its preferred replica could not take:
+        # the pair is degraded, or the retry switched replicas.
+        failover = len(available) < self.REPLICAS or (
+            last is not None and drive != last
         )
-        result.records.append(record)
+        self.failovers += failover
+        outcome = yield from self._disk_attempt(drive, anchor, service_fn)
+        if (
+            self.health is None
+            and self.hedge is not None
+            and outcome.status == "ok"
+        ):
+            self._hedge_window.add(outcome.queue_wait + outcome.service)
+        return outcome._replace(failover=1) if failover else outcome
 
-    def open_arrivals() -> Generator:
-        for query in queries:
-            yield env.timeout(arrival_rng.expovariate(arrival_rate))
-            env.process(run_one(query))
+    # -- benchmark-harness pin ----------------------------------------------
+    # benchmarks/wall/spans.py counts RAID-1 fetches by wrapping the
+    # ``fetch_page`` / ``fetch_group`` found in *this class's own*
+    # ``vars()``, and test_harness.py asserts the count is non-zero.
+    # Plain pass-throughs (no generator frame, no event); delete both
+    # once a ``benchmark`` issue repoints that span at the base class.
 
-    def closed_serial() -> Generator:
-        for query in queries:
-            record = yield env.process(executor.query_process(factory(query)))
-            result.records.append(record)
+    def fetch_page(self, disk_id, cylinder, pages=1, flow=None):
+        """Process: read one node from the better replica of the pair."""
+        return super().fetch_page(disk_id, cylinder, pages, flow)
 
-    if arrival_rate is None:
-        env.process(closed_serial())
-    else:
-        env.process(open_arrivals())
-    env.run()
-    # Stray attempt-timeout timers may outlive the last completion;
-    # clock the run off the queries themselves.
-    result.makespan = (
-        max(r.completion for r in result.records) if result.records else env.now
-    )
-    result.disk_utilizations = system.disk_utilizations(result.makespan)
-    result.seek_distances = system.seek_distances()
-    result.disk_requests = [
-        model.requests_served
-        for pair in system.replica_models
-        for model in pair
-    ]
-    result.coalesced_fetches = system.coalesced_fetches
-    if result.makespan > 0:
-        result.bus_utilization = system.bus.total_hold_time / result.makespan
-        result.cpu_utilization = system.cpu.total_hold_time / result.makespan
-    if metrics is not None:
-        record_workload_metrics(metrics, result)
-    # Ride-along (not a dataclass field, never serialized): callers
-    # building hedge/rebuild report sections need the system counters.
-    result.system = system
-    return result
+    def fetch_group(self, disk_id, cylinders, pages=None, flow=None):
+        """Process: read several same-disk pages from one replica as a unit."""
+        return super().fetch_group(disk_id, cylinders, pages, flow)

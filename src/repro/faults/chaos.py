@@ -25,9 +25,6 @@ from repro.faults.policy import RetryPolicy
 from repro.geometry.point import Point
 from repro.simulation.parameters import SystemParameters
 
-#: Array layouts a chaos run can target.
-RAID_LEVELS = ("raid0", "raid1")
-
 
 @dataclass
 class ChaosReport:
@@ -245,17 +242,10 @@ def run_chaos(
         as ``report.result`` (not serialized) so callers can build a
         full RunReport from the same run.
     """
-    if raid not in RAID_LEVELS:
-        raise ValueError(f"raid must be one of {RAID_LEVELS}, got {raid!r}")
-    if raid == "raid0" and (hedge is not None or rebuild is not None):
-        raise ValueError(
-            "hedged reads and online rebuild need a mirrored array — "
-            "pass raid='raid1'"
-        )
-    # Imported here: the workload runners pull in the whole simulation
+    # Imported here: the workload runner pulls in the whole simulation
     # stack, and `repro.faults` must stay importable on its own.
     from repro.experiments.setup import make_factory
-    from repro.faults.health import DiskHealthMonitor, pages_per_disk
+    from repro.simulation.simulator import simulate_workload
 
     name = algorithm.strip().upper()
     factory = make_factory(name, tree, k)
@@ -264,51 +254,15 @@ def run_chaos(
     plan = fault_plan if fault_plan is not None else FaultPlan(seed=seed)
     policy = retry_policy if retry_policy is not None else RetryPolicy()
 
-    monitor = None
-    system = None
-    if raid == "raid0":
-        from repro.simulation.simulator import simulate_workload
-
-        if health is not None:
-            monitor = DiskHealthMonitor(
-                health, tree.num_disks, timeline=timeline
-            )
-        result = simulate_workload(
-            tree, factory, queries,
-            arrival_rate=arrival_rate, params=params, seed=seed,
-            metrics=metrics, timeline=timeline,
-            fault_plan=plan, retry_policy=policy,
-            deadline=deadline, health=monitor,
-        )
-    else:
-        from repro.extensions.raid1 import (
-            MirroredDiskArraySystem,
-            simulate_mirrored_workload,
-        )
-
-        if health is not None:
-            replicas = MirroredDiskArraySystem.REPLICAS
-            monitor = DiskHealthMonitor(
-                health,
-                tree.num_disks * replicas,
-                timeline=timeline,
-                track_names=[
-                    f"disk{d}r{r}.health"
-                    for d in range(tree.num_disks)
-                    for r in range(replicas)
-                ],
-            )
-        result = simulate_mirrored_workload(
-            tree, factory, queries,
-            arrival_rate=arrival_rate, params=params, seed=seed,
-            fault_plan=plan, retry_policy=policy, deadline=deadline,
-            metrics=metrics, timeline=timeline,
-            health=monitor, hedge=hedge, rebuild=rebuild,
-            rebuild_pages=(
-                pages_per_disk(tree) if rebuild is not None else None
-            ),
-        )
-        system = result.system
+    result = simulate_workload(
+        tree, factory, queries,
+        arrival_rate=arrival_rate, params=params, seed=seed,
+        metrics=metrics, timeline=timeline,
+        fault_plan=plan, retry_policy=policy, deadline=deadline,
+        health=health, raid=raid, hedge=hedge, rebuild=rebuild,
+    )
+    system = result.system
+    monitor = system.health
 
     report = ChaosReport(
         algorithm=name,
@@ -333,16 +287,8 @@ def run_chaos(
         health=(
             monitor.describe(result.makespan) if monitor is not None else None
         ),
-        hedge=(
-            system.hedge_section()
-            if system is not None and hedge is not None
-            else None
-        ),
-        rebuild=(
-            system.rebuild_section()
-            if system is not None and rebuild is not None
-            else None
-        ),
+        hedge=system.hedge_section() if hedge is not None else None,
+        rebuild=system.rebuild_section() if rebuild is not None else None,
     )
     # Ride-along for RunReport building; deliberately not a dataclass
     # field so as_dict()/to_json() stay unchanged.

@@ -42,14 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.core.results import Neighbor
-from repro.extensions.raid1 import MirroredDiskArraySystem
-from repro.faults.health import (
-    DiskHealthMonitor,
-    HealthPolicy,
-    HedgePolicy,
-    RebuildPolicy,
-    pages_per_disk,
-)
+from repro.faults.health import HealthPolicy, HedgePolicy, RebuildPolicy
 from repro.obs.trace import NULL_TRACER
 from repro.serving.admission import (
     AdmissionController,
@@ -65,6 +58,7 @@ from repro.simulation.simulator import (
     RoundIO,
     SimulatedExecutor,
     WorkloadResult,
+    build_disk_array,
     collect_system_stats,
     record_workload_metrics,
 )
@@ -627,62 +621,14 @@ def serve_scenario(
     """
     if policy is None:
         policy = ServingPolicy()
-    if raid not in ("raid0", "raid1"):
-        raise ValueError(f"raid must be 'raid0' or 'raid1', got {raid!r}")
-    if raid == "raid0" and (hedge is not None or rebuild is not None):
-        raise ValueError(
-            "hedged reads and online rebuild need a mirrored array — "
-            "pass raid='raid1'"
-        )
     tracer = NULL_TRACER if tracer is None else tracer
     env = Environment()
-    monitor: Optional[DiskHealthMonitor] = None
-    if health is not None:
-        if raid == "raid1":
-            track_names = [
-                f"disk{d}r{r}.health"
-                for d in range(tree.num_disks)
-                for r in range(MirroredDiskArraySystem.REPLICAS)
-            ]
-            monitor = DiskHealthMonitor(
-                health,
-                tree.num_disks * MirroredDiskArraySystem.REPLICAS,
-                timeline=timeline,
-                track_names=track_names,
-            )
-        else:
-            monitor = DiskHealthMonitor(
-                health, tree.num_disks, timeline=timeline
-            )
-    if raid == "raid1":
-        system = MirroredDiskArraySystem(
-            env,
-            tree.num_disks,
-            params=params,
-            seed=seed,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            timeline=timeline,
-            health=monitor,
-            hedge=hedge,
-            rebuild=rebuild,
-            rebuild_pages=(
-                pages_per_disk(tree) if rebuild is not None else None
-            ),
-        )
-    else:
-        system = DiskArraySystem(
-            env,
-            tree.num_disks,
-            params=params,
-            seed=seed,
-            tracer=tracer,
-            metrics=metrics,
-            timeline=timeline,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            health=monitor,
-        )
+    system = build_disk_array(
+        env, tree, raid, health=health, hedge=hedge, rebuild=rebuild,
+        timeline=timeline, params=params, seed=seed, tracer=tracer,
+        metrics=metrics, fault_plan=fault_plan, retry_policy=retry_policy,
+    )
+    monitor = system.health
     if lifecycle is not None and monitor is not None:
         # Round events annotate the breaker states of non-closed drives.
         lifecycle.monitor = monitor
@@ -711,7 +657,7 @@ def serve_scenario(
     result = WorkloadResult(records=frontend.records)
     collect_system_stats(result, system, env)
     if metrics is not None and result.records:
-        record_workload_metrics(metrics, result)
+        record_workload_metrics(metrics, result, system)
     controller = frontend.controller
     serving = ServingResult(
         scenario=scenario,

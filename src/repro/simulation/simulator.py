@@ -45,6 +45,13 @@ from typing import Callable, Generator, List, NamedTuple, Optional, Sequence
 
 from repro.core.protocol import SearchAlgorithm
 from repro.core.results import Neighbor
+from repro.faults.health import (
+    DiskHealthMonitor,
+    HealthPolicy,
+    HedgePolicy,
+    RebuildPolicy,
+    pages_per_disk,
+)
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.geometry.point import Point
@@ -57,6 +64,10 @@ from repro.simulation.system import DiskArraySystem
 #: Builds a fresh algorithm instance for a query point (the harness binds
 #: k, the disk count and — for WOPTSS — the oracle distance).
 AlgorithmFactory = Callable[[Point], SearchAlgorithm]
+
+#: Array layouts a run can target: striping (the paper's model) or
+#: mirrored pairs (:mod:`repro.extensions.raid1`).
+RAID_LEVELS = ("raid0", "raid1")
 
 
 @dataclass
@@ -755,12 +766,12 @@ def collect_system_stats(
         result.cpu_utilization = system.cpu.total_hold_time / result.makespan
 
 
-def record_workload_metrics(metrics, result: WorkloadResult) -> None:
+def record_workload_metrics(metrics, result: WorkloadResult, system) -> None:
     """Fold a finished workload's per-query outcomes into *metrics*.
 
-    Shared by the RAID-0 and RAID-1 workload runners; robustness metrics
-    stay zero-valued absent on fault-free runs (counters are only
-    created when something actually degraded).
+    Robustness metrics stay absent on fault-free runs (counters are
+    only created when something actually degraded).  Per-drive counters
+    carry *system*'s drive names.
     """
     response = metrics.histogram("response_time")
     for record in result.records:
@@ -772,8 +783,8 @@ def record_workload_metrics(metrics, result: WorkloadResult) -> None:
     metrics.counter("queries").inc(len(result.records))
     # Scheduling-layer telemetry: how far every head traveled, and how
     # much the coalescing layer amortized.
-    for disk_id, distance in enumerate(result.seek_distances):
-        metrics.counter(f"disk{disk_id}.seek_distance").inc(distance)
+    for drive, distance in zip(system.drive_names, result.seek_distances):
+        metrics.counter(f"{drive}.seek_distance").inc(distance)
     if result.coalesced_fetches:
         metrics.counter("fetch.coalesced").inc(result.coalesced_fetches)
     if result.partial_queries:
@@ -792,6 +803,56 @@ def record_workload_metrics(metrics, result: WorkloadResult) -> None:
         metrics.counter("fetch.failovers").inc(result.total_failovers)
 
 
+def build_disk_array(
+    env: Environment,
+    tree,
+    raid: str,
+    *,
+    health: Optional[HealthPolicy],
+    hedge: Optional[HedgePolicy],
+    rebuild: Optional[RebuildPolicy],
+    timeline,
+    **system_kwargs,
+) -> DiskArraySystem:
+    """Build the array *raid* names over *tree*'s disks, monitor included.
+
+    The one place a ``raid`` / ``health`` / ``hedge`` / ``rebuild``
+    argument set becomes a system, shared by :func:`simulate_workload`
+    and :func:`~repro.serving.frontend.serve_scenario`.  A *health*
+    policy becomes a :class:`~repro.faults.health.DiskHealthMonitor`
+    over the array's physical drives (reachable afterwards as
+    ``system.health``); the rebuild's per-disk page counts are derived
+    from *tree*.  *system_kwargs* go to the system constructor as is.
+    """
+    if raid not in RAID_LEVELS:
+        raise ValueError(f"raid must be one of {RAID_LEVELS}, got {raid!r}")
+    if raid == "raid1":
+        # Imported here: the extension subclasses this package's system.
+        from repro.extensions.raid1 import MirroredDiskArraySystem as array
+
+        pages = pages_per_disk(tree) if rebuild is not None else None
+        system_kwargs.update(hedge=hedge, rebuild=rebuild, rebuild_pages=pages)
+    elif hedge is not None or rebuild is not None:
+        raise ValueError(
+            "hedged reads and online rebuild need a mirrored array — "
+            "pass raid='raid1'"
+        )
+    else:
+        array = DiskArraySystem
+    monitor = None
+    if health is not None:
+        drives = range(tree.num_disks * array.REPLICAS)
+        monitor = DiskHealthMonitor(
+            health,
+            len(drives),
+            timeline=timeline,
+            track_names=[f"{array.drive_name(d)}.health" for d in drives],
+        )
+    return array(
+        env, tree.num_disks, timeline=timeline, health=monitor, **system_kwargs
+    )
+
+
 def simulate_workload(
     tree,
     factory: AlgorithmFactory,
@@ -805,7 +866,10 @@ def simulate_workload(
     fault_plan: Optional[FaultPlan] = None,
     retry_policy: Optional[RetryPolicy] = None,
     deadline: Optional[float] = None,
-    health=None,
+    health: Optional[HealthPolicy] = None,
+    raid: str = "raid0",
+    hedge: Optional[HedgePolicy] = None,
+    rebuild: Optional[RebuildPolicy] = None,
 ) -> WorkloadResult:
     """Simulate a stream of k-NN queries against a placed tree.
 
@@ -832,11 +896,23 @@ def simulate_workload(
         injecting disk faults (see :mod:`repro.faults`).
     :param retry_policy: retry/timeout/backoff policy for faulty runs.
     :param deadline: optional per-query deadline in simulated seconds.
-    :param health: optional
-        :class:`~repro.faults.health.DiskHealthMonitor` — fetches then
-        observe per-disk outcomes and fail fast (reason ``"ejected"``)
-        against open-breaker disks instead of waiting out retries.
-    :returns: per-query records plus aggregate statistics.
+    :param health: optional :class:`~repro.faults.health.HealthPolicy`
+        — attaches a circuit-breaker monitor over the physical drives:
+        RAID-0 fetches then fail fast (reason ``"ejected"``) against
+        open-breaker disks instead of waiting out retries; RAID-1 reads
+        route to the healthy replica.
+    :param raid: ``"raid0"`` (declustered, the default — the paper's
+        model) or ``"raid1"`` (mirrored pairs; fault-plan disk ids then
+        address physical drives, ``logical * 2 + replica``).
+    :param hedge: optional :class:`~repro.faults.health.HedgePolicy`
+        enabling hedged mirrored reads (RAID-1 only).
+    :param rebuild: optional
+        :class:`~repro.faults.health.RebuildPolicy` enabling online
+        rebuild of finite-repair crash windows (RAID-1 only).
+    :returns: per-query records plus aggregate statistics.  The
+        simulated array rides along as ``result.system`` (never
+        serialized) for callers building hedge/rebuild/health report
+        sections from its counters.
     """
     if not queries:
         raise ValueError("a workload needs at least one query")
@@ -845,11 +921,10 @@ def simulate_workload(
 
     tracer = NULL_TRACER if tracer is None else tracer
     env = Environment()
-    system = DiskArraySystem(
-        env, tree.num_disks, params=params, seed=seed,
-        tracer=tracer, metrics=metrics, timeline=timeline,
-        fault_plan=fault_plan, retry_policy=retry_policy,
-        health=health,
+    system = build_disk_array(
+        env, tree, raid, health=health, hedge=hedge, rebuild=rebuild,
+        timeline=timeline, params=params, seed=seed, tracer=tracer,
+        metrics=metrics, fault_plan=fault_plan, retry_policy=retry_policy,
     )
     executor = SimulatedExecutor(
         env, system, tree, tracer=tracer, metrics=metrics,
@@ -890,5 +965,6 @@ def simulate_workload(
 
     collect_system_stats(result, system, env)
     if metrics is not None:
-        record_workload_metrics(metrics, result)
+        record_workload_metrics(metrics, result, system)
+    result.system = system
     return result

@@ -37,16 +37,26 @@ attempts are exhausted — or whose disk is crashed — completes with a
 process can degrade gracefully instead of the simulation dying.
 Without a fault plan the fetch path is byte-identical to the paper's
 model.
+
+**Replica sets.**  Every logical disk is a set of ``REPLICAS`` physical
+drives, held in one flat list by physical id ``logical * REPLICAS +
+replica`` — the address space fault plans and health monitors already
+use.  The paper's striped array is the replica set of one
+(:class:`DiskArraySystem`, ``disk<d>``); the mirrored array of
+:mod:`repro.extensions.raid1` is the subclass with two
+(``disk<L>r<R>``).  Everything above is shared; the one step an array
+type decides for itself is :meth:`DiskArraySystem._attempt` — *which
+drive takes this attempt, or why none can*.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Generator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, NamedTuple, Optional, Sequence
 
 from repro.disks.model import DiskModel
 from repro.faults.health import DiskHealthMonitor
-from repro.faults.plan import FaultPlan, FaultState
+from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.obs.metrics import fanout_gauges
 from repro.obs.trace import NULL_TRACER
@@ -127,114 +137,17 @@ class FetchFailure(NamedTuple):
 
 
 class _Attempt(NamedTuple):
-    """Outcome of one disk attempt (internal to the retry loop)."""
+    """Outcome of one attempt at a logical disk (fetch-loop internal)."""
 
-    status: str  # "ok" | "timeout" | "transient" | "crashed"
+    #: ``"ok"`` | ``"timeout"`` | ``"transient"`` | ``"crashed"`` |
+    #: ``"ejected"`` (RAID-0 breaker gate) | ``"cancelled"`` (hedge arm).
+    status: str
     queue_wait: float
     service: float
-
-
-def validate_fetch_args(
-    num_disks: int, num_cylinders: int, disk_id, cylinder, pages
-) -> None:
-    """Reject bad fetch arguments at the boundary with clear errors.
-
-    A broken declustering assignment used to surface as an
-    ``IndexError`` deep inside the resource lists (or a cylinder error
-    mid-service, after the request had already queued); every argument
-    is checked here instead, before any simulated time is spent.
-    Shared by the RAID-0 and RAID-1 systems.
-    """
-    if not isinstance(disk_id, int) or isinstance(disk_id, bool):
-        raise ValueError(
-            f"disk_id must be an int, got {disk_id!r} "
-            f"({type(disk_id).__name__})"
-        )
-    if not 0 <= disk_id < num_disks:
-        raise ValueError(
-            f"disk {disk_id} outside [0, {num_disks}) — check the tree's "
-            f"declustering placement"
-        )
-    if not isinstance(cylinder, int) or isinstance(cylinder, bool):
-        raise ValueError(
-            f"cylinder must be an int, got {cylinder!r} "
-            f"({type(cylinder).__name__})"
-        )
-    if not 0 <= cylinder < num_cylinders:
-        raise ValueError(
-            f"cylinder {cylinder} outside [0, {num_cylinders}) for disk "
-            f"{disk_id} — check the tree's cylinder placement"
-        )
-    if not isinstance(pages, int) or isinstance(pages, bool):
-        raise ValueError(
-            f"pages must be an int, got {pages!r} ({type(pages).__name__})"
-        )
-    if pages < 1:
-        raise ValueError(f"pages must be positive, got {pages}")
-
-
-def disk_attempt(
-    env: Environment,
-    queue: Resource,
-    model: DiskModel,
-    phys_id: int,
-    service_fn: Callable[[DiskModel], float],
-    plan: Optional[FaultPlan],
-    state: Optional[FaultState],
-    policy: Optional[RetryPolicy],
-    cylinder: Optional[int] = None,
-) -> Generator:
-    """Process fragment (``yield from``): one attempt at one drive.
-
-    Queue for the drive, racing the grant against the per-attempt
-    timeout (a timed-out queued request is cancelled cleanly); service
-    the read — *service_fn* charges the drive (a plain single read or a
-    coalesced multi-page sweep), inflated by any active fail-slow
-    window; then judge the attempt — crashed mid-service, over the time
-    cap, or hit by a transient read error.  Shared by the RAID-0 and
-    RAID-1 systems.
-
-    :param cylinder: scheduler metadata — the request's (anchor)
-        cylinder, so a seek-aware queue discipline can order the grant.
-    """
-    t0 = env.now
-    cap = policy.attempt_timeout if policy is not None else None
-    grant = queue.request(cylinder=cylinder)
-    if cap is not None and not grant.triggered:
-        yield AnyOf(env, [grant, env.timeout(cap)])
-        if not grant.triggered:
-            # Timed out while queued: withdraw the request and give up
-            # on this attempt without ever touching the disk.
-            queue.release(grant)
-            return _Attempt("timeout", env.now - t0, 0.0)
-    else:
-        yield grant
-    granted = env.now
-    try:
-        duration = service_fn(model)
-        if plan is not None:
-            factor = plan.slow_factor(phys_id, granted)
-            if factor > 1.0:
-                # The drive really is busy for the inflated time; keep
-                # the utilization accounting honest.
-                extra = duration * (factor - 1.0)
-                model.busy_time += extra
-                duration += extra
-        yield env.timeout(duration)
-    finally:
-        queue.release(grant)
-    served = env.now
-    queue_wait = granted - t0
-    service = served - granted
-    if plan is not None and plan.is_crashed(phys_id, served):
-        return _Attempt("crashed", queue_wait, service)
-    if cap is not None and served - t0 > cap:
-        # The disk is not preemptible: the service completed, but the
-        # attempt blew its budget and its result is discarded.
-        return _Attempt("timeout", queue_wait, service)
-    if state is not None and state.draw_transient(phys_id):
-        return _Attempt("transient", queue_wait, service)
-    return _Attempt("ok", queue_wait, service)
+    #: Physical drive the attempt went to; ``None`` when it reached none.
+    drive: Optional[int] = None
+    #: 1 when the read was redirected away from its preferred replica.
+    failover: int = 0
 
 
 class CpuTiming(NamedTuple):
@@ -254,28 +167,38 @@ class DiskArraySystem:
     """Disks + bus + CPU wired into a simulation environment.
 
     :param env: the simulation environment.
-    :param num_disks: disks in the RAID-0 array.
+    :param num_disks: *logical* disks in the array (physical drives are
+        ``REPLICAS`` times that; the two coincide on RAID-0).
     :param params: timing parameters (defaults to the paper's Table 1/2).
-    :param seed: seeds the rotational-latency RNG per disk; ignored when
+    :param seed: seeds the rotational-latency RNG per drive; ignored when
         ``params.sample_rotation`` is False.
     :param tracer: optional :class:`~repro.obs.trace.Tracer`; the
         default :data:`~repro.obs.trace.NULL_TRACER` records nothing.
     :param metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-        when given, per-disk/bus/cpu queue-depth gauges are wired into
+        when given, per-drive/bus/cpu queue-depth gauges are wired into
         the resources.
     :param timeline: optional
         :class:`~repro.obs.timeline.TimelineSampler`; when given, each
-        disk and the bus drive ``disk<N>.queue_depth`` / ``disk<N>.busy``
-        / ``bus.queue_depth`` / ``bus.busy`` tracks.  Sampling is
-        event-driven (no calendar events, no RNG), so attaching one
-        changes nothing about the simulated run.
-    :param fault_plan: optional :class:`~repro.faults.plan.FaultPlan`;
-        when given, fetches run through the retry loop documented in
-        the module docstring.
+        drive and the bus drive ``<drive>.queue_depth`` / ``<drive>.busy``
+        / ``bus.queue_depth`` / ``bus.busy`` tracks (``<drive>`` as
+        named by :meth:`drive_name`).  Sampling is event-driven (no
+        calendar events, no RNG), so attaching one changes nothing
+        about the simulated run.
+    :param fault_plan: optional :class:`~repro.faults.plan.FaultPlan`
+        over *physical* drive ids; when given, fetches run through the
+        retry loop documented in the module docstring.
     :param retry_policy: the :class:`~repro.faults.policy.RetryPolicy`
         governing that loop (default: ``RetryPolicy()`` when a fault
         plan is present).
+    :param health: optional
+        :class:`~repro.faults.health.DiskHealthMonitor` over the
+        physical drives.
     """
+
+    #: Physical drives per logical disk: a class constant per array type
+    #: (picked by the runners' ``raid=`` argument), never a user-set
+    #: number.  The paper's striped array is a replica set of one.
+    REPLICAS = 1
 
     def __init__(
         self,
@@ -304,10 +227,8 @@ class DiskArraySystem:
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
-        #: Optional circuit-breaker health monitor: fetches consult it
-        #: before queueing, and an open breaker fails the fetch fast
-        #: (reason ``"ejected"``) so the query certifies its radius
-        #: instead of waiting out retries at a sick disk.
+        #: Optional circuit-breaker health monitor: every attempt is
+        #: reported to it; what an open breaker *does* is :meth:`_attempt`'s.
         self.health = health
         #: The fault-aware path is taken only when something can fail;
         #: otherwise the fetch path is exactly the paper's model.
@@ -316,11 +237,12 @@ class DiskArraySystem:
             or retry_policy is not None
             or health is not None
         )
-        #: Robustness counters: failed attempts that were retried, and
-        #: fetches that permanently failed.
+        #: Robustness counters: failed attempts that were retried,
+        #: fetches that permanently failed, and reads redirected away
+        #: from their preferred replica (always 0 on RAID-0).
         self.retries = 0
         self.failed_fetches = 0
-        self.failovers = 0  # always 0 on RAID-0; RAID-1 overrides
+        self.failovers = 0
 
         def _gauge(name: str):
             metrics_gauge = (
@@ -340,21 +262,32 @@ class DiskArraySystem:
                 return None
             return timeline.track(f"{name}.busy")
 
+        #: Per-drive names, queues and models in one flat list each,
+        #: indexed by physical id (``logical * REPLICAS + replica``).
+        self.drive_names: List[str] = [
+            self.drive_name(drive)
+            for drive in range(num_disks * self.REPLICAS)
+        ]
         self.disk_queues: List[Resource] = []
         self.disk_models: List[DiskModel] = []
-        for disk_id in range(num_disks):
+        # Seed layout: 8 bits of logical disk plus the bits the replica
+        # index needs — ``(seed << 8) ^ disk`` on RAID-0 and
+        # ``(seed << 9) ^ (disk * 2 + replica)`` on RAID-1, the streams
+        # every golden trace was captured with.
+        shift = 8 + (self.REPLICAS - 1).bit_length()
+        for drive, track in enumerate(self.drive_names):
             rng = (
-                random.Random((seed << 8) ^ disk_id)
+                random.Random((seed << shift) ^ drive)
                 if self.params.sample_rotation
                 else None
             )
-            track = f"disk{disk_id}"
             self.tracer.track(track)
             model = DiskModel(self.params.disk, rng)
             self.disk_models.append(model)
-            # make_scheduler returns None for "fcfs": the resource then
-            # grants strictly FCFS — the paper's model, bit-identical to
-            # the pre-scheduler code path.
+            # Each physical drive runs its own queue discipline against
+            # its own head.  make_scheduler returns None for "fcfs": the
+            # resource then grants strictly FCFS — the paper's model,
+            # bit-identical to the pre-scheduler code path.
             self.disk_queues.append(
                 Resource(env, name=track, tracer=self.tracer,
                          gauge=_gauge(track), busy_gauge=_busy(track),
@@ -368,7 +301,8 @@ class DiskArraySystem:
         self.cpu = Resource(env, name="cpu", tracer=self.tracer,
                             gauge=_gauge("cpu"))
         #: Optional LRU page buffer (None when buffer_pages == 0 — the
-        #: paper's model).  The executor consults it per page.
+        #: paper's model).  The executor consults it per page, on every
+        #: array type.
         self.buffer: Optional[BufferPool] = BufferPool.from_parameters(
             self.params
         )
@@ -381,11 +315,53 @@ class DiskArraySystem:
         self.pages_fetched = 0
         self.coalesced_fetches = 0
 
+    @classmethod
+    def drive_name(cls, drive: int) -> str:
+        """Physical drive *drive*'s name: ``disk<d>`` on a striped array,
+        ``disk<L>r<R>`` on a replicated one.  Tracer, gauge, timeline and
+        health tracks and per-drive metrics are all named through this.
+        """
+        if cls.REPLICAS == 1:
+            return f"disk{drive}"
+        logical, replica = divmod(drive, cls.REPLICAS)
+        return f"disk{logical}r{replica}"
+
     def _validate_fetch(self, disk_id, cylinder, pages) -> None:
-        validate_fetch_args(
-            self.num_disks, self.params.disk.cylinders,
-            disk_id, cylinder, pages,
-        )
+        """Reject bad fetch arguments at the boundary with clear errors.
+
+        A broken declustering assignment used to surface as an
+        ``IndexError`` deep inside the resource lists (or a cylinder
+        error mid-service, after the request had already queued); every
+        argument is checked here instead, before any simulated time is
+        spent.
+        """
+        num_cylinders = self.params.disk.cylinders
+        if not isinstance(disk_id, int) or isinstance(disk_id, bool):
+            raise ValueError(
+                f"disk_id must be an int, got {disk_id!r} "
+                f"({type(disk_id).__name__})"
+            )
+        if not 0 <= disk_id < self.num_disks:
+            raise ValueError(
+                f"disk {disk_id} outside [0, {self.num_disks}) — check the "
+                f"tree's declustering placement"
+            )
+        if not isinstance(cylinder, int) or isinstance(cylinder, bool):
+            raise ValueError(
+                f"cylinder must be an int, got {cylinder!r} "
+                f"({type(cylinder).__name__})"
+            )
+        if not 0 <= cylinder < num_cylinders:
+            raise ValueError(
+                f"cylinder {cylinder} outside [0, {num_cylinders}) for disk "
+                f"{disk_id} — check the tree's cylinder placement"
+            )
+        if not isinstance(pages, int) or isinstance(pages, bool):
+            raise ValueError(
+                f"pages must be an int, got {pages!r} ({type(pages).__name__})"
+            )
+        if pages < 1:
+            raise ValueError(f"pages must be positive, got {pages}")
 
     def fetch_page(
         self,
@@ -475,6 +451,142 @@ class DiskArraySystem:
         )
         return result
 
+    def _pick_drive(self, disk_id: int, cylinder: int) -> int:
+        """The drive a fault-free read of *disk_id* goes to: the
+        nothing-can-fail form of :meth:`_attempt`'s decision (a replica
+        set of one has only the one drive)."""
+        return disk_id
+
+    def _attempt(
+        self,
+        disk_id: int,
+        anchor: int,
+        service_fn: Callable[[DiskModel], float],
+        attempt: int,
+        last: Optional[int],
+    ) -> Generator:
+        """Process fragment: one attempt of the fetch loop at *disk_id*.
+
+        The one step that differs by array type: *which drive takes
+        this attempt, or why none can*.  Returns the attempt's
+        :class:`_Attempt`.  The striped array has a single candidate, so
+        an open breaker or a crash fails the attempt outright.
+
+        :param attempt: 1-based attempt number within the fetch.
+        :param last: the drive the previous failed attempt ran on.
+        """
+        now = self.env.now
+        if self.health is not None and not self.health.allow(disk_id, now):
+            # The disk's breaker is open: fail fast at zero simulated
+            # cost; the executor marks the subtree unreachable and the
+            # query certifies its radius instead of waiting out retries
+            # at a sick disk.  (The stateful gate is consulted *before*
+            # the crash check — its probe draws are part of the run.)
+            return _Attempt("ejected", 0.0, 0.0)
+        if self.fault_plan is not None and self.fault_plan.is_crashed(
+            disk_id, now
+        ):
+            # No point queueing at a dead disk; the attempt is charged
+            # but costs no simulated time.
+            return self._judged(_Attempt("crashed", 0.0, 0.0, disk_id))
+        return (yield from self._disk_attempt(disk_id, anchor, service_fn))
+
+    def _judged(self, outcome: _Attempt) -> _Attempt:
+        """Report a finished attempt to the health monitor, if any."""
+        if self.health is not None:
+            self.health.observe(
+                outcome.drive,
+                outcome.status == "ok",
+                outcome.queue_wait + outcome.service,
+                self.env.now,
+            )
+        return outcome
+
+    def _disk_attempt(
+        self,
+        drive: int,
+        anchor: int,
+        service_fn: Callable[[DiskModel], float],
+    ) -> Generator:
+        """Process fragment (``yield from``): one attempt at one drive.
+
+        Queue for the drive, racing the grant against the per-attempt
+        timeout (a timed-out queued request is cancelled cleanly), then
+        serve and judge the read (:meth:`_serve_granted`).
+
+        :param anchor: scheduler metadata — the request's (anchor)
+            cylinder, so a seek-aware queue discipline can order the grant.
+        """
+        env = self.env
+        queue = self.disk_queues[drive]
+        t0 = env.now
+        cap = self.retry_policy.attempt_timeout
+        grant = queue.request(cylinder=anchor)
+        if cap is not None and not grant.triggered:
+            yield AnyOf(env, [grant, env.timeout(cap)])
+            if not grant.triggered:
+                # Timed out while queued: withdraw the request and give up
+                # on this attempt without ever touching the disk.
+                queue.release(grant)
+                return self._judged(
+                    _Attempt("timeout", env.now - t0, 0.0, drive)
+                )
+        else:
+            yield grant
+        return (
+            yield from self._serve_granted(drive, grant, t0, service_fn, cap)
+        )
+
+    def _serve_granted(
+        self,
+        drive: int,
+        grant,
+        t0: float,
+        service_fn: Callable[[DiskModel], float],
+        cap: Optional[float],
+    ) -> Generator:
+        """Process fragment: serve a granted read at *drive*, then judge it.
+
+        *service_fn* charges the drive (a plain single read or a
+        coalesced multi-page sweep), inflated by any active fail-slow
+        window; the attempt is then judged — crashed mid-service, over
+        the time cap *cap* (``None``: uncapped), or hit by a transient
+        read error — and reported to the health monitor.
+
+        :param t0: when the attempt started queueing.
+        """
+        env = self.env
+        queue, model = self.disk_queues[drive], self.disk_models[drive]
+        plan = self.fault_plan
+        granted = env.now
+        try:
+            duration = service_fn(model)
+            if plan is not None:
+                factor = plan.slow_factor(drive, granted)
+                if factor > 1.0:
+                    # The drive really is busy for the inflated time; keep
+                    # the utilization accounting honest.
+                    extra = duration * (factor - 1.0)
+                    model.busy_time += extra
+                    duration += extra
+            yield env.timeout(duration)
+        finally:
+            queue.release(grant)
+        served = env.now
+        if plan is not None and plan.is_crashed(drive, served):
+            status = "crashed"
+        elif cap is not None and served - t0 > cap:
+            # The disk is not preemptible: the service completed, but the
+            # attempt blew its budget and its result is discarded.
+            status = "timeout"
+        elif self.faults is not None and self.faults.draw_transient(drive):
+            status = "transient"
+        else:
+            status = "ok"
+        return self._judged(
+            _Attempt(status, granted - t0, served - granted, drive)
+        )
+
     def _fetch(
         self,
         disk_id: int,
@@ -489,72 +601,59 @@ class DiskArraySystem:
         *service_fn* charges the drive (single read or coalesced sweep);
         *anchor* is the cylinder the queue discipline orders by.
         """
-        queue = self.disk_queues[disk_id]
-        model = self.disk_models[disk_id]
-        start = self.env.now
+        env = self.env
+        start = env.now
+        failovers = 0
 
         if not self._faulty:
             # The paper's model: one attempt, nothing can go wrong.
+            drive = self._pick_drive(disk_id, anchor)
+            queue = self.disk_queues[drive]
             grant = queue.request(cylinder=anchor)
             yield grant
-            granted = self.env.now
+            granted = env.now
             try:
                 # Head position is only touched while holding the disk,
                 # so the seek distance reflects the true service order.
-                yield self.env.timeout(service_fn(model))
+                yield env.timeout(service_fn(self.disk_models[drive]))
             finally:
                 queue.release(grant)
-            served = self.env.now
+            served = env.now
             queue_wait, service = granted - start, served - granted
             retry_wait, attempts = 0.0, 1
         else:
-            plan, state = self.fault_plan, self.faults
             policy = self.retry_policy
             queue_wait = service = retry_wait = 0.0
             attempts = 0
             status = "exhausted"
+            last: Optional[int] = None
             while attempts < policy.max_attempts:
-                if self.health is not None and not self.health.allow(
-                    disk_id, self.env.now
-                ):
-                    # The disk's breaker is open: fail fast at zero
-                    # simulated cost; the executor marks the subtree
-                    # unreachable and the query certifies its radius
-                    # instead of waiting out retries at a sick disk.
-                    attempts += 1
-                    status = "ejected"
-                    break
                 attempts += 1
-                if plan is not None and plan.is_crashed(disk_id, self.env.now):
-                    # No point queueing at a dead disk; the attempt is
-                    # charged but costs no simulated time.
-                    status = "crashed"
-                    if self.health is not None:
-                        self.health.observe(
-                            disk_id, False, 0.0, self.env.now
-                        )
+                outcome = yield from self._attempt(
+                    disk_id, anchor, service_fn, attempts, last
+                )
+                queue_wait += outcome.queue_wait
+                service += outcome.service
+                failovers += outcome.failover
+                status, drive = outcome.status, outcome.drive
+                if status == "ok":
+                    granted = env.now - outcome.service
+                    break
+                if status == "ejected":
+                    # Failing fast means exactly that: no fault instant,
+                    # no retry charged, no backoff slept.
+                    break
+                if drive is None:
+                    # No drive took it (the whole replica set is down):
+                    # the fault is marked on the set's first drive.
+                    drive = disk_id * self.REPLICAS
                 else:
-                    outcome = yield from disk_attempt(
-                        self.env, queue, model, disk_id, service_fn,
-                        plan, state, policy, cylinder=anchor,
-                    )
-                    queue_wait += outcome.queue_wait
-                    service += outcome.service
-                    status = outcome.status
-                    if self.health is not None:
-                        self.health.observe(
-                            disk_id,
-                            status == "ok",
-                            outcome.queue_wait + outcome.service,
-                            self.env.now,
-                        )
-                    if status == "ok":
-                        granted = self.env.now - outcome.service
-                        break
+                    last = drive
                 if self.tracer.enabled:
                     self.tracer.instant(
-                        f"disk{disk_id}", "fault", "fault", self.env.now,
-                        flow=flow, args={"status": status, "attempt": attempts},
+                        self.drive_names[drive], "fault", "fault", env.now,
+                        flow=flow,
+                        args={"status": status, "attempt": attempts},
                     )
                 if attempts >= policy.max_attempts:
                     break
@@ -563,9 +662,9 @@ class DiskArraySystem:
                     self.metrics.counter("fetch.retries").inc()
                 delay = policy.backoff(attempts)
                 if delay > 0.0:
-                    before = self.env.now
-                    yield self.env.timeout(delay)
-                    retry_wait += self.env.now - before
+                    before = env.now
+                    yield env.timeout(delay)
+                    retry_wait += env.now - before
             if status != "ok":
                 self.failed_fetches += 1
                 if self.metrics is not None:
@@ -577,30 +676,32 @@ class DiskArraySystem:
                     queue_wait=queue_wait,
                     service=service,
                     retry_wait=retry_wait,
-                    end=self.env.now,
+                    end=env.now,
                     reason=(
                         status
                         if status in ("crashed", "ejected")
                         else "exhausted"
                     ),
                     attempts=attempts,
+                    failovers=failovers,
                 )
-            served = self.env.now
+            served = env.now
 
         grant = self.bus.request()
         yield grant
-        bus_granted = self.env.now
+        bus_granted = env.now
         try:
-            yield self.env.timeout(self.params.bus_time)
+            yield env.timeout(self.params.bus_time)
         finally:
             self.bus.release(grant)
-        end = self.env.now
+        end = env.now
         self.pages_fetched += pages
 
         if self.tracer.enabled:
-            # The span covers the successful attempt's service interval.
+            # The span covers the successful attempt's service interval
+            # (the winning arm's, for a hedged read).
             self.tracer.span(
-                f"disk{disk_id}", "service", "disk", granted, served,
+                self.drive_names[drive], "service", "disk", granted, served,
                 flow=flow, args=span_args,
             )
             self.tracer.span(
@@ -617,6 +718,7 @@ class DiskArraySystem:
             end=end,
             retry_wait=retry_wait,
             attempts=attempts,
+            failovers=failovers,
         )
 
     def cpu_work(
@@ -650,11 +752,11 @@ class DiskArraySystem:
         )
 
     def disk_utilizations(self, elapsed: float) -> List[float]:
-        """Fraction of *elapsed* each disk spent servicing requests."""
+        """Fraction of *elapsed* each physical drive spent servicing."""
         if elapsed <= 0:
-            return [0.0] * self.num_disks
+            return [0.0] * len(self.disk_models)
         return [model.busy_time / elapsed for model in self.disk_models]
 
     def seek_distances(self) -> List[int]:
-        """Cumulative cylinders each disk's head traveled so far."""
+        """Cumulative cylinders each physical drive's head has traveled."""
         return [model.seek_distance_total for model in self.disk_models]

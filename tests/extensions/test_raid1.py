@@ -4,10 +4,8 @@ import pytest
 
 from repro.core import CRSS
 from repro.datasets import sample_queries, uniform
-from repro.extensions.raid1 import (
-    MirroredDiskArraySystem,
-    simulate_mirrored_workload,
-)
+from repro.extensions.raid1 import MirroredDiskArraySystem
+from repro.faults.health import HedgePolicy
 from repro.parallel import build_parallel_tree
 from repro.simulation import simulate_workload
 from repro.simulation.engine import Environment
@@ -30,8 +28,12 @@ class TestMirroredSystem:
 
     def test_two_replicas_per_logical_disk(self):
         system = MirroredDiskArraySystem(Environment(), 3)
-        assert len(system.replica_queues) == 3
-        assert all(len(pair) == 2 for pair in system.replica_queues)
+        # One flat list by physical id: logical * 2 + replica.
+        assert system.num_disks == 3
+        assert len(system.disk_queues) == len(system.disk_models) == 6
+        assert system.drive_names == [
+            "disk0r0", "disk0r1", "disk1r0", "disk1r1", "disk2r0", "disk2r1",
+        ]
         assert len(system.disk_utilizations(1.0)) == 6
 
     def test_out_of_range_disk(self):
@@ -62,9 +64,7 @@ class TestMirroredSystem:
         env.process(fetch())
         env.run()
         assert abs(done[0] - done[1]) <= system.params.bus_time + 1e-9
-        served = [
-            m.requests_served for m in system.replica_models[0]
-        ]
+        served = [m.requests_served for m in system.disk_models[0:2]]
         assert served == [1, 1]
 
 
@@ -74,8 +74,8 @@ class TestMirroredWorkload:
         raid0 = simulate_workload(
             tree, factory, queries, arrival_rate=5.0, seed=3
         )
-        raid1 = simulate_mirrored_workload(
-            tree, factory, queries, arrival_rate=5.0, seed=3
+        raid1 = simulate_workload(
+            tree, factory, queries, arrival_rate=5.0, seed=3, raid="raid1"
         )
         for a, b in zip(raid0.records, raid1.records):
             assert [n.oid for n in a.answers] == [n.oid for n in b.answers]
@@ -87,28 +87,58 @@ class TestMirroredWorkload:
         raid0 = simulate_workload(
             tree, factory, queries, arrival_rate=rate, seed=7
         )
-        raid1 = simulate_mirrored_workload(
-            tree, factory, queries, arrival_rate=rate, seed=7
+        raid1 = simulate_workload(
+            tree, factory, queries, arrival_rate=rate, seed=7, raid="raid1"
         )
         assert raid1.mean_response < raid0.mean_response
 
     def test_serial_mode(self, workload):
         tree, queries, factory = workload
-        result = simulate_mirrored_workload(
-            tree, factory, queries[:5], arrival_rate=None
+        result = simulate_workload(
+            tree, factory, queries[:5], arrival_rate=None, raid="raid1"
         )
         assert len(result.records) == 5
         for before, after in zip(result.records, result.records[1:]):
             assert after.arrival == pytest.approx(before.completion)
 
+    def test_stats_and_metrics_cover_every_physical_drive(self, workload):
+        from repro.obs import MetricsRegistry
+
+        tree, queries, factory = workload
+        metrics = MetricsRegistry()
+        result = simulate_workload(
+            tree, factory, queries, arrival_rate=60.0, seed=7, raid="raid1",
+            metrics=metrics,
+        )
+        drives = 2 * tree.num_disks
+        assert len(result.mean_queue_lengths) == drives
+        assert len(result.max_queue_lengths) == drives
+        assert len(result.disk_utilizations) == drives
+        assert any(result.max_queue_lengths)
+        # Per-drive series carry the system's drive names, not the
+        # flattened index.
+        names = set(metrics.snapshot())
+        assert "disk1r0.seek_distance" in names
+        assert "disk1r0.queue_depth" in names
+        assert "disk2.seek_distance" not in names
+        raid0 = MetricsRegistry()
+        simulate_workload(
+            tree, factory, queries, arrival_rate=60.0, seed=7, metrics=raid0
+        )
+        assert "disk2.seek_distance" in set(raid0.snapshot())
+
     def test_validation(self, workload):
         tree, queries, factory = workload
         with pytest.raises(ValueError, match="at least one query"):
-            simulate_mirrored_workload(tree, factory, [])
+            simulate_workload(tree, factory, [], raid="raid1")
         with pytest.raises(ValueError, match="arrival_rate"):
-            simulate_mirrored_workload(
-                tree, factory, queries, arrival_rate=-1.0
+            simulate_workload(
+                tree, factory, queries, arrival_rate=-1.0, raid="raid1"
             )
+        with pytest.raises(ValueError, match="raid"):
+            simulate_workload(tree, factory, queries, raid="raid5")
+        with pytest.raises(ValueError, match="mirrored"):
+            simulate_workload(tree, factory, queries, hedge=HedgePolicy())
 
 
 class TestReplicaDispatch:
@@ -124,25 +154,27 @@ class TestReplicaDispatch:
     def test_ties_break_by_replica_index(self):
         system = self.system()
         # Fresh system: equal backlogs, equal head positions.
-        assert system._pick_replica(0, cylinder=100) == 0
+        assert system._pick_drive(0, cylinder=100) == 0
+        # The pick is a physical id: logical disk 1 owns drives 2 and 3.
+        assert self.system(2)._pick_drive(1, cylinder=100) == 2
 
     def test_shorter_queue_wins(self):
         system = self.system()
-        hold = system.replica_queues[0][0].request()
-        assert system._pick_replica(0, cylinder=0) == 1
-        system.replica_queues[0][0].release(hold)
-        assert system._pick_replica(0, cylinder=0) == 0
+        hold = system.disk_queues[0].request()
+        assert system._pick_drive(0, cylinder=0) == 1
+        system.disk_queues[0].release(hold)
+        assert system._pick_drive(0, cylinder=0) == 0
 
     def test_backlog_counts_waiters_not_just_the_holder(self):
         system = self.system()
-        queue = system.replica_queues[0][0]
+        queue = system.disk_queues[0]
         grants = [queue.request(), queue.request()]  # one holder, one waiter
-        other = system.replica_queues[0][1].request()
+        other = system.disk_queues[1].request()
         # Replica 0 has backlog 2, replica 1 has backlog 1.
-        assert system._pick_replica(0, cylinder=0) == 1
+        assert system._pick_drive(0, cylinder=0) == 1
         for grant in grants:
             queue.release(grant)
-        system.replica_queues[0][1].release(other)
+        system.disk_queues[1].release(other)
 
     def test_equal_queues_prefer_the_nearer_head(self):
         system = self.system()
@@ -155,10 +187,10 @@ class TestReplicaDispatch:
         env.run()
         # The serviced replica (0, by index tie-break) parked at
         # cylinder 100; the idle one is still at 0.
-        heads = [m.head_cylinder for m in system.replica_models[0]]
+        heads = [m.head_cylinder for m in system.disk_models[0:2]]
         assert heads == [100, 0]
-        assert system._pick_replica(0, cylinder=90) == 0
-        assert system._pick_replica(0, cylinder=5) == 1
+        assert system._pick_drive(0, cylinder=90) == 0
+        assert system._pick_drive(0, cylinder=5) == 1
 
     def test_three_readers_two_spindles(self):
         system = self.system()
@@ -177,7 +209,7 @@ class TestReplicaDispatch:
         # behind one of them and finishes strictly later.
         assert abs(done[0] - done[1]) <= system.params.bus_time + 1e-9
         assert done[2] > done[1] + 1e-9
-        served = [m.requests_served for m in system.replica_models[0]]
+        served = [m.requests_served for m in system.disk_models[0:2]]
         assert sorted(served) == [1, 2]
 
 
@@ -212,7 +244,7 @@ class TestMirroredFailover:
         assert timing.ok
         assert timing.failovers >= 1
         assert system.failovers >= 1
-        served = [m.requests_served for m in system.replica_models[0]]
+        served = [m.requests_served for m in system.disk_models[0:2]]
         assert served == [0, 1]  # only the survivor spun
 
     def test_transient_error_retries_on_the_other_replica(self):
@@ -229,7 +261,7 @@ class TestMirroredFailover:
         assert timing.ok
         assert timing.attempts == 2
         assert timing.failovers >= 1
-        served = [m.requests_served for m in system.replica_models[0]]
+        served = [m.requests_served for m in system.disk_models[0:2]]
         assert served == [1, 1]  # one wasted spin, one good one
 
     def test_both_replicas_down_is_a_crashed_failure(self):
@@ -268,12 +300,13 @@ class TestMirroredBuffer:
     def test_mirrored_workload_takes_buffer_hits(self, workload):
         tree, queries, factory = workload
         params = SystemParameters(buffer_pages=48)
-        buffered = simulate_mirrored_workload(
-            tree, factory, queries, arrival_rate=5.0, seed=3, params=params
+        buffered = simulate_workload(
+            tree, factory, queries, arrival_rate=5.0, seed=3, params=params,
+            raid="raid1",
         )
         assert buffered.total_buffer_hits > 0
-        plain = simulate_mirrored_workload(
-            tree, factory, queries, arrival_rate=5.0, seed=3
+        plain = simulate_workload(
+            tree, factory, queries, arrival_rate=5.0, seed=3, raid="raid1"
         )
         # Hits replace physical fetches one-for-one, query by query.
         for cold, warm in zip(plain.records, buffered.records):
@@ -282,9 +315,10 @@ class TestMirroredBuffer:
 
     def test_mirrored_buffer_answers_unchanged(self, workload):
         tree, queries, factory = workload
-        buffered = simulate_mirrored_workload(
+        buffered = simulate_workload(
             tree, factory, queries, arrival_rate=None, seed=3,
             params=SystemParameters(buffer_pages=32),
+            raid="raid1",
         )
         for record in buffered.records:
             expected = [n.oid for n in tree.knn(record.query, 8)]
@@ -299,12 +333,14 @@ class TestMirroredScheduling:
         tree, _, factory = workload
         points = [p for p, _ in tree.tree.iter_points()]
         queries = sample_queries(points, 60, seed=17)
-        fcfs = simulate_mirrored_workload(
-            tree, queries=queries, factory=factory, arrival_rate=120.0, seed=3
+        fcfs = simulate_workload(
+            tree, queries=queries, factory=factory, arrival_rate=120.0, seed=3,
+            raid="raid1",
         )
-        sstf = simulate_mirrored_workload(
+        sstf = simulate_workload(
             tree, queries=queries, factory=factory, arrival_rate=120.0, seed=3,
             params=SystemParameters(scheduler="sstf"),
+            raid="raid1",
         )
         by_arrival = lambda res: [
             [n.oid for n in r.answers]
@@ -315,9 +351,10 @@ class TestMirroredScheduling:
 
     def test_coalescing_on_mirrors(self, workload):
         tree, queries, factory = workload
-        grouped = simulate_mirrored_workload(
+        grouped = simulate_workload(
             tree, queries=queries, factory=factory, arrival_rate=None, seed=3,
             params=SystemParameters(coalesce=True),
+            raid="raid1",
         )
         assert grouped.coalesced_fetches > 0
         for record in grouped.records:

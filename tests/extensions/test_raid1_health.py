@@ -4,13 +4,10 @@ import pytest
 
 from repro.core import CRSS
 from repro.datasets import sample_queries, uniform
-from repro.extensions.raid1 import (
-    MirroredDiskArraySystem,
-    simulate_mirrored_workload,
-)
 from repro.faults import FaultPlan, RetryPolicy, SlowWindow
-from repro.faults.health import DiskHealthMonitor, HealthPolicy, HedgePolicy
+from repro.faults.health import HealthPolicy, HedgePolicy
 from repro.parallel import build_parallel_tree
+from repro.simulation import simulate_workload
 from repro.simulation.parameters import SystemParameters
 
 
@@ -34,16 +31,10 @@ def _slow_plan(tree, factor=8.0):
     )
 
 
-def _monitor(tree, **policy_kwargs):
-    """A physical-drive monitor sized for *tree*'s mirrored array."""
-    return DiskHealthMonitor(
-        HealthPolicy(**policy_kwargs), tree.num_disks * 2
-    )
-
-
 def _run(tree, queries, factory, rate=40.0, **kwargs):
-    return simulate_mirrored_workload(
-        tree, factory, queries, arrival_rate=rate, seed=3, **kwargs
+    return simulate_workload(
+        tree, factory, queries, arrival_rate=rate, seed=3, raid="raid1",
+        **kwargs
     )
 
 
@@ -134,7 +125,7 @@ class TestHedgedReads:
                 tree, queries, factory,
                 fault_plan=_slow_plan(tree),
                 retry_policy=RetryPolicy(),
-                health=_monitor(tree, latency_threshold=0.08),
+                health=HealthPolicy(latency_threshold=0.08),
                 hedge=HedgePolicy(quantile=0.9, min_delay=0.001,
                                   min_samples=4),
             )
@@ -157,7 +148,7 @@ class TestBreakerRouting:
             rate=10.0,
             fault_plan=_slow_plan(tree, factor=12.0),
             retry_policy=RetryPolicy(),
-            health=_monitor(tree, latency_threshold=0.05),
+            health=HealthPolicy(latency_threshold=0.05),
         )
         monitor = monitor_runs.system.health
         doc = monitor.describe(monitor_runs.makespan)
@@ -187,12 +178,12 @@ class TestBreakerRouting:
             tree, queries, factory,
             fault_plan=plan,
             retry_policy=RetryPolicy(),
-            health=_monitor(tree, latency_threshold=0.01),
+            health=HealthPolicy(latency_threshold=0.01),
         )
         assert len(result.records) == 15
         assert all(r.answers for r in result.records)
 
     def test_monitor_sees_two_drives_per_logical_disk(self, workload):
         tree, queries, factory = workload
-        result = _run(tree, queries[:5], factory, health=_monitor(tree))
+        result = _run(tree, queries[:5], factory, health=HealthPolicy())
         assert result.system.health.num_disks == tree.num_disks * 2

@@ -6,14 +6,12 @@ import pytest
 
 from repro.core import CRSS
 from repro.datasets import sample_queries, uniform
-from repro.extensions.raid1 import (
-    MirroredDiskArraySystem,
-    simulate_mirrored_workload,
-)
+from repro.extensions.raid1 import MirroredDiskArraySystem
 from repro.faults import CrashWindow, FaultPlan, RetryPolicy
 from repro.faults.health import RebuildPolicy, pages_per_disk
 from repro.obs.timeline import TimelineSampler
 from repro.parallel import build_parallel_tree
+from repro.simulation import simulate_workload
 from repro.simulation.engine import Environment
 from repro.simulation.parameters import SystemParameters
 
@@ -32,12 +30,11 @@ def _crash_plan(phys=0, start=0.05, repair=0.2):
 
 
 def _run(tree, queries, factory, plan, rebuild, timeline=None, rate=30.0):
-    return simulate_mirrored_workload(
+    return simulate_workload(
         tree, factory, queries,
         arrival_rate=rate, seed=3,
         fault_plan=plan, retry_policy=RetryPolicy(),
-        rebuild=rebuild, rebuild_pages=pages_per_disk(tree),
-        timeline=timeline,
+        rebuild=rebuild, timeline=timeline, raid="raid1",
     )
 
 
@@ -61,9 +58,10 @@ class TestRebuildValidation:
         # A finite-repair window without a rebuild policy is the PR3
         # behaviour: the drive silently returns at the repair instant.
         tree, queries, factory = workload
-        result = simulate_mirrored_workload(
+        result = simulate_workload(
             tree, factory, queries, arrival_rate=30.0, seed=3,
             fault_plan=_crash_plan(), retry_policy=RetryPolicy(),
+            raid="raid1",
         )
         assert len(result.records) == len(queries)
 
@@ -132,16 +130,17 @@ class TestRebuildRun:
         # While pending-rebuild the drive serves no foreground reads:
         # its only activity is the rebuild writes, so the mirror took
         # every foreground request for the pair.
-        rebuilt_model = system.replica_models[0][0]
-        mirror_model = system.replica_models[0][1]
+        rebuilt_model = system.disk_models[0]
+        mirror_model = system.disk_models[1]
         assert finished > 0.2
         assert mirror_model.requests_served > rebuilt_model.requests_served
 
     def test_answers_unchanged_by_rebuild(self, workload):
         tree, queries, factory = workload
-        plain = simulate_mirrored_workload(
+        plain = simulate_workload(
             tree, factory, queries, arrival_rate=30.0, seed=3,
             fault_plan=_crash_plan(), retry_policy=RetryPolicy(),
+            raid="raid1",
         )
         rebuilt = _run(tree, queries, factory, _crash_plan(),
                        RebuildPolicy(rate=200.0, batch_pages=4))

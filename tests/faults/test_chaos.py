@@ -60,6 +60,14 @@ class TestRunChaos:
         with pytest.raises(ValueError, match="raid"):
             run_chaos(parallel_tree, "CRSS", queries, raid="raid5")
 
+    def test_rejects_mirror_features_on_raid0(self, parallel_tree, queries):
+        # The same check (one helper) guards every entry point.
+        from repro.faults.health import HedgePolicy, RebuildPolicy
+
+        for extra in (dict(hedge=HedgePolicy()), dict(rebuild=RebuildPolicy())):
+            with pytest.raises(ValueError, match="mirrored"):
+                run_chaos(parallel_tree, "CRSS", queries, **extra)
+
     def test_rejects_unknown_algorithm(self, parallel_tree, queries):
         with pytest.raises(ValueError):
             run_chaos(parallel_tree, "NOPE", queries)

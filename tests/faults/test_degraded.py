@@ -19,7 +19,6 @@ import pytest
 
 from repro.datasets import sample_queries
 from repro.experiments.setup import make_factory
-from repro.extensions.raid1 import simulate_mirrored_workload
 from repro.faults import FaultPlan, RetryPolicy, SlowWindow
 from repro.simulation.simulator import simulate_workload
 from tests.conftest import brute_force_knn
@@ -73,11 +72,14 @@ class TestRaid1Failover:
         self, parallel_tree, queries, dead_drive
     ):
         factory = make_factory("CRSS", parallel_tree, 8)
-        clean = simulate_mirrored_workload(parallel_tree, factory, queries)
-        degraded = simulate_mirrored_workload(
+        clean = simulate_workload(
+            parallel_tree, factory, queries, raid="raid1"
+        )
+        degraded = simulate_workload(
             parallel_tree, factory, queries,
             fault_plan=FaultPlan.single_crash(dead_drive, at=0.0),
             retry_policy=RetryPolicy(),
+            raid="raid1",
         )
         for a, b in zip(clean.records, degraded.records):
             assert [(n.oid, n.distance) for n in a.answers] == [
@@ -89,10 +91,11 @@ class TestRaid1Failover:
 
     def test_failovers_are_counted(self, parallel_tree, queries):
         factory = make_factory("CRSS", parallel_tree, 8)
-        degraded = simulate_mirrored_workload(
+        degraded = simulate_workload(
             parallel_tree, factory, queries,
             fault_plan=FaultPlan.single_crash(0, at=0.0),
             retry_policy=RetryPolicy(),
+            raid="raid1",
         )
         # Logical disk 0 is still read — through its surviving replica.
         assert degraded.total_failovers > 0

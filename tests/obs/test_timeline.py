@@ -262,31 +262,14 @@ class TestTailToleranceTracks:
 
     @staticmethod
     def _mirrored_run(parallel_tree, timeline):
-        from repro.extensions.raid1 import simulate_mirrored_workload
         from repro.faults import CrashWindow, FaultPlan, RetryPolicy
-        from repro.faults.health import (
-            DiskHealthMonitor,
-            HealthPolicy,
-            RebuildPolicy,
-            pages_per_disk,
-        )
+        from repro.faults.health import HealthPolicy, RebuildPolicy
 
         points = [p for p, _ in parallel_tree.tree.iter_points()]
         queries = sample_queries(points, 8, seed=5)
-        num_physical = parallel_tree.num_disks * 2
         # The monitor is attached either way; only the sampler varies,
         # so the neutrality test isolates the telemetry itself.
-        monitor = DiskHealthMonitor(
-            HealthPolicy(min_samples=2, error_threshold=0.5),
-            num_physical,
-            timeline=timeline,
-            track_names=[
-                f"disk{d}r{r}.health"
-                for d in range(parallel_tree.num_disks)
-                for r in range(2)
-            ],
-        )
-        result = simulate_mirrored_workload(
+        result = simulate_workload(
             parallel_tree,
             make_factory("CRSS", parallel_tree, 4),
             queries,
@@ -297,9 +280,9 @@ class TestTailToleranceTracks:
             ),
             retry_policy=RetryPolicy(),
             timeline=timeline,
-            health=monitor,
+            health=HealthPolicy(min_samples=2, error_threshold=0.5),
             rebuild=RebuildPolicy(rate=200.0, batch_pages=2),
-            rebuild_pages=pages_per_disk(parallel_tree),
+            raid="raid1",
         )
         return result
 
