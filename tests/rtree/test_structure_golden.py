@@ -1,0 +1,207 @@
+"""Golden structure digests: the R*-tree build, pinned bit for bit.
+
+The digests below were recorded on the scalar insert path (nested
+Python loops in ChooseSubtree and the topological split) and must never
+change: any rewrite of the build path has to produce *the same tree* —
+page ids, entry order, MBR corners down to the last bit, subtree
+counts, and the disk and cylinder of every page.  Every paper figure,
+golden trace and ledger ``sim_digest`` in the repo hangs off these
+structures.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from repro import datasets
+from repro.extensions.xtree import ParallelXTree
+from repro.parallel import ParallelRStarTree, build_parallel_tree, make_policy
+from repro.perf.kernels import use_vectorized
+from repro.rtree import RStarTree, check_invariants
+
+#: ``benchmarks/wall/workloads.py`` at its default ``--seed 11``:
+#: ``sub_seed(0) = seed * 1000``.
+LEDGER_SEED = 11 * 1000
+
+
+def structure_digest(tree) -> str:
+    """sha256 over a DFS of everything a search can observe.
+
+    Accepts a bare :class:`RStarTree` or a placed tree exposing
+    ``tree`` / ``disk_of`` / ``cylinder_of``.  Per node, in pre-order
+    with children in entry order: page id, level, the child page ids
+    (oids for a leaf), the MBR corners as ``float.hex``, the cached
+    object count and, for a placed tree, disk and cylinder.
+    """
+    inner = getattr(tree, "tree", tree)
+    placed = inner is not tree
+    sha = hashlib.sha256()
+    stack = [inner.root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            members = [entry.oid for entry in node.entries]
+        else:
+            members = [child.page_id for child in node.entries]
+            stack.extend(reversed(node.entries))
+        corners = None if node.mbr is None else (
+            [c.hex() for c in node.mbr.low], [c.hex() for c in node.mbr.high]
+        )
+        row = [node.page_id, node.level, members, corners, node.object_count]
+        if placed:
+            row += [tree.disk_of(node.page_id), tree.cylinder_of(node.page_id)]
+        sha.update(repr(row).encode())
+        sha.update(b"|")
+    return sha.hexdigest()
+
+
+def ledger_tree(data, dims):
+    """A build exactly as the wall ledger's workloads make it."""
+    return build_parallel_tree(
+        data, dims=dims, num_disks=10,
+        policy=make_policy("proximity", seed=LEDGER_SEED),
+        seed=LEDGER_SEED, page_size=4096,
+    )
+
+
+def build_ledger_2d():
+    return ledger_tree(datasets.uniform(n=4000, dims=2, seed=LEDGER_SEED), 2)
+
+
+def build_ledger_10d():
+    return ledger_tree(datasets.gaussian(n=2000, dims=10, seed=LEDGER_SEED), 10)
+
+
+def build_tie_heavy():
+    """Integer grid, a half-step lattice and exact duplicates, fan-out 6.
+
+    Every score ChooseSubtree and the split compare — enlargement, area,
+    overlap, margin — ties constantly here, so the result depends on
+    the tie-breaking order alone.  A few ``-0.0`` coordinates pin the
+    sign of a zero corner too: ``Rect.union`` takes its argument's
+    value on a tie, and ``float.hex`` tells ``-0.0`` from ``0.0``.
+    """
+    rng = random.Random(5)
+    points = [(float(x), float(y)) for x in range(18) for y in range(18)]
+    points += [(x + 0.5, y + 0.5) for x in range(0, 18, 2) for y in range(0, 18, 2)]
+    points += [points[rng.randrange(len(points))] for _ in range(150)]
+    points += [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (-0.0, 7.0), (5.0, -0.0)]
+    rng.shuffle(points)
+    tree = ParallelRStarTree(2, 4, seed=3, max_entries=6, min_entries=2)
+    for oid, point in enumerate(points):
+        tree.insert(point, oid)
+    return tree
+
+
+def build_churn():
+    """Insert, delete two thirds, re-insert half of the deleted, delete on."""
+    rng = random.Random(9)
+    points = datasets.uniform(700, 2, seed=17)
+    tree = ParallelRStarTree(2, 5, seed=8, max_entries=8)
+    for oid, point in enumerate(points):
+        tree.insert(point, oid)
+    order = list(range(len(points)))
+    rng.shuffle(order)
+    gone = order[:460]
+    for oid in gone:
+        assert tree.delete(points[oid], oid)
+    for oid in gone[:230]:
+        tree.insert(points[oid], oid)
+    for oid in order[460:560]:
+        assert tree.delete(points[oid], oid)
+    return tree
+
+
+def build_xtree():
+    tree = ParallelXTree(
+        8, 6, max_overlap=0.02, seed=4, max_entries=10,
+    )
+    for oid, point in enumerate(datasets.gaussian(1500, 8, seed=42)):
+        tree.insert(point, oid)
+    return tree
+
+
+def build_1d():
+    tree = RStarTree(1, max_entries=7)
+    for oid, point in enumerate(datasets.uniform(400, 1, seed=3)):
+        tree.insert(point, oid)
+    return tree
+
+
+def build_3d():
+    tree = ParallelRStarTree(3, 3, seed=2, max_entries=12)
+    for oid, point in enumerate(datasets.gaussian(900, 3, seed=6)):
+        tree.insert(point, oid)
+    return tree
+
+
+def build_scalar_switch():
+    """``use_vectorized`` governs the query path only: same tree."""
+    with use_vectorized(False):
+        return ledger_tree(datasets.uniform(n=1200, dims=2, seed=23), 2)
+
+
+GOLDEN = {
+    "ledger_2d": (
+        build_ledger_2d,
+        "f3e6b1cc391a8d2fd1fdbce8ecdea25943ee1b6dd33778bc8795f3dc86e7fe56",
+    ),
+    "ledger_10d": (
+        build_ledger_10d,
+        "6222ea9e7ddd086045ff644f9d7fccd71d4bec9a66bddb4f407ddf9b53acc76b",
+    ),
+    "tie_heavy": (
+        build_tie_heavy,
+        "6ee5fccf13e59cca8ee5d31c16400af82b9d6be08842886f87cbc50b7e1db5bd",
+    ),
+    "churn": (
+        build_churn,
+        "5499be0dfef30d59b9546ea4c33ea4a7a1034f0f764d113cca53a15896c7e0e1",
+    ),
+    "xtree": (
+        build_xtree,
+        "30bf93f7a81dfac55b618d7c648335e65cc4332e1384b0713a37c88f2bca2b89",
+    ),
+    "one_d": (
+        build_1d,
+        "ba0f4f3be64e9791f9d127e56b130d9cd30232d8231415623823e1d3e337cc00",
+    ),
+    "three_d": (
+        build_3d,
+        "da3f86931fe61b99f8df7b3639881eb2ffe53796768ff397ecd8f2115367a231",
+    ),
+    "scalar_switch": (
+        build_scalar_switch,
+        "b48738362da99790b70564af292991d03ac312bcd71be237c40aee8d88ca8da9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_structure_digest_is_pinned(name):
+    build, expected = GOLDEN[name]
+    tree = build()
+    check_invariants(getattr(tree, "tree", tree))
+    assert structure_digest(tree) == expected
+
+
+def test_scalar_switch_build_equals_the_default_build():
+    default = ledger_tree(datasets.uniform(n=1200, dims=2, seed=23), 2)
+    assert structure_digest(default) == GOLDEN["scalar_switch"][1]
+
+
+def test_xtree_case_has_supernodes_wider_than_a_page():
+    tree = build_xtree().tree
+    assert tree.supernode_count() > 0
+    assert max(len(node.entries) for node in tree.pages.values()) > 32
+
+
+def test_digest_sees_entry_order_and_last_bits():
+    tree = build_1d()
+    before = structure_digest(tree)
+    leaf = next(node for node in tree.pages.values() if node.is_leaf)
+    leaf.entries.reverse()
+    assert structure_digest(tree) != before
+    leaf.entries.reverse()
+    assert structure_digest(tree) == before
