@@ -15,7 +15,8 @@ from repro.geometry.point import Point
 
 
 def _as_points(array: np.ndarray) -> List[Point]:
-    return [tuple(float(c) for c in row) for row in array]
+    # tolist() yields the same Python floats as float() per coordinate.
+    return list(map(tuple, array.tolist()))
 
 
 def uniform(n: int, dims: int, seed: int = 0) -> List[Point]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict
 
+from repro.geometry.rect import Rect
 from repro.parallel.tree import ParallelRStarTree
 from repro.rtree.node import Node
 from repro.rtree.tree import RStarTree, _entry_rect
@@ -82,8 +83,8 @@ class XTree(RStarTree):
         group1, group2 = self.split_policy.split(
             node.entries, self.min_entries, _entry_rect
         )
-        bb1 = _bounding(group1)
-        bb2 = _bounding(group2)
+        bb1 = Rect.union_of(map(_entry_rect, group1))
+        bb2 = Rect.union_of(map(_entry_rect, group2))
         union_area = bb1.union(bb2).area()
         overlap_ratio = (
             bb1.intersection_area(bb2) / union_area if union_area > 0 else 1.0
@@ -109,12 +110,6 @@ class XTree(RStarTree):
         return sum(
             1 for page_id in self._supernode_capacity if page_id in self.pages
         )
-
-
-def _bounding(entries):
-    from repro.geometry.rect import Rect
-
-    return Rect.union_of(_entry_rect(e) for e in entries)
 
 
 class ParallelXTree(ParallelRStarTree):

@@ -14,8 +14,18 @@ every floating-point operation happens in the same order as the scalar
 loops.  The differential suite in ``tests/perf`` asserts exact float
 equality on every covered configuration.
 
-Vectorization defaults **on** and can be disabled globally — the scalar
-path stays behind :func:`use_vectorized` as the reference oracle:
+The R*-tree *build* path runs on the same matrices: ChooseSubtree and
+the topological split score their candidates with
+``batch_enlargement`` / ``batch_intersection_area`` /
+``batch_split_scores``, exact twins of the :class:`~repro.geometry.rect.Rect`
+arithmetic, so the tree that comes out is the same tree bit for bit
+(``docs/performance.md``, "Build path").  There is no scalar build
+path at run time; the loops live on as the test oracle in
+``tests/rtree/oracle.py``.
+
+Query-path vectorization defaults **on** and can be disabled globally —
+the scalar path stays behind :func:`use_vectorized` as the reference
+oracle:
 
 >>> from repro.perf import use_vectorized
 >>> with use_vectorized(False):
@@ -27,10 +37,13 @@ command line as ``repro bench``.
 """
 
 from repro.perf.kernels import (
+    batch_enlargement,
+    batch_intersection_area,
     batch_maximum_distance_sq,
     batch_minimum_distance_sq,
     batch_minmax_distance_sq,
     batch_point_distance_sq,
+    batch_split_scores,
     instrument_kernels,
     record_kernel_use,
     set_vectorized,
@@ -39,10 +52,13 @@ from repro.perf.kernels import (
 )
 
 __all__ = [
+    "batch_enlargement",
+    "batch_intersection_area",
     "batch_maximum_distance_sq",
     "batch_minimum_distance_sq",
     "batch_minmax_distance_sq",
     "batch_point_distance_sq",
+    "batch_split_scores",
     "instrument_kernels",
     "record_kernel_use",
     "set_vectorized",

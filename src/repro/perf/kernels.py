@@ -1,8 +1,11 @@
-"""Vectorized batch distance kernels (exact twins of the scalar ones).
+"""Vectorized batch kernels (exact twins of the scalar arithmetic).
 
-Each kernel takes a query point and the flat ``(n, dims)`` low/high
-corner matrices of *n* MBRs (for point data the two matrices coincide)
-and returns the *n* squared distances as a float64 array.
+Each distance kernel takes a query point and the flat ``(n, dims)``
+low/high corner matrices of *n* MBRs (for point data the two matrices
+coincide) and returns the *n* squared distances as a float64 array.
+The build-path kernels at the bottom score the same corner matrices
+for R* ChooseSubtree and the R* split — twins of
+:class:`~repro.geometry.rect.Rect` methods instead of distances.
 
 **Exactness contract.**  The kernels must return bit-identical results
 to the scalar reference in :mod:`repro.core.distances` — the search
@@ -40,10 +43,13 @@ import numpy as np
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "batch_enlargement",
+    "batch_intersection_area",
     "batch_maximum_distance_sq",
     "batch_minimum_distance_sq",
     "batch_minmax_distance_sq",
     "batch_point_distance_sq",
+    "batch_split_scores",
     "instrument_kernels",
     "record_kernel_use",
     "set_vectorized",
@@ -98,8 +104,10 @@ def instrument_kernels(
 
     Counters are named ``kernels.<metric>.<path>_batches`` and
     ``kernels.<metric>.<path>_entries`` with ``<metric>`` one of
-    ``dmin`` / ``dmm`` / ``dmax`` / ``pointdist`` and ``<path>`` either
-    ``vector`` or ``scalar``.  Pass ``None`` to detach.
+    ``dmin`` / ``dmm`` / ``dmax`` / ``pointdist`` (queries) or
+    ``enlargement`` / ``overlap`` / ``split`` (the build path, always
+    ``vector``) and ``<path>`` either ``vector`` or ``scalar``.  Pass
+    ``None`` to detach.
     """
     global _registry
     previous = _registry
@@ -233,3 +241,104 @@ def batch_point_distance_sq(point, points) -> np.ndarray:
         total += diff * diff
     record_kernel_use("pointdist", "vector", matrix.shape[0])
     return total
+
+
+# -- build-path kernels ----------------------------------------------------
+#
+# Twins of Rect arithmetic rather than of distances, fed by the tree's
+# own corner matrices (``Node.entry_bounds``), so they take float64
+# arrays as given and skip the shape checks above.  Same exactness
+# contract: products and margins are accumulated axis by axis from axis
+# 0, the order of the scalar loops, never with a reassociating
+# ``sum``/``prod``.  A scalar accumulator starting at ``1.0`` (or
+# ``sum``'s ``0``) is the identity on the first term, so starting from
+# the first term itself is the same float.  ``minimum``/``maximum`` may
+# differ from the scalar conditional in the sign of a zero only, which
+# no comparison of the scores can observe; the scores decide, they are
+# never stored.
+
+
+def _fold(op: np.ufunc, sides: np.ndarray) -> np.ndarray:
+    """Reduce the *leading* axis with *op*, strictly in axis order."""
+    result = sides[0]
+    for axis in range(1, sides.shape[0]):
+        result = op(result, sides[axis])
+    return result
+
+
+def batch_enlargement(low, high, lows, highs) -> "tuple[np.ndarray, np.ndarray]":
+    """Area growth of each of *n* MBRs to cover one box, and their areas.
+
+    Exact batch twin of :meth:`repro.geometry.rect.Rect.enlargement`
+    and :meth:`~repro.geometry.rect.Rect.area`: returns
+    ``(enlargement, area)``, entry *i* being what
+    ``Rect(lows[i], highs[i])`` gives for the box ``(low, high)``.
+    """
+    area = _fold(np.multiply, (highs - lows).T)
+    union_area = _fold(
+        np.multiply, (np.maximum(highs, high) - np.minimum(lows, low)).T
+    )
+    record_kernel_use("enlargement", "vector", lows.shape[0])
+    return union_area - area, area
+
+
+def batch_intersection_area(a_lows, a_highs, b_lows, b_highs) -> np.ndarray:
+    """Overlap volume of every box of *a* with every box of *b*.
+
+    Exact batch twin of
+    :meth:`repro.geometry.rect.Rect.intersection_area`: entry
+    ``[i, j]`` is ``a[i].intersection_area(b[j])``.  The scalar method
+    returns ``0.0`` at the first non-positive side; clamping sides at
+    zero before multiplying gives the same value.
+
+    Unlike the kernels above, the corners come **axis-major** —
+    ``(dims, n)``, C-contiguous, the transpose of
+    :meth:`~repro.rtree.node.Node.entry_bounds` — so that each axis is
+    one ``(a, b)`` slab with the long *b* axis innermost; on strided
+    views the same arithmetic runs several times slower.  Callers
+    transpose once and reuse the result across calls.
+    """
+    sides = np.minimum(a_highs[:, :, None], b_highs[:, None, :])
+    sides -= np.maximum(a_lows[:, :, None], b_lows[:, None, :])
+    np.maximum(sides, 0.0, out=sides)
+    record_kernel_use("overlap", "vector", sides.shape[1] * sides.shape[2])
+    return _fold(np.multiply, sides)
+
+
+def batch_split_scores(
+    sorted_lows, sorted_highs, min_fill: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Margin, overlap and area of every R* split distribution at once.
+
+    *sorted_lows* / *sorted_highs* are ``(sorts, n, dims)``: the corner
+    matrices of the *n* entries of an overflowing node, reordered by
+    each candidate sort.  Distribution *k* of a sort puts its first
+    ``min_fill + k`` entries in group 1 and the rest in group 2, for
+    ``k`` in ``0 .. n - 2 * min_fill``.  Returns three
+    ``(sorts, distributions)`` arrays, exact batch twins of
+    ``bb1.margin() + bb2.margin()``, ``bb1.intersection_area(bb2)`` and
+    ``bb1.area() + bb2.area()`` with ``bb1``/``bb2`` the groups'
+    bounding boxes (:meth:`repro.geometry.rect.Rect.union_of`): running
+    minima/maxima from the front give every group-1 box, from the back
+    every group-2 box.
+    """
+    sorts, n, _ = sorted_lows.shape
+    if not 1 <= min_fill <= n // 2:
+        raise ValueError(f"cannot split {n} entries with min fill {min_fill}")
+    first = slice(min_fill - 1, n - min_fill)
+    second = slice(min_fill, n - min_fill + 1)
+    # Axis-major, (dims, sorts, distributions), for the per-axis folds.
+    low1 = np.minimum.accumulate(sorted_lows, axis=1)[:, first].T
+    high1 = np.maximum.accumulate(sorted_highs, axis=1)[:, first].T
+    low2 = np.minimum.accumulate(sorted_lows[:, ::-1], axis=1)[:, ::-1][:, second].T
+    high2 = np.maximum.accumulate(sorted_highs[:, ::-1], axis=1)[:, ::-1][:, second].T
+    sides1 = high1 - low1
+    sides2 = high2 - low2
+    shared = np.minimum(high1, high2) - np.maximum(low1, low2)
+    np.maximum(shared, 0.0, out=shared)
+    record_kernel_use("split", "vector", sorts * (n - 2 * min_fill + 1))
+    return (
+        (_fold(np.add, sides1) + _fold(np.add, sides2)).T,
+        _fold(np.multiply, shared).T,
+        (_fold(np.multiply, sides1) + _fold(np.multiply, sides2)).T,
+    )

@@ -575,6 +575,9 @@ class FrozenParallelTree:
         The placement tables are restored verbatim; the cylinder RNG
         restarts from its seed, so *future* page placements may differ
         from a never-frozen tree's — existing pages are unaffected.
+        The rebuilt R*-tree reports splits, new roots and freed pages to
+        the new wrapper, so pages created or condensed away later are
+        placed and released like in a tree that was never frozen.
         """
         from repro.parallel.tree import ParallelRStarTree
 
@@ -584,7 +587,10 @@ class FrozenParallelTree:
             min_entries=self.tree.min_entries,
             page_size=self.tree.page_size,
         )
-        parallel.tree = self.tree.rehydrate()
+        tree = parallel.tree = self.tree.rehydrate()
+        tree.on_split = parallel._on_split
+        tree.on_new_root = parallel._on_new_root
+        tree.on_page_freed = parallel._on_page_freed
         parallel._placement = dict(self._placement)
         parallel._cylinder = dict(self._cylinder)
         per_disk = [0] * self.num_disks

@@ -28,9 +28,11 @@ class LeafEntry:
 
     __slots__ = ("rect", "point", "oid")
 
-    def __init__(self, point: Sequence[float], oid: int):
-        self.point: Point = validate_point(point)
-        self.rect: Rect = Rect(self.point, self.point)
+    def __init__(self, point: Sequence[float], oid: int, dims: int = 0):
+        """Validate *point* once (*dims*, if non-zero, is required of it)."""
+        self.point: Point = validate_point(point, dims)
+        # The point is validated, so the degenerate box needs no second look.
+        self.rect: Rect = Rect._raw(self.point, self.point)
         self.oid = int(oid)
 
     def __repr__(self) -> str:
@@ -58,9 +60,11 @@ class Node:
         self.mbr: Optional[Rect] = None
         self.object_count = 0
         #: Cached (lows, highs) float64 matrices over the entries' MBRs,
-        #: feeding the batch kernels in :mod:`repro.perf.kernels`.
-        #: Invalidated by every mutation path (:meth:`add`,
-        #: :meth:`refresh`, :meth:`extend_path`).
+        #: feeding the batch kernels in :mod:`repro.perf.kernels`; row
+        #: *i* is ``entries[i]``.  Dropped only when the entry *list*
+        #: changes (:meth:`add`, :meth:`discard`,
+        #: :meth:`replace_entries`); a child whose MBR changes rewrites
+        #: its own row in place (:meth:`refresh`, :meth:`extend_path`).
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
@@ -69,27 +73,49 @@ class Node:
         return self.level == 0
 
     def refresh(self) -> None:
-        """Recompute the cached MBR and subtree object count from entries."""
-        # The entry list (and therefore this node's bounds matrices) may
-        # have changed, and this node's MBR is about to — which stales
-        # the parent's view of it as an entry.
-        self._bounds = None
-        if self.parent is not None:
-            self.parent._bounds = None
+        """Recompute the cached MBR and subtree object count from entries.
+
+        The new MBR is written into this node's row of the parent's
+        bounds matrices.  This node's own matrices are left alone: they
+        follow the entry list, whose mutators drop them.
+        """
         if not self.entries:
             self.mbr = None
             self.object_count = 0
-            return
-        rects = [
-            e.rect if isinstance(e, LeafEntry) else e.mbr
-            for e in self.entries
-        ]
-        present = [r for r in rects if r is not None]
-        self.mbr = Rect.union_of(present) if present else None
-        if self.is_leaf:
-            self.object_count = len(self.entries)
         else:
-            self.object_count = sum(child.object_count for child in self.entries)
+            rects = [
+                e.rect if isinstance(e, LeafEntry) else e.mbr
+                for e in self.entries
+            ]
+            present = [r for r in rects if r is not None]
+            self.mbr = Rect.union_of(present) if present else None
+            if self.is_leaf:
+                self.object_count = len(self.entries)
+            else:
+                self.object_count = sum(
+                    child.object_count for child in self.entries
+                )
+        self._sync_parent_row()
+
+    def _sync_parent_row(self) -> None:
+        """Write this node's MBR into its row of the parent's matrices.
+
+        In place, so the parent's cache stays warm across inserts: row
+        *i* of a node's matrices *is* entry *i*, and a child that grows
+        rewrites one row instead of invalidating the structure.  A
+        child without an MBR has no matrix form; the parent's cache is
+        dropped then, as :meth:`entry_bounds` would refuse to build it.
+        """
+        parent = self.parent
+        if parent is None or parent._bounds is None:
+            return
+        if self.mbr is None:
+            parent._bounds = None
+            return
+        lows, highs = parent._bounds
+        row = parent.entries.index(self)
+        lows[row] = self.mbr.low
+        highs[row] = self.mbr.high
 
     def refresh_path(self) -> None:
         """Refresh this node and every ancestor up to the root."""
@@ -105,15 +131,22 @@ class Node:
         O(height · fan-out · dims) — and exact for pure additions: the
         MBR can only grow and the count only increases.  Callers removing
         or replacing entries must use :meth:`refresh_path` instead.
+
+        Every level is unioned with *rect*, also above the first box
+        that did not grow: :meth:`Rect.union` takes its argument's value
+        on a tie, so a ``-0.0`` coordinate replaces a ``0.0`` corner all
+        the way up, and stopping early would leave different bits in
+        the ancestors.  Only a box whose *values* changed rewrites its
+        row of the parent's bounds matrices.
         """
         node: Optional[Node] = self
         while node is not None:
-            node.mbr = rect if node.mbr is None else node.mbr.union(rect)
+            old = node.mbr
+            grown = rect if old is None else old.union(rect)
+            node.mbr = grown
             node.object_count += added_objects
-            # This node's MBR grew: the parent's bounds matrices (which
-            # hold it as a row) are stale.
-            if node.parent is not None:
-                node.parent._bounds = None
+            if old is None or grown.low != old.low or grown.high != old.high:
+                node._sync_parent_row()
             node = node.parent
 
     def add(self, entry: Union[LeafEntry, "Node"]) -> None:
@@ -125,6 +158,14 @@ class Node:
         if isinstance(entry, Node):
             entry.parent = self
         self.entries.append(entry)
+        self._bounds = None
+
+    def discard(self, index: int) -> None:
+        """Remove the entry at *index*, invalidating the bounds cache.
+
+        Like :meth:`add`, does not refresh the MBR/count caches.
+        """
+        del self.entries[index]
         self._bounds = None
 
     def replace_entries(
@@ -152,20 +193,31 @@ class Node:
         Shape ``(len(entries), dims)`` each, row *i* holding the MBR of
         ``entries[i]`` (for leaves the two coincide: degenerate point
         MBRs).  This is the input format of the batch kernels in
-        :mod:`repro.perf.kernels`; the matrices are cached until a
-        mutation invalidates them, so repeated scans of a static tree
-        pay the flattening cost once per node.
+        :mod:`repro.perf.kernels`; the matrices are cached until the
+        entry list changes, so repeated scans of a static tree and the
+        ChooseSubtree descents of a growing one pay the flattening cost
+        once per node.  Children update their rows **in place**: treat
+        the returned arrays as read-only and consume them before the
+        tree mutates again.
 
         Returns ``None`` when no matrix form exists — an empty node, or
         an entry without a materialized MBR — in which case callers use
         the scalar path.
         """
-        cached = self._bounds
         # Cache validity is purely "has a mutation invalidated it" — a
         # length comparison against the entry list would mask rebinding
         # bugs by serving stale matrices for same-length replacements.
-        if cached is not None:
-            return cached
+        if self._bounds is None:
+            self._bounds = self.build_bounds()
+        return self._bounds
+
+    def build_bounds(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Fresh ``(lows, highs)`` matrices from the entries, uncached.
+
+        What :meth:`entry_bounds` caches, and what
+        :func:`repro.rtree.validate.check_invariants` compares the
+        cache against.
+        """
         if not self.entries:
             return None
         rects = []
@@ -176,8 +228,7 @@ class Node:
             rects.append(rect)
         lows = np.array([rect.low for rect in rects], dtype=np.float64)
         highs = np.array([rect.high for rect in rects], dtype=np.float64)
-        self._bounds = (lows, highs)
-        return self._bounds
+        return lows, highs
 
     def entry_rect(self, index: int) -> Rect:
         """MBR of the entry at *index*, uniform over leaf/internal nodes."""

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 from repro.geometry.rect import Rect
+from repro.perf import kernels
 
 E = TypeVar("E")
 RectOf = Callable[[E], Rect]
@@ -44,10 +47,6 @@ class SplitPolicy:
             )
 
 
-def _bounding(entries: Sequence[E], rect_of: RectOf) -> Rect:
-    return Rect.union_of(rect_of(e) for e in entries)
-
-
 class RStarSplit(SplitPolicy):
     """The R*-tree topological split (Beckmann et al. 1990, §4.2).
 
@@ -55,6 +54,16 @@ class RStarSplit(SplitPolicy):
     smallest total margin; ChooseSplitIndex then picks the distribution
     with the least overlap between the two groups (ties broken by combined
     area).
+
+    Every distribution of every sort is scored in one
+    :func:`repro.perf.kernels.batch_split_scores` call; what stays here
+    is the order of things, which decides ties.  Per axis the entries
+    are sorted by ``(low, high)`` and by ``(high, low)`` — ``lexsort``
+    is stable, so equal keys keep entry order.  An axis's margin total
+    adds its distributions one after another, low sort first, each sort
+    by growing group 1 (``add.accumulate``, never a pairwise ``sum``);
+    the first axis with the least total wins, and on it the first
+    distribution, in the same order, with the least ``(overlap, area)``.
     """
 
     name = "rstar"
@@ -62,48 +71,35 @@ class RStarSplit(SplitPolicy):
     def split(self, entries: Sequence[E], min_fill: int, rect_of: RectOf) -> Groups:
         self._check(entries, min_fill)
         entries = list(entries)
-        dims = rect_of(entries[0]).dims
+        rects = [rect_of(entry) for entry in entries]
+        lows = np.array([rect.low for rect in rects], dtype=np.float64)
+        highs = np.array([rect.high for rect in rects], dtype=np.float64)
+        dims = lows.shape[1]
 
-        best_axis = -1
-        best_margin_sum = float("inf")
-        for axis in range(dims):
-            margin_sum = 0.0
-            for sorted_entries in self._axis_sorts(entries, axis, rect_of):
-                for group1, group2 in self._distributions(sorted_entries, min_fill):
-                    margin_sum += (
-                        _bounding(group1, rect_of).margin()
-                        + _bounding(group2, rect_of).margin()
-                    )
-            if margin_sum < best_margin_sum:
-                best_margin_sum = margin_sum
-                best_axis = axis
-
-        best_groups: Groups = ([], [])
-        best_key = (float("inf"), float("inf"))
-        for sorted_entries in self._axis_sorts(entries, best_axis, rect_of):
-            for group1, group2 in self._distributions(sorted_entries, min_fill):
-                bb1 = _bounding(group1, rect_of)
-                bb2 = _bounding(group2, rect_of)
-                key = (bb1.intersection_area(bb2), bb1.area() + bb2.area())
-                if key < best_key:
-                    best_key = key
-                    best_groups = (list(group1), list(group2))
-        return best_groups
-
-    @staticmethod
-    def _axis_sorts(entries: List[E], axis: int, rect_of: RectOf):
-        """The two sorts considered per axis: by low edge and by high edge."""
-        yield sorted(entries, key=lambda e: (rect_of(e).low[axis],
-                                             rect_of(e).high[axis]))
-        yield sorted(entries, key=lambda e: (rect_of(e).high[axis],
-                                             rect_of(e).low[axis]))
-
-    @staticmethod
-    def _distributions(sorted_entries: List[E], min_fill: int):
-        """All (group1, group2) prefixes/suffixes respecting *min_fill*."""
-        total = len(sorted_entries)
-        for split_at in range(min_fill, total - min_fill + 1):
-            yield sorted_entries[:split_at], sorted_entries[split_at:]
+        orders = np.array([
+            order
+            for axis in range(dims)
+            for order in (
+                np.lexsort((highs[:, axis], lows[:, axis])),
+                np.lexsort((lows[:, axis], highs[:, axis])),
+            )
+        ])
+        margin, overlap, area = kernels.batch_split_scores(
+            lows[orders], highs[orders], min_fill
+        )
+        # Rows 2a and 2a + 1 are axis a's two sorts; reshaping lays their
+        # distributions end to end, the order the sums and ties follow.
+        margin_sums = np.add.accumulate(margin.reshape(dims, -1), axis=1)[:, -1]
+        best_axis = int(np.argmin(margin_sums))
+        pair = slice(2 * best_axis, 2 * best_axis + 2)
+        best = int(np.lexsort((area[pair].ravel(), overlap[pair].ravel()))[0])
+        sort, distribution = divmod(best, margin.shape[1])
+        order = orders[2 * best_axis + sort].tolist()
+        split_at = min_fill + distribution
+        return (
+            [entries[i] for i in order[:split_at]],
+            [entries[i] for i in order[split_at:]],
+        )
 
 
 class QuadraticSplit(SplitPolicy):

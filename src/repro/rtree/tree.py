@@ -6,6 +6,15 @@ rather than a bulk-loading pass.  Structural hooks (``on_split``,
 ``on_new_root``, ``on_page_freed``) let the :mod:`repro.parallel` layer
 assign every newly created page to a disk and a cylinder without this
 module knowing anything about disk arrays.
+
+ChooseSubtree scores all children of a node at once with the exact batch
+kernels of :mod:`repro.perf.kernels`, over the corner matrices the nodes
+cache and patch in place (:meth:`repro.rtree.node.Node.entry_bounds`).
+The kernels repeat the :class:`~repro.geometry.rect.Rect` arithmetic
+operation for operation and this module keeps the order in which ties
+fall, so the tree is the one the scalar loops built, bit for bit —
+``tests/rtree/test_structure_golden.py`` pins it and
+``tests/rtree/oracle.py`` keeps the loops to test against.
 """
 
 from __future__ import annotations
@@ -13,8 +22,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.geometry.point import Point, validate_point
 from repro.geometry.rect import Rect
+from repro.perf import kernels
 from repro.rtree.capacity import capacity_for_page
 from repro.rtree.node import LeafEntry, Node
 from repro.rtree.split import RStarSplit, SplitPolicy
@@ -26,6 +38,10 @@ DEFAULT_REINSERT_FRACTION = 0.3
 
 #: R*-tree default minimum node fill as a fraction of the maximum.
 DEFAULT_MIN_FILL_FRACTION = 0.4
+
+#: ChooseSubtree scores overlap enlargement, quadratic in the fan-out,
+#: for this many children of least area enlargement only (R* paper §4.1).
+OVERLAP_CANDIDATES = 32
 
 
 def _entry_rect(entry: Entry) -> Rect:
@@ -158,7 +174,7 @@ class RStarTree:
 
     def insert(self, point: Sequence[float], oid: int) -> None:
         """Insert one data point with object identifier *oid*."""
-        entry = LeafEntry(validate_point(point, self.dims), oid)
+        entry = LeafEntry(point, oid, self.dims)
         self._reinserted_levels = set()
         self._insert(entry, holder_level=0)
         self.size += 1
@@ -193,83 +209,84 @@ class RStarTree:
         return node
 
     @staticmethod
-    def _pick_internal_child(node: Node, rect: Rect) -> Node:
-        """Least area enlargement, ties by least area."""
-        best = None
-        best_key = (float("inf"), float("inf"))
-        for child in node.entries:
-            area = child.mbr.area()
-            key = (child.mbr.enlargement(rect), area)
-            if key < best_key:
-                best_key = key
-                best = child
-        return best
+    def _rank_children(node: Node, rect: Rect):
+        """Children by (area enlargement, area), ties in entry order.
 
-    def _pick_leaf_child(self, node: Node, rect: Rect) -> Node:
+        Returns the node's corner matrices and the ranking as indices
+        into ``node.entries``; ``lexsort`` is stable, like ``sorted``.
+        """
+        lows, highs = node.entry_bounds()
+        enlargement, area = kernels.batch_enlargement(
+            rect.low, rect.high, lows, highs
+        )
+        return lows, highs, np.lexsort((area, enlargement))
+
+    @staticmethod
+    def _pick_internal_child(node: Node, rect: Rect) -> Node:
+        """Least area enlargement, ties by least area, then entry order."""
+        _, _, order = RStarTree._rank_children(node, rect)
+        return node.entries[order[0]]
+
+    @staticmethod
+    def _pick_leaf_child(node: Node, rect: Rect) -> Node:
         """Least *overlap* enlargement among the children (R* rule).
 
-        Overlap enlargement is O(fan-out^2); per the R* paper we restrict
-        the quadratic part to the 32 children with least area enlargement.
-        The inner loop is written with inline coordinate arithmetic and an
-        early zero-overlap reject — it dominates tree construction time.
+        Overlap enlargement is O(fan-out^2); per the R* paper the
+        quadratic part is restricted to the :data:`OVERLAP_CANDIDATES`
+        children with least area enlargement (ties by area, then entry
+        order: :meth:`_rank_children`).  The winner is the first candidate, in that order, with the least
+        ``(overlap enlargement, area enlargement, area)``; the candidates
+        being sorted by the last two already, that is simply the first
+        minimum of the overlap enlargement.
+
+        *Containment exit.*  A candidate whose box contains *rect* does
+        not grow, so its overlap with every sibling is unchanged and its
+        overlap enlargement is exactly ``0.0``.  No candidate scores
+        below zero (see below), so when the **first** candidate contains
+        *rect* it wins outright and the quadratic part is skipped.  The
+        test is on corners: ``enlargement == 0.0`` also holds for a box
+        so large that the growth is lost to rounding, and such a box's
+        overlap does change.
+
+        *Overlap enlargement.*  Per candidate, the sum over its siblings
+        of ``overlap(grown candidate, sibling) - overlap(candidate,
+        sibling)``, added strictly in entry order (``add.accumulate``,
+        never a pairwise ``sum``).  Every term is ``>= 0``: the grown box
+        contains the candidate, each side of the first overlap is
+        therefore no shorter than the same side of the second, and
+        rounding is monotone through the subtractions and products; the
+        candidate's own column is its area minus its area, exactly
+        ``0.0``.  Partial sums never exceed the full sum, which is why
+        summing every row in full picks the same child as a scalar loop
+        that abandons a candidate once its partial sum passes the best
+        so far.
         """
         children: List[Node] = node.entries
-        candidates = sorted(
-            children, key=lambda c: (c.mbr.enlargement(rect), c.mbr.area())
-        )[:32]
-        dims = range(rect.dims)
-        bounds = [(other.mbr.low, other.mbr.high, other) for other in children]
-
-        best = None
-        best_key = (float("inf"), float("inf"), float("inf"))
-        for child in candidates:
-            c_lo = child.mbr.low
-            c_hi = child.mbr.high
-            r_lo = rect.low
-            r_hi = rect.high
-            e_lo = tuple(
-                a if a < b else b for a, b in zip(c_lo, r_lo)
-            )
-            e_hi = tuple(
-                a if a > b else b for a, b in zip(c_hi, r_hi)
-            )
-            delta = 0.0
-            for o_lo, o_hi, other in bounds:
-                if other is child:
-                    continue
-                # Overlap of the enlarged child with the sibling; the
-                # child is contained in its enlargement, so zero here
-                # implies zero overlap before the enlargement too.
-                after = 1.0
-                for i in dims:
-                    side = (e_hi[i] if e_hi[i] < o_hi[i] else o_hi[i]) - (
-                        e_lo[i] if e_lo[i] > o_lo[i] else o_lo[i]
-                    )
-                    if side <= 0.0:
-                        after = 0.0
-                        break
-                    after *= side
-                if after == 0.0:
-                    continue
-                before = 1.0
-                for i in dims:
-                    side = (c_hi[i] if c_hi[i] < o_hi[i] else o_hi[i]) - (
-                        c_lo[i] if c_lo[i] > o_lo[i] else o_lo[i]
-                    )
-                    if side <= 0.0:
-                        before = 0.0
-                        break
-                    before *= side
-                delta += after - before
-                if delta > best_key[0]:
-                    break  # cannot beat the current best any more
-            if delta > best_key[0]:
-                continue
-            key = (delta, child.mbr.enlargement(rect), child.mbr.area())
-            if key < best_key:
-                best_key = key
-                best = child
-        return best
+        lows, highs, order = RStarTree._rank_children(node, rect)
+        first = children[order[0]]
+        if first.mbr.contains_rect(rect):
+            return first
+        candidates = order[:OVERLAP_CANDIDATES]
+        # Axis-major copies for the overlap kernel; both the candidates
+        # and their grown twins go through it in one call.
+        sibling_lows = np.ascontiguousarray(lows.T)
+        sibling_highs = np.ascontiguousarray(highs.T)
+        cand_lows = sibling_lows[:, candidates]
+        cand_highs = sibling_highs[:, candidates]
+        overlap = kernels.batch_intersection_area(
+            np.concatenate(
+                (cand_lows, np.minimum(cand_lows, np.array(rect.low)[:, None])),
+                axis=1,
+            ),
+            np.concatenate(
+                (cand_highs, np.maximum(cand_highs, np.array(rect.high)[:, None])),
+                axis=1,
+            ),
+            sibling_lows, sibling_highs,
+        )
+        before, after = overlap[:len(candidates)], overlap[len(candidates):]
+        delta = np.add.accumulate(after - before, axis=1)[:, -1]
+        return children[candidates[np.argmin(delta)]]
 
     def _overflow(self, node: Node) -> None:
         """R* OverflowTreatment: reinsert once per level, else split."""
@@ -340,7 +357,7 @@ class RStarTree:
         if found is None:
             return False
         leaf, index = found
-        leaf.entries.pop(index)
+        leaf.discard(index)
         leaf.refresh_path()
         self.size -= 1
         self.mutations += 1
@@ -370,7 +387,7 @@ class RStarTree:
         while current is not self.root:
             parent = current.parent
             if len(current) < self.min_entries:
-                parent.entries.remove(current)
+                parent.discard(parent.entries.index(current))
                 holder_level = current.level
                 for entry in current.entries:
                     orphans.append((entry, holder_level))

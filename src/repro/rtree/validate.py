@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
+import numpy as np
+
 from repro.geometry.rect import Rect
 from repro.rtree.node import LeafEntry, Node
 
@@ -33,6 +35,10 @@ def check_invariants(tree: "RStarTree") -> int:
     * every node's cached MBR equals the union of its entries' MBRs;
     * every node's cached object count equals the objects in its subtree
       (the paper's §2.1 branch counts);
+    * every cached bounds matrix (:meth:`Node.entry_bounds`) equals a
+      fresh rebuild from the entries in values, shape and dtype — the
+      caches are patched in place on the insert path, so a missed
+      invalidation or a row written to the wrong slot shows up here;
     * every live node is registered in the page table under its page id;
     * the total object count equals ``len(tree)``.
 
@@ -110,6 +116,7 @@ def _check_node(tree: "RStarTree", node: Node, expected_parent) -> int:
             child_mbrs.append(child.mbr)
         expected_mbr = Rect.union_of(child_mbrs) if child_mbrs else None
 
+    _check_bounds_cache(node)
     if node.mbr != expected_mbr:
         raise InvariantViolation(
             f"page {node.page_id}: cached MBR {node.mbr} differs from "
@@ -121,3 +128,25 @@ def _check_node(tree: "RStarTree", node: Node, expected_parent) -> int:
             f"differs from actual {expected_count}"
         )
     return expected_count
+
+
+def _check_bounds_cache(node: Node) -> None:
+    cached = node._bounds
+    if cached is None:
+        return
+    fresh = node.build_bounds()
+    if fresh is None:
+        raise InvariantViolation(
+            f"page {node.page_id}: cached bounds matrices but the entries "
+            f"have no matrix form"
+        )
+    for name, have, want in zip(("lows", "highs"), cached, fresh):
+        if (
+            have.shape != want.shape
+            or have.dtype != want.dtype
+            or not np.array_equal(have, want)
+        ):
+            raise InvariantViolation(
+                f"page {node.page_id}: cached {name} matrix differs from a "
+                f"rebuild from the entries"
+            )

@@ -62,6 +62,32 @@ class TestGaussian:
             gaussian(10, 2, sigma=0.0)
 
 
+class TestPointConversion:
+    """``_as_points`` hands numpy rows over as tuples of Python floats."""
+
+    @pytest.mark.parametrize("seed", [0, 11000])
+    @pytest.mark.parametrize("dims", [1, 2, 10])
+    def test_same_points_as_a_per_coordinate_conversion(self, seed, dims):
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
+        expected_uniform = [
+            tuple(float(c) for c in row) for row in rng.random((257, dims))
+        ]
+        rng = np.random.default_rng(seed)
+        cloud = rng.normal(loc=0.5, scale=0.15, size=(257, dims))
+        expected_gaussian = [
+            tuple(float(c) for c in row) for row in np.clip(cloud, 0.0, 1.0)
+        ]
+        for got, expected in (
+            (uniform(257, dims, seed=seed), expected_uniform),
+            (gaussian(257, dims, seed=seed), expected_gaussian),
+        ):
+            assert got == expected
+            assert all(type(p) is tuple and len(p) == dims for p in got)
+            assert all(type(c) is float for p in got for c in p)
+
+
 class TestSurrogates:
     def test_default_populations_match_paper(self):
         # Construct tiny versions to keep the test fast, but check the

@@ -177,6 +177,70 @@ class TestRoundTrips:
         check_invariants(thawed)
         assert len(thawed) == 200
 
+    def test_rehydrated_parallel_tree_keeps_placing_and_freeing_pages(
+        self, points
+    ):
+        """Regression: rehydrate() dropped the placement hooks.
+
+        The first split after a rehydrate created a page no table knew
+        (``disk_of`` -> ``KeyError``) and a condensed page kept its slot.
+        """
+        from repro.simulation.updates import simulate_mixed_workload
+
+        source = build_parallel_tree(
+            points[:300], dims=3, num_disks=4, max_entries=6, seed=3
+        )
+        thawed = flatten(source).rehydrate()
+        before = set(thawed.tree.pages)
+        placed = {
+            pid: (thawed.disk_of(pid), thawed.cylinder_of(pid))
+            for pid in before
+        }
+        assert placed == {
+            pid: (source.disk_of(pid), source.cylinder_of(pid))
+            for pid in source.tree.pages
+        }
+
+        for oid, point in enumerate(points[300:500], start=300):
+            thawed.insert(point, oid)
+        created = set(thawed.tree.pages) - before
+        assert len(created) >= 2  # at least two splits
+        for oid in range(0, 260):
+            assert thawed.delete(points[oid], oid)
+        freed = before - set(thawed.tree.pages)
+        assert freed  # condensation released pages
+        check_invariants(thawed.tree)
+
+        live = set(thawed.tree.pages)
+        assert set(thawed._placement) == set(thawed._cylinder) == live
+        for pid in live:
+            assert 0 <= thawed.disk_of(pid) < 4
+            assert 0 <= thawed.cylinder_of(pid) < thawed.num_cylinders
+        for pid in freed:
+            with pytest.raises(KeyError):
+                thawed.disk_of(pid)
+        for pid in live & before:
+            assert (thawed.disk_of(pid), thawed.cylinder_of(pid)) == placed[pid]
+        assert sum(thawed._nodes_per_disk) == len(live)
+
+        # And the DES update path runs on it (KeyError before the fix).
+        fresh = flatten(source).rehydrate()
+        result = simulate_mixed_workload(
+            fresh,
+            lambda query: CRSS(query, 5, num_disks=4),
+            queries=sample_queries(points, 10, seed=2),
+            inserts=points[300:420],
+            query_rate=20.0,
+            insert_rate=60.0,
+            seed=5,
+            deletes=[(points[oid], oid) for oid in range(120)],
+            delete_rate=40.0,
+        )
+        assert len(result.updates) == 240
+        assert len(result.queries.records) == 10
+        assert len(set(fresh.tree.pages) - before) >= 2
+        check_invariants(fresh.tree)
+
     @pytest.mark.parametrize("mmap", [False, True])
     def test_save_load_round_trip(
         self, tmp_path, points, pointer_tree, frozen_tree, mmap
