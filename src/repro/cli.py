@@ -77,9 +77,11 @@ also land in the Chrome export as counter tracks) and ``--report PATH``
 (write a deterministic RunReport artifact for ``repro diff``); the
 bench subcommands accept ``--report`` too.
 
-``knn`` and ``simulate`` accept ``--kernels scalar`` to run on the
-scalar reference distance path instead of the vectorized batch kernels
-(see :mod:`repro.perf`); results are identical either way.
+Every command that only reads the index (``knn``, ``explain``,
+``simulate``, ``serve``, ``chaos``) builds the R*-tree by insertion and
+then freezes it once into the flat struct-of-arrays form
+(:mod:`repro.rtree.flat`) the batch kernels scan; ``info`` reports on
+the build form.  Neither is selectable: there is one read side.
 
 Invoke via ``python -m repro <subcommand> --help``.
 """
@@ -119,7 +121,7 @@ from repro.obs import (
 )
 from repro.parallel import build_parallel_tree
 from repro.parallel.declustering import make_policy
-from repro.perf import use_vectorized
+from repro.rtree.flat import flatten
 from repro.serving.traffic import SCENARIO_KINDS
 from repro.simulation import simulate_workload
 from repro.simulation.parameters import SystemParameters
@@ -159,6 +161,7 @@ def _add_tree_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_tree(args: argparse.Namespace):
+    """The data set and its declustered R*-tree in the build form."""
     generator = DATASETS[args.dataset]
     if args.dataset in ("california_places", "long_beach"):
         if args.dims != 2:
@@ -174,22 +177,14 @@ def _build_tree(args: argparse.Namespace):
         seed=args.seed,
         page_size=args.page_size,
     )
-    if getattr(args, "layout", "pointer") == "flat":
-        from repro.rtree.flat import flatten
-
-        tree = flatten(tree)
     return data, tree
 
 
-def _add_layout_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--layout",
-        choices=["pointer", "flat"],
-        default="pointer",
-        help="tree storage: 'pointer' (mutable build form) or 'flat' "
-        "(freeze into struct-of-arrays storage after build; "
-        "bit-identical answers, faster scans)",
-    )
+def _build_frozen_tree(args: argparse.Namespace):
+    """The data set and its tree frozen for reading — what every
+    command that never inserts or deletes runs its queries over."""
+    data, tree = _build_tree(args)
+    return data, flatten(tree)
 
 
 def _parse_point(text: str, dims: int):
@@ -375,18 +370,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_kernels_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernels",
-        choices=["vectorized", "scalar"],
-        default="vectorized",
-        help="distance kernel path: numpy batch kernels (default) or the "
-        "scalar reference oracle — results are identical",
-    )
-
-
 def _cmd_knn(args: argparse.Namespace) -> int:
-    data, tree = _build_tree(args)
+    data, tree = _build_frozen_tree(args)
     query = (
         _parse_point(args.query, args.dims)
         if args.query
@@ -394,8 +379,7 @@ def _cmd_knn(args: argparse.Namespace) -> int:
     )
     executor = CountingExecutor(tree)
     factory = make_factory(args.algorithm, tree, args.k)
-    with use_vectorized(args.kernels != "scalar"):
-        neighbors = executor.execute(factory(query))
+    neighbors = executor.execute(factory(query))
     stats = executor.last_stats
     print(f"query  : {tuple(round(c, 4) for c in query)}  (k={args.k}, "
           f"algorithm={args.algorithm})")
@@ -422,7 +406,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         )
-    data, tree = _build_tree(args)
+    data, tree = _build_frozen_tree(args)
     query = (
         _parse_point(args.query, args.dims)
         if args.query
@@ -437,8 +421,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     instance = make_factory(algorithm, tree, args.k)(query)
     instance.explain = recorder
     executor = CountingExecutor(tree)
-    with use_vectorized(args.kernels != "scalar"):
-        neighbors = executor.execute(instance)
+    neighbors = executor.execute(instance)
     print(format_explain(recorder))
     if args.out:
         config = {
@@ -514,7 +497,7 @@ def _trace_path(base: str, name: str, multi: bool) -> str:
 
 def _simulate_config(args: argparse.Namespace, name: str) -> dict:
     """The run configuration a simulate RunReport is keyed by."""
-    config = {
+    return {
         "command": "simulate",
         "dataset": args.dataset,
         "n": args.n,
@@ -532,11 +515,6 @@ def _simulate_config(args: argparse.Namespace, name: str) -> dict:
         "bus_time": args.bus_time,
         "buffer_pages": args.buffer_pages,
     }
-    # The layout key appears only for frozen runs so pre-PR9 simulate
-    # configs keep their digests byte-identical.
-    if getattr(args, "layout", "pointer") != "pointer":
-        config["layout"] = args.layout
-    return config
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -547,7 +525,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 raise SystemExit(
                     f"{option} directory does not exist: {directory}"
                 )
-    data, tree = _build_tree(args)
+    data, tree = _build_frozen_tree(args)
     queries = sample_queries(data, args.queries, seed=args.seed + 1)
     names = [name.strip().upper() for name in args.algorithms.split(",")]
     for name in names:
@@ -574,18 +552,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         factory = make_factory(name, tree, args.k)
         if explain is not None:
             factory = explain.attach(factory)
-        with use_vectorized(args.kernels != "scalar"):
-            result = simulate_workload(
-                tree,
-                factory,
-                queries,
-                arrival_rate=args.arrival_rate,
-                params=params,
-                seed=args.seed,
-                tracer=tracer,
-                metrics=metrics,
-                timeline=timeline,
-            )
+        result = simulate_workload(
+            tree,
+            factory,
+            queries,
+            arrival_rate=args.arrival_rate,
+            params=params,
+            seed=args.seed,
+            tracer=tracer,
+            metrics=metrics,
+            timeline=timeline,
+        )
         workloads[name] = result
         if tracer is not None:
             if timeline is not None:
@@ -678,10 +655,7 @@ def _serve_config(args: argparse.Namespace, algorithm: str) -> dict:
         "max_group_pages": args.max_group_pages,
     }
     # Fault/tail-tolerance keys appear only when the features are used,
-    # so pre-PR8 serve configs keep their digests byte-identical (the
-    # layout key follows the same rule for PR9).
-    if getattr(args, "layout", "pointer") != "pointer":
-        config["layout"] = args.layout
+    # so pre-PR8 serve configs keep their digests byte-identical.
     if args.raid != "raid0":
         config["raid"] = args.raid
     if args.crash or args.slow or args.transient > 0:
@@ -919,7 +893,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except ValueError as error:
             raise SystemExit(str(error))
     health, hedge, rebuild = _health_config(args)
-    data, tree = _build_tree(args)
+    data, tree = _build_frozen_tree(args)
     try:
         scenario = make_scenario(
             args.scenario,
@@ -985,29 +959,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     factory = make_factory(algorithm, tree, args.k)
     if explain is not None:
         factory = explain.attach(factory)
-    with use_vectorized(args.kernels != "scalar"):
-        try:
-            serving = serve_scenario(
-                tree,
-                factory,
-                scenario,
-                policy=policy,
-                params=params,
-                seed=args.seed,
-                tracer=tracer,
-                metrics=metrics,
-                timeline=timeline,
-                fault_plan=fault_plan,
-                retry_policy=retry_policy,
-                raid=args.raid,
-                health=health,
-                hedge=hedge,
-                rebuild=rebuild,
-                lifecycle=lifecycle,
-                slo=slo_tracker,
-            )
-        except ValueError as error:
-            raise SystemExit(str(error))
+    try:
+        serving = serve_scenario(
+            tree,
+            factory,
+            scenario,
+            policy=policy,
+            params=params,
+            seed=args.seed,
+            tracer=tracer,
+            metrics=metrics,
+            timeline=timeline,
+            fault_plan=fault_plan,
+            retry_policy=retry_policy,
+            raid=args.raid,
+            health=health,
+            hedge=hedge,
+            rebuild=rebuild,
+            lifecycle=lifecycle,
+            slo=slo_tracker,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
 
     section = serving.serving_section()
     counts = section["counts"]
@@ -1283,7 +1256,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
 
     _check_out_dirs(args)
-    doc = run_bench(smoke=args.smoke, seed=args.seed, layout=args.layout)
+    doc = run_bench(smoke=args.smoke, seed=args.seed)
     write_bench(doc, args.out)
     print(format_summary(doc))
     print(f"\nbench written: {args.out}")
@@ -1345,7 +1318,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     except ValueError as error:
         raise SystemExit(str(error))
     health, hedge, rebuild = _health_config(args)
-    data, tree = _build_tree(args)
+    data, tree = _build_frozen_tree(args)
     queries = sample_queries(data, args.queries, seed=args.seed + 1)
     timeline = (
         TimelineSampler() if (args.timeline or args.report) else None
@@ -1492,7 +1465,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated query point (default: sampled from the data)",
     )
-    _add_kernels_argument(knn)
     knn.set_defaults(handler=_cmd_knn)
 
     explain = subparsers.add_parser(
@@ -1538,14 +1510,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="chrome",
         help="trace file format (default: chrome)",
     )
-    _add_kernels_argument(explain)
     explain.set_defaults(handler=_cmd_explain)
 
     simulate = subparsers.add_parser(
         "simulate", help="simulate a multi-user workload"
     )
     _add_tree_arguments(simulate)
-    _add_layout_argument(simulate)
     simulate.add_argument("--k", type=int, default=10)
     simulate.add_argument(
         "--queries", type=int, default=50, help="queries in the workload"
@@ -1576,7 +1546,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace file format: 'chrome' (Perfetto / chrome://tracing "
         "trace-event JSON) or 'jsonl' (default: chrome)",
     )
-    _add_kernels_argument(simulate)
     _add_obs_arguments(simulate)
     simulate.set_defaults(handler=_cmd_simulate)
 
@@ -1614,13 +1583,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--seed", type=int, default=0, help="RNG seed (default: 0)"
-    )
-    bench.add_argument(
-        "--layout",
-        choices=["pointer", "flat"],
-        default="pointer",
-        help="tree storage for the simulation suites (the layout "
-        "microbench always compares both; default: pointer)",
     )
     bench.add_argument(
         "--report",
@@ -1665,7 +1627,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(admission control, cross-query batching, load shedding)",
     )
     _add_tree_arguments(serve)
-    _add_layout_argument(serve)
     serve.add_argument("--k", type=int, default=10, help="neighbors (default: 10)")
     serve.add_argument(
         "--algorithm",
@@ -1818,7 +1779,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_health_arguments(serve)
     _add_scheduler_arguments(serve)
-    _add_kernels_argument(serve)
     _add_obs_arguments(serve)
     _add_slo_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)

@@ -38,7 +38,6 @@ from repro.core.results import NeighborList
 from repro.core.scan import gathered_counts, offer_leaf, scan_children
 from repro.core.stack import Candidate, CandidateStack
 from repro.core.threshold import threshold_distance_sq
-from repro.perf import kernels
 from repro.rtree.node import Node
 
 
@@ -115,7 +114,6 @@ class CRSS(SearchAlgorithm):
                     fr_dmm_sq.extend(scan.dmm_sq)
                     if scan.dmax_sq is not None:
                         fr_dmax_sq.extend(scan.dmax_sq)
-                    if scan.counts is not None:
                         fr_counts.append(scan.counts)
 
             if not reached_leaves:
@@ -125,7 +123,7 @@ class CRSS(SearchAlgorithm):
                 # the frontier's reach.
                 threshold = threshold_distance_sq(
                     self.query, frontier, self.k, dmax_sq=fr_dmax_sq,
-                    counts=gathered_counts(fr_counts, len(frontier)),
+                    counts=gathered_counts(fr_counts),
                 )
                 lower_bound = 1
                 if threshold.guaranteed:
@@ -200,72 +198,42 @@ class CRSS(SearchAlgorithm):
         branches are dropped (and recorded under *prune_reason* when an
         explain recorder is attached).
 
-        When the batch kernels are on, the whole criterion runs as numpy
-        mask/argsort operations over the frontier arrays; the scalar
-        loop below is the reference both paths must match (the ordering
-        equivalence relies on stable sorts on both sides: within equal
+        The whole criterion runs as numpy mask/argsort operations over
+        the frontier arrays.  Every sort is stable: within equal
         ``Dmin``, original frontier order is preserved, and in the saved
-        run preferred-overflow precedes qualified, exactly like the
-        scalar list concatenation).
+        run preferred-overflow precedes qualified.
         """
+        if not frontier:
+            return [], []
         explain = self.explain
-        if kernels.vectorization_enabled() and len(frontier) > 1:
-            dmin = np.asarray(dmin_sq, dtype=np.float64)
-            dmm = np.asarray(dmm_sq, dtype=np.float64)
-            keep = dmin <= radius_sq
-            if explain is not None:
-                for i in np.flatnonzero(~keep).tolist():
-                    explain.prune(frontier[i].page_id, prune_reason)
-            preferred_idx = np.flatnonzero(keep & (dmm < radius_sq))
-            qualified_idx = np.flatnonzero(keep & (dmm >= radius_sq))
-            preferred_idx = preferred_idx[
-                np.argsort(dmin[preferred_idx], kind="stable")
-            ]
-            qualified_idx = qualified_idx[
-                np.argsort(dmin[qualified_idx], kind="stable")
-            ]
-            active_idx = preferred_idx[: self.max_active]
-            rest_idx = np.concatenate(
-                (preferred_idx[self.max_active:], qualified_idx)
-            )
-            saved_idx = rest_idx[np.argsort(dmin[rest_idx], kind="stable")]
-            # Candidates keep the original float objects so the scalar
-            # and vectorized paths are indistinguishable downstream.
-            active = [
-                Candidate(dmin_sq[i], frontier[i])
-                for i in active_idx.tolist()
-            ]
-            saved = [
-                Candidate(dmin_sq[i], frontier[i])
-                for i in saved_idx.tolist()
-            ]
-            promote = min(max(lower_bound - len(active), 0), len(saved))
-            if promote:
-                active.extend(saved[:promote])
-                saved = saved[promote:]
-            return active, saved
-
-        qualified: List[Candidate] = []
-        preferred: List[Candidate] = []  # Dmm < D_th: surely useful
-        for ref, ref_dmin_sq, ref_dmm_sq in zip(frontier, dmin_sq, dmm_sq):
-            if ref_dmin_sq > radius_sq:
-                if explain is not None:
-                    explain.prune(ref.page_id, prune_reason)
-                continue  # criterion (i): rejected outright
-            candidate = Candidate(ref_dmin_sq, ref)
-            if ref_dmm_sq < radius_sq:
-                preferred.append(candidate)  # criterion (ii): activate
-            else:
-                qualified.append(candidate)  # criterion (iii): save
-
-        preferred.sort(key=lambda c: c.dmin_sq)
-        qualified.sort(key=lambda c: c.dmin_sq)
-
+        dmin = np.asarray(dmin_sq, dtype=np.float64)
+        dmm = np.asarray(dmm_sq, dtype=np.float64)
+        # Criterion (i): Dmin beyond the sphere is rejected outright.
+        keep = dmin <= radius_sq
+        if explain is not None:
+            for i in np.flatnonzero(~keep).tolist():
+                explain.prune(frontier[i].page_id, prune_reason)
+        # Criterion (ii): Dmm inside the sphere surely holds answers —
+        # activate; criterion (iii): the rest is saved.
+        preferred_idx = np.flatnonzero(keep & (dmm < radius_sq))
+        qualified_idx = np.flatnonzero(keep & (dmm >= radius_sq))
+        preferred_idx = preferred_idx[
+            np.argsort(dmin[preferred_idx], kind="stable")
+        ]
         # Upper bound u: overflow becomes the head of the saved run.
-        active = preferred[: self.max_active]
-        saved = sorted(
-            preferred[self.max_active:] + qualified, key=lambda c: c.dmin_sq
+        active_idx = preferred_idx[: self.max_active]
+        rest_idx = np.concatenate(
+            (preferred_idx[self.max_active:], qualified_idx)
         )
+        saved_idx = rest_idx[np.argsort(dmin[rest_idx], kind="stable")]
+        # Candidates carry the scan's own float objects, not array
+        # scalars.
+        active = [
+            Candidate(dmin_sq[i], frontier[i]) for i in active_idx.tolist()
+        ]
+        saved = [
+            Candidate(dmin_sq[i], frontier[i]) for i in saved_idx.tolist()
+        ]
 
         # Lower bound l: promote the most promising saved candidates so
         # at least l branches (enough to guarantee k objects) are active.

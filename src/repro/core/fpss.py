@@ -58,11 +58,10 @@ class FPSS(SearchAlgorithm):
                     frontier.extend(scan.refs)
                     dmin_sq.extend(scan.dmin_sq)
                     dmax_sq.extend(scan.dmax_sq)
-                    if scan.counts is not None:
-                        count_chunks.append(scan.counts)
+                    count_chunks.append(scan.counts)
             pending = self._activate(
                 frontier, dmin_sq, dmax_sq, neighbors,
-                counts=gathered_counts(count_chunks, len(frontier)),
+                counts=gathered_counts(count_chunks),
             )
             batch = list(pending)
         if self.explain is not None:

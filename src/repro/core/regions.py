@@ -24,7 +24,7 @@ For spheres:
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -128,7 +128,6 @@ def batch_region_distances(
     point: Sequence[float],
     regions: Sequence[Region],
     metrics: Sequence[str],
-    bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> List[List[float]]:
     """Evaluate distance *metrics* for every region in one batch.
 
@@ -137,30 +136,21 @@ def batch_region_distances(
     :param metrics: which metrics to compute, from ``dmin`` / ``dmm`` /
         ``dmax``; one result list is returned per requested metric, each
         aligned with *regions*.
-    :param bounds: optional pre-flattened ``(lows, highs)`` matrices for
-        *regions* (e.g. a node's cached
-        :meth:`~repro.rtree.node.Node.entry_bounds`), saving the
-        per-call flattening when the caller already has them.
 
     Rectangle batches run on the vectorized kernels of
-    :mod:`repro.perf.kernels` when vectorization is enabled; any other
-    region shape — and the scalar oracle path when vectorization is
-    off — falls back to the per-region dispatchers above, with
-    identical results.
+    :mod:`repro.perf.kernels`; any other region shape (SS-tree spheres,
+    SR-tree composites, TV-tree reduced regions) goes through the
+    per-region dispatchers above, their only implementation.
     """
     unknown = [m for m in metrics if m not in _BATCH_SCALAR]
     if unknown:
         raise ValueError(f"unknown distance metrics: {unknown}")
-    if kernels.vectorization_enabled() and regions:
-        if bounds is None and all(isinstance(r, Rect) for r in regions):
-            lows = np.array([r.low for r in regions], dtype=np.float64)
-            highs = np.array([r.high for r in regions], dtype=np.float64)
-            bounds = (lows, highs)
-        if bounds is not None:
-            return [
-                _BATCH_VECTOR[m](point, bounds[0], bounds[1]).tolist()
-                for m in metrics
-            ]
+    if regions and all(isinstance(r, Rect) for r in regions):
+        lows = np.array([r.low for r in regions], dtype=np.float64)
+        highs = np.array([r.high for r in regions], dtype=np.float64)
+        return [
+            _BATCH_VECTOR[m](point, lows, highs).tolist() for m in metrics
+        ]
     results = []
     for m in metrics:
         scalar = _BATCH_SCALAR[m]

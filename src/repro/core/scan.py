@@ -5,8 +5,7 @@ every child MBR of an internal node (``Dmin`` / ``Dmm`` / ``Dmax``), or
 score every data point of a leaf against the running neighbor list.
 This module performs both as single batch operations over the node's
 cached corner matrices (:meth:`repro.rtree.node.Node.entry_bounds`),
-running on the vectorized kernels of :mod:`repro.perf.kernels` when the
-``use_vectorized`` switch is on and the node supports the matrix form.
+on the vectorized kernels of :mod:`repro.perf.kernels`.
 
 Flat nodes (:class:`repro.rtree.flat.FlatNode`) take the fastest path:
 their child-reference lists are cached across scans, their corner
@@ -14,10 +13,10 @@ matrices are zero-copy slices of the frozen per-level arrays, and leaf
 offers go through :meth:`~repro.core.results.NeighborList.offer_block`
 over the packed oid/point slices — no per-entry Python objects at all.
 
-Everything else — sphere-bounded SS-tree nodes, TV-tree reduced
-regions, or vectorization switched off — falls back to the scalar
-reference path with bit-identical results, so the algorithms above this
-module never need to know which path ran.
+Nodes without corner matrices — sphere-bounded SS-tree nodes, SR-tree
+composites, TV-tree reduced regions — are scored region by region
+through :func:`~repro.core.regions.batch_region_distances`, so the
+algorithms above this module never need to know the node type.
 """
 
 from __future__ import annotations
@@ -74,21 +73,20 @@ def scan_children(
     """Score every child branch of internal *node* in one batch.
 
     ``Dmin`` is always computed (every algorithm needs it); ``Dmm`` and
-    ``Dmax`` on request.  The result lists contain plain Python floats
-    either way, so callers are oblivious to which path produced them.
+    ``Dmax`` on request.  The result lists contain plain Python floats.
     """
     refs_getter = getattr(node, "child_refs", None)
     refs = refs_getter() if refs_getter is not None else child_refs(node)
     if not refs:
         return ChildScan(refs, [], [] if want_dmm else None,
-                         [] if want_dmax else None)
+                         [] if want_dmax else None,
+                         np.empty(0, dtype=np.int64) if want_dmax else None)
     metrics = ["dmin"]
     if want_dmm:
         metrics.append("dmm")
     if want_dmax:
         metrics.append("dmax")
-    vectorized = kernels.vectorization_enabled()
-    bounds = _node_bounds(node) if vectorized else None
+    bounds = _node_bounds(node)
     if bounds is not None:
         # Pre-flattened corner matrices: call the kernels directly,
         # skipping both the per-scan region-list build and the shape
@@ -102,7 +100,7 @@ def scan_children(
             query, [ref.rect for ref in refs], metrics
         )
     counts: Optional[np.ndarray] = None
-    if want_dmax and vectorized:
+    if want_dmax:
         counts_getter = getattr(node, "child_counts", None)
         counts = (
             counts_getter()
@@ -121,21 +119,16 @@ def scan_children(
     )
 
 
-def gathered_counts(
-    chunks: List[np.ndarray], frontier_size: int
-) -> Optional[np.ndarray]:
-    """Concatenate per-scan count arrays when they cover the frontier.
+def gathered_counts(chunks: List[np.ndarray]) -> Optional[np.ndarray]:
+    """Concatenate the per-scan count arrays of one fetch batch.
 
     The Lemma 1 consumers accumulate :attr:`ChildScan.counts` across a
     fetch batch and pass the concatenation to
-    :func:`~repro.core.threshold.threshold_distance_sq`.  Counts are
-    attached only on the vectorized path, so coverage is all-or-nothing
-    per query; a partial cover (impossible today, but cheap to guard)
-    returns ``None`` and the threshold gathers counts itself.
+    :func:`~repro.core.threshold.threshold_distance_sq`, which rejects
+    a result that does not line up with the frontier.  ``None`` for an
+    empty frontier.
     """
     if not chunks:
-        return None
-    if sum(len(chunk) for chunk in chunks) != frontier_size:
         return None
     if len(chunks) == 1:
         return chunks[0]
@@ -147,28 +140,27 @@ def offer_leaf(
 ) -> None:
     """Offer every data object of leaf *node* to *neighbors*.
 
-    The vectorized path computes all squared distances with one kernel
-    call over the leaf's cached point matrix (the low corners of its
-    degenerate MBRs).  Flat leaves then feed the packed oid/point
-    slices straight to the neighbor list's block offer; pointer leaves
-    fall back to the per-entry offer, and the scalar reference path
-    remains for vectorization-off runs.  All three admit exactly the
-    same objects.
+    All squared distances come from one kernel call over the leaf's
+    cached point matrix (the low corners of its degenerate MBRs).  Flat
+    leaves then feed the packed oid/point slices straight to the
+    neighbor list's block offer; pointer leaves offer entry by entry.
+    Leaves without a point matrix (the extension access methods) take
+    the neighbor list's own per-entry distance loop.  All three admit
+    exactly the same objects.
     """
     if not node.entries:
         return
-    if kernels.vectorization_enabled():
-        bounds = _node_bounds(node)
-        if bounds is not None:
-            distances = kernels.batch_point_distance_sq(query, bounds[0])
-            leaf_data = getattr(node, "leaf_data", None)
-            if leaf_data is not None:
-                oids, points = leaf_data
-                neighbors.offer_block(distances, oids, points)
-                return
-            for entry, dist_sq in zip(node.entries, distances.tolist()):
-                neighbors.offer_computed(dist_sq, entry.point, entry.oid)
+    bounds = _node_bounds(node)
+    if bounds is not None:
+        distances = kernels.batch_point_distance_sq(query, bounds[0])
+        leaf_data = getattr(node, "leaf_data", None)
+        if leaf_data is not None:
+            oids, points = leaf_data
+            neighbors.offer_block(distances, oids, points)
             return
+        for entry, dist_sq in zip(node.entries, distances.tolist()):
+            neighbors.offer_computed(dist_sq, entry.point, entry.oid)
+        return
     entries = leaf_points(node)
     neighbors.offer_many(entries)
     kernels.record_kernel_use("pointdist", "scalar", len(entries))

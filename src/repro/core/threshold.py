@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.regions import batch_region_distances
 from repro.core.protocol import ChildRef
 from repro.geometry.point import Point
-from repro.perf import kernels
 
 
 class Threshold(NamedTuple):
@@ -59,9 +58,8 @@ def threshold_distance_sq(
         while scanning the frontier, avoiding a second evaluation.
     :param counts: optional int64 subtree object counts aligned with
         *entries* (the scan layer's :attr:`~repro.core.scan.ChildScan
-        .counts`); saves the per-entry gather on the vectorized path.
-        For frozen trees this is a zero-copy slice of the packed count
-        array.
+        .counts`); saves the per-entry gather.  For frozen trees this
+        is a zero-copy slice of the packed count array.
     :returns: squared ``D_th`` and the qualifying prefix length.
 
     If the entries together hold fewer than k objects, every entry is
@@ -85,34 +83,20 @@ def threshold_distance_sq(
             f"counts has {len(counts)} values for {len(entries)} entries"
         )
 
-    if kernels.vectorization_enabled():
-        # Vectorized Lemma 1: sort by (Dmax, count) — matching the tuple
-        # sort of the scalar path exactly, ties included — then find the
-        # shortest prefix whose counts cover k via cumsum/searchsorted.
-        values = np.asarray(dmax_sq, dtype=np.float64)
-        if counts is None:
-            counts = np.asarray(
-                [ref.count for ref in entries], dtype=np.int64
-            )
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-        order = np.lexsort((counts, values))
-        covered = np.cumsum(counts[order])
-        if covered[-1] >= k:
-            prefix = int(np.searchsorted(covered, k, side="left"))
-            return Threshold(
-                float(values[order[prefix]]), prefix + 1, guaranteed=True
-            )
+    # Sort by (Dmax, count) — ties on Dmax go to the smaller count —
+    # then find the shortest prefix whose counts cover k.
+    values = np.asarray(dmax_sq, dtype=np.float64)
+    if counts is None:
+        counts = np.asarray([ref.count for ref in entries], dtype=np.int64)
+    else:
+        counts = np.asarray(counts, dtype=np.int64)
+    order = np.lexsort((counts, values))
+    covered = np.cumsum(counts[order])
+    if covered[-1] >= k:
+        prefix = int(np.searchsorted(covered, k, side="left"))
         return Threshold(
-            float(values[order[-1]]), len(entries), guaranteed=False
+            float(values[order[prefix]]), prefix + 1, guaranteed=True
         )
-
-    by_dmax = sorted(zip(dmax_sq, (ref.count for ref in entries)))
-    covered = 0
-    for prefix_length, (value, count) in enumerate(by_dmax, start=1):
-        covered += count
-        if covered >= k:
-            return Threshold(value, prefix_length, guaranteed=True)
     # Fewer than k objects in total: all entries qualify and the bound
     # only covers what these entries themselves contain.
-    return Threshold(by_dmax[-1][0], len(by_dmax), guaranteed=False)
+    return Threshold(float(values[order[-1]]), len(entries), guaranteed=False)

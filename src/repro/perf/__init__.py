@@ -23,13 +23,12 @@ arithmetic, so the tree that comes out is the same tree bit for bit
 path at run time; the loops live on as the test oracle in
 ``tests/rtree/oracle.py``.
 
-Query-path vectorization defaults **on** and can be disabled globally —
-the scalar path stays behind :func:`use_vectorized` as the reference
-oracle:
-
->>> from repro.perf import use_vectorized
->>> with use_vectorized(False):
-...     pass  # everything inside runs on the scalar reference path
+The query path is the same story: every node that carries corner
+matrices is scanned by the kernels, and Lemma 1 and the CRSS candidate
+reduction run as array operations over the scan results.  The loops
+they replaced are the test oracle in ``tests/core/oracle.py``;
+:mod:`repro.core.distances` remains the public per-rectangle API the
+kernels are tested against.  There is no switch.
 
 The benchmark harness lives in :mod:`repro.perf.bench` (imported
 lazily — it pulls in the whole algorithm stack) and is exposed on the
@@ -46,9 +45,6 @@ from repro.perf.kernels import (
     batch_split_scores,
     instrument_kernels,
     record_kernel_use,
-    set_vectorized,
-    use_vectorized,
-    vectorization_enabled,
 )
 
 __all__ = [
@@ -61,7 +57,4 @@ __all__ = [
     "batch_split_scores",
     "instrument_kernels",
     "record_kernel_use",
-    "set_vectorized",
-    "use_vectorized",
-    "vectorization_enabled",
 ]

@@ -297,23 +297,19 @@ def run_layout_microbench(
     ]
 
 
-def run_bench(
-    smoke: bool = False, seed: int = 0, layout: str = "pointer"
-) -> Dict[str, object]:
+def run_bench(smoke: bool = False, seed: int = 0) -> Dict[str, object]:
     """Run the full benchmark suite; returns the JSON-ready document.
 
-    *layout* selects the storage the query/simulate suites run over
-    ("pointer" or "flat" — answers and page counts are bit-identical
-    either way); the layout microbench always measures both.
+    The query/simulate suites run over each tree's freeze, like every
+    reading command; the layout microbench measures the build form
+    against it.
     """
     configs = []
     for base in _SUITE_CONFIGS[smoke]:
         data = dataset(base["dataset"], base["n"], base["dims"], seed=seed)
-        tree = build_tree(
+        tree = flatten(build_tree(
             base["dataset"], base["n"], base["dims"], _DISKS, seed=seed
-        )
-        if layout == "flat":
-            tree = flatten(tree)
+        ))
         queries = sample_queries(data, base["queries"], seed=seed + 1)
         algorithms = {
             name: _run_algorithm_suite(name, tree, queries, seed)
@@ -332,7 +328,6 @@ def run_bench(
         "label": "PR9",
         "smoke": smoke,
         "seed": seed,
-        "layout": layout,
         "nondeterministic_keys": list(NONDETERMINISTIC_KEYS),
         "configs": configs,
         "microbench": run_microbench(smoke, seed),
@@ -380,7 +375,6 @@ def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
         "schema": stripped.get("schema"),
         "smoke": stripped.get("smoke"),
         "seed": stripped.get("seed"),
-        "layout": stripped.get("layout", "pointer"),
         "suite": [
             {
                 key: entry[key]

@@ -9,8 +9,8 @@ for R* ChooseSubtree and the R* split — twins of
 
 **Exactness contract.**  The kernels must return bit-identical results
 to the scalar reference in :mod:`repro.core.distances` — the search
-algorithms run with either path and the differential tests compare them
-with ``==``, not with a tolerance.  IEEE-754 addition is not
+algorithms run on the kernels alone and the differential tests compare
+the two with ``==``, not with a tolerance.  IEEE-754 addition is not
 associative, so the kernels may not use :func:`numpy.sum` over the axis
 dimension (numpy's pairwise summation reassociates terms).  Instead
 they loop over the *dims* axis — small, 2–30 — accumulating exactly
@@ -19,15 +19,12 @@ where the real work is.  Per-element operations (``+`` ``-`` ``*``
 ``abs`` ``min`` ``max``) are correctly rounded in both numpy and
 CPython, so equal operand order implies equal results.
 
-The module also owns two pieces of global plumbing:
-
-* the ``use_vectorized`` switch (default on) consulted by the node-scan
-  layer in :mod:`repro.core.scan`, with the scalar path kept as the
-  reference oracle;
-* an optional :class:`~repro.obs.metrics.MetricsRegistry` hook counting
-  kernel invocations and entries processed per metric and per path
-  (``vector`` / ``scalar``), which the bench harness snapshots into
-  ``BENCH_*.json``.
+The module also owns one piece of global plumbing: an optional
+:class:`~repro.obs.metrics.MetricsRegistry` hook counting kernel
+invocations and entries processed per metric and per path (``vector``
+here, ``scalar`` for the per-region fallback of
+:func:`repro.core.regions.batch_region_distances`), which the bench
+harness snapshots into ``BENCH_*.json``.
 
 This module is a leaf: it imports only numpy and :mod:`repro.obs`, so
 every layer (geometry, rtree, core) may call into it freely.
@@ -35,8 +32,7 @@ every layer (geometry, rtree, core) may call into it freely.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,44 +48,7 @@ __all__ = [
     "batch_split_scores",
     "instrument_kernels",
     "record_kernel_use",
-    "set_vectorized",
-    "use_vectorized",
-    "vectorization_enabled",
 ]
-
-
-# -- the use_vectorized switch --------------------------------------------
-
-_vectorized: bool = True
-
-
-def vectorization_enabled() -> bool:
-    """True when the numpy kernels are active (the default)."""
-    return _vectorized
-
-
-def set_vectorized(enabled: bool) -> bool:
-    """Switch the batch kernels on or off globally; returns the old value.
-
-    With the switch off every node scan falls back to the scalar
-    reference functions in :mod:`repro.core.distances` /
-    :mod:`repro.core.regions` — the oracle the vectorized path is
-    differential-tested against.
-    """
-    global _vectorized
-    previous = _vectorized
-    _vectorized = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_vectorized(enabled: bool = True) -> Iterator[None]:
-    """Context manager pinning the vectorization switch within a block."""
-    previous = set_vectorized(enabled)
-    try:
-        yield
-    finally:
-        set_vectorized(previous)
 
 
 # -- kernel call accounting ------------------------------------------------
@@ -118,9 +77,9 @@ def instrument_kernels(
 def record_kernel_use(metric: str, path: str, entries: int) -> None:
     """Count one batch of *entries* distance evaluations.
 
-    The vectorized kernels call this themselves; the scalar fallbacks in
-    :mod:`repro.core` call it explicitly so both paths are visible in
-    the same registry.  A no-op until :func:`instrument_kernels`.
+    The kernels call this themselves; the per-region fallbacks in
+    :mod:`repro.core` call it explicitly so both are visible in the
+    same registry.  A no-op until :func:`instrument_kernels`.
     """
     if _registry is None or entries == 0:
         return

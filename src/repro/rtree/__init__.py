@@ -19,6 +19,7 @@ for comparison and ablation experiments.
 
 from repro.rtree.capacity import capacity_for_page
 from repro.rtree.flat import (
+    FlatFormatError,
     FlatNode,
     FlatTree,
     FrozenParallelTree,
@@ -40,27 +41,16 @@ from repro.rtree.hilbert import (
     hilbert_index,
     hilbert_sort_key,
 )
-from repro.rtree.storage import (
-    StorageError,
-    load_parallel_tree,
-    load_tree,
-    save_parallel_tree,
-    save_tree,
-)
 from repro.rtree.validate import check_invariants
 
 __all__ = [
+    "FlatFormatError",
     "FlatNode",
     "FlatTree",
     "FrozenParallelTree",
     "flatten",
     "load_flat",
     "save_flat",
-    "StorageError",
-    "load_parallel_tree",
-    "load_tree",
-    "save_parallel_tree",
-    "save_tree",
     "LeafEntry",
     "LinearSplit",
     "Node",

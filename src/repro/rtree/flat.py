@@ -28,14 +28,20 @@ counter; inserting or deleting afterwards leaves the freeze stale —
 :meth:`FlatTree.is_stale` detects this, and callers re-freeze.  A
 :class:`FlatTree` never mutates itself.
 
-The binary serialization (:func:`save_flat` / :func:`load_flat`) lays
-an 8-byte-aligned header over raw C-contiguous array blobs, so a future
-real-storage backend can ``mmap`` the file and use the arrays in place
-(``load_flat(path, mmap=True)`` already does).
+The binary serialization (:func:`save_flat` / :func:`load_flat`) is the
+repo's one at-rest format: an 8-byte-aligned header over raw
+C-contiguous array blobs, so the file can be ``mmap``-ed and the arrays
+used in place (``load_flat(path, mmap=True)``).  Position in the arrays
+*is* the structure, so the loader can check a file without walking it:
+sizes against the header, child slices against the level below,
+placement ids against the array — any mismatch is a
+:class:`FlatFormatError`.  ``load_flat(path).rehydrate(policy=, seed=)``
+is the way back to a tree that takes inserts and deletes.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -55,6 +61,10 @@ _VERSION = 1
 #: total_points, source_mutations — 8-byte aligned overall.
 _HEADER = struct.Struct("<4sHHIIIIIIIQQQQQ")
 _FLAG_PLACEMENT = 1
+
+
+class FlatFormatError(ValueError):
+    """Raised when a flat-tree file is truncated, foreign or inconsistent."""
 
 
 class _FlatEntries:
@@ -569,20 +579,25 @@ class FrozenParallelTree:
         dk = self.kth_nearest_distance(point, k)
         return nodes_intersecting_sphere(self.tree, tuple(point), dk)
 
-    def rehydrate(self):
+    def rehydrate(self, policy=None, seed: int = 0):
         """Rebuild a mutable :class:`ParallelRStarTree` from the freeze.
 
-        The placement tables are restored verbatim; the cylinder RNG
-        restarts from its seed, so *future* page placements may differ
-        from a never-frozen tree's — existing pages are unaffected.
-        The rebuilt R*-tree reports splits, new roots and freed pages to
-        the new wrapper, so pages created or condensed away later are
-        placed and released like in a tree that was never frozen.
+        The placement tables are restored verbatim.  Neither the
+        declustering *policy* nor the cylinder RNG is part of a freeze:
+        pass the policy that should place pages created from now on
+        (default: Proximity Index, like a fresh tree) and the cylinder
+        *seed*; the RNG restarts from it, so *future* page placements
+        may differ from a never-frozen tree's — existing pages are
+        unaffected.  The rebuilt R*-tree reports splits, new roots and
+        freed pages to the new wrapper, so pages created or condensed
+        away later are placed and released like in a tree that was
+        never frozen.
         """
         from repro.parallel.tree import ParallelRStarTree
 
         parallel = ParallelRStarTree(
-            self.tree.dims, self.num_disks, num_cylinders=self.num_cylinders,
+            self.tree.dims, self.num_disks, policy=policy,
+            num_cylinders=self.num_cylinders, seed=seed,
             max_entries=self.tree.max_entries,
             min_entries=self.tree.min_entries,
             page_size=self.tree.page_size,
@@ -688,7 +703,18 @@ def load_flat(path: str, mmap: bool = False):
         load the on-disk layout is designed for.
     :returns: a :class:`FlatTree`, or a :class:`FrozenParallelTree`
         when the file carries placement tables.
+    :raises FlatFormatError: when the file is not a complete,
+        self-consistent flat-tree file: too short for its header or for
+        the arrays the header announces, longer than them, foreign
+        magic or version, a child slice reaching past the level below,
+        a root that is not a stored page, or a page placed on a disk or
+        cylinder the array does not have.
     """
+    if os.path.getsize(path) < _HEADER.size:
+        raise FlatFormatError(
+            f"{path}: {os.path.getsize(path)} bytes is too short for a "
+            f"flat-tree header ({_HEADER.size} bytes)"
+        )
     if mmap:
         buffer = np.memmap(path, dtype=np.uint8, mode="r")
     else:
@@ -700,15 +726,24 @@ def load_flat(path: str, mmap: bool = False):
         bytes(buffer[:_HEADER.size])
     )
     if magic != _MAGIC:
-        raise ValueError(f"{path} is not a flat-tree file (magic {magic!r})")
+        raise FlatFormatError(
+            f"{path} is not a flat-tree file (magic {magic!r})"
+        )
     if version != _VERSION:
-        raise ValueError(f"unsupported flat-tree version {version}")
+        raise FlatFormatError(
+            f"{path}: unsupported flat-tree version {version}"
+        )
 
     offset = (_HEADER.size + 7) // 8 * 8
 
     def take(count: int, dtype, shape=None):
         nonlocal offset
         nbytes = count * np.dtype(dtype).itemsize
+        if count < 0 or offset + nbytes > len(buffer):
+            raise FlatFormatError(
+                f"{path}: truncated: {nbytes} bytes expected at offset "
+                f"{offset}, file has {len(buffer)}"
+            )
         array = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
         offset += nbytes
         return array.reshape(shape) if shape is not None else array
@@ -727,6 +762,36 @@ def load_flat(path: str, mmap: bool = False):
         level_entry_counts.append(take(n, np.int64))
     points = take(total_points * dims, np.float64, (total_points, dims))
     oids = take(total_points, np.int64)
+    total_nodes = sum(node_counts)
+    placed = bool(flags & _FLAG_PLACEMENT)
+    if placed:
+        # One row per page, in page-table order: a table that ends
+        # early (pages without a placement) reads as truncation.
+        disks = take(total_nodes, np.int64)
+        cylinders = take(total_nodes, np.int64)
+    if offset != len(buffer):
+        raise FlatFormatError(
+            f"{path}: {len(buffer) - offset} trailing bytes after the "
+            f"arrays its header announces"
+        )
+
+    if size != total_points:
+        raise FlatFormatError(
+            f"{path}: object count mismatch: header says {size}, "
+            f"leaves hold {total_points}"
+        )
+    for level in range(height):
+        below = total_points if level == 0 else node_counts[level - 1]
+        starts, lengths = level_entry_offsets[level], level_entry_counts[level]
+        if node_counts[level] and (
+            starts.min() < 0
+            or lengths.min() < 0
+            or (starts + lengths).max() > below
+        ):
+            raise FlatFormatError(
+                f"{path}: a level-{level} node's entries reach outside the "
+                f"{below} rows below it"
+            )
     flat = FlatTree(
         dims=dims,
         level_lows=level_lows,
@@ -745,19 +810,34 @@ def load_flat(path: str, mmap: bool = False):
         next_page_id=next_page_id,
         source_mutations=source_mutations,
     )
-    if not flags & _FLAG_PLACEMENT:
+    if len(flat.pages) != total_nodes:
+        raise FlatFormatError(
+            f"{path}: {total_nodes - len(flat.pages)} duplicate page ids"
+        )
+    if root_page_id not in flat.pages:
+        raise FlatFormatError(
+            f"{path}: root page {root_page_id} is not a stored page"
+        )
+    if not placed:
         return flat
-    total_nodes = sum(node_counts)
-    disks = take(total_nodes, np.int64).tolist()
-    cylinders = take(total_nodes, np.int64).tolist()
     page_order = [
         page_id
         for level in range(height)
         for page_id in level_page_ids[level].tolist()
     ]
+    for unit, table, limit in (
+        ("disk", disks, num_disks),
+        ("cylinder", cylinders, num_cylinders),
+    ):
+        bad = np.flatnonzero((table < 0) | (table >= limit))
+        if len(bad):
+            raise FlatFormatError(
+                f"{path}: page {page_order[bad[0]]} on invalid {unit} "
+                f"{table[bad[0]]} (array has {limit})"
+            )
     return FrozenParallelTree(
         flat, num_disks,
-        placement=dict(zip(page_order, disks)),
-        cylinder=dict(zip(page_order, cylinders)),
+        placement=dict(zip(page_order, disks.tolist())),
+        cylinder=dict(zip(page_order, cylinders.tolist())),
         num_cylinders=num_cylinders,
     )

@@ -201,8 +201,8 @@ class Node:
         tree mutates again.
 
         Returns ``None`` when no matrix form exists — an empty node, or
-        an entry without a materialized MBR — in which case callers use
-        the scalar path.
+        an entry without a materialized MBR — in which case callers
+        score the entries one by one.
         """
         # Cache validity is purely "has a mutation invalidated it" — a
         # length comparison against the entry list would mask rebinding

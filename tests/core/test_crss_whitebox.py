@@ -5,13 +5,18 @@ requests — the observable trace of the paper's ADAPTIVE → UPDATE →
 NORMAL → TERMINATE mode machine.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import CRSS, CountingExecutor
-from repro.core.protocol import FetchRequest
+from repro.core.protocol import ChildRef, FetchRequest
+from repro.geometry.rect import Rect
 from repro.parallel import build_parallel_tree
+from tests.core import oracle
 
 
 def trace_batches(tree, algorithm):
@@ -85,6 +90,116 @@ class TestBatchTrace:
             if any(tree.page(pid).is_leaf for pid in batch)
         ]
         assert len(leaf_batches) >= 2  # the stack fed further rounds
+
+
+class PruneLog:
+    """The one recorder hook the reduction calls, as a list."""
+
+    def __init__(self):
+        self.calls = []
+
+    def prune(self, page_id, reason):
+        self.calls.append((page_id, reason))
+
+
+#: Few distinct values, so Dmin/Dmm tie with each other and sit exactly
+#: on the radius all the time — where stable-sort order and the strict
+#: vs. non-strict comparisons decide.
+distance = st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 1.0, 2.0])
+radius = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, math.inf])
+
+
+@st.composite
+def reductions(draw, min_size=0, max_size=14):
+    """A frontier with its distances plus radius and the l..u bounds."""
+    pairs = draw(
+        st.lists(st.tuples(distance, distance), min_size=min_size,
+                 max_size=max_size)
+    )
+    box = Rect((0.0, 0.0), (1.0, 1.0))
+    frontier = [ChildRef(box, 1, 100 + i) for i in range(len(pairs))]
+    return (
+        frontier,
+        [dmin for dmin, _ in pairs],
+        [dmm for _, dmm in pairs],
+        draw(radius),
+        draw(st.integers(min_value=0, max_value=len(pairs) + 2)),
+        draw(st.integers(min_value=1, max_value=len(pairs) + 2)),
+        draw(st.sampled_from(["lemma1", "kth"])),
+    )
+
+
+class TestReductionOracle:
+    """``CRSS._reduce`` against the entry-by-entry loop it replaced.
+
+    Same active run, same saved run, same order inside each, and the
+    same ``explain.prune`` calls in the same order — for every frontier
+    length (0, 1, 2, many), with ``max_active`` and ``lower_bound``
+    below, at and beyond the number of qualifying branches.
+    """
+
+    @staticmethod
+    def both(frontier, dmin, dmm, radius_sq, lower, upper, reason):
+        search = CRSS((0.0, 0.0), 3, num_disks=upper)
+        search.explain = got_log = PruneLog()
+        got = search._reduce(frontier, dmin, dmm, radius_sq, lower, reason)
+        want_log = PruneLog()
+        want = oracle.reduce_candidates(
+            frontier, dmin, dmm, radius_sq, lower, upper, reason, want_log
+        )
+        assert got == want
+        assert got_log.calls == want_log.calls
+        # Without a recorder the answer is the same one.
+        search.explain = None
+        assert search._reduce(
+            frontier, dmin, dmm, radius_sq, lower, reason
+        ) == want
+        return got
+
+    @given(reductions())
+    def test_generated_frontiers(self, case):
+        self.both(*case)
+
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_short_frontiers_at_every_bound(self, size):
+        frontier = [
+            ChildRef(Rect((0.0,), (1.0,)), 1, i) for i in range(size)
+        ]
+        for dmin in ([0.5] * size, [1.0, 0.25][:size]):
+            for dmm in ([0.5] * size, [0.25, 2.0][:size]):
+                for radius_sq in (0.25, 0.5, math.inf):
+                    for lower in range(size + 2):
+                        for upper in range(1, size + 2):
+                            self.both(
+                                frontier, dmin, dmm, radius_sq,
+                                lower, upper, "lemma1",
+                            )
+
+    def test_overflow_and_qualified_interleave_by_dmin(self):
+        """``u`` cuts the preferred run; its tail merges into the saved
+        run by Dmin, ahead of a qualified branch at the same Dmin."""
+        frontier = [
+            ChildRef(Rect((0.0,), (1.0,)), 1, i) for i in range(6)
+        ]
+        dmin = [0.5, 0.25, 0.5, 0.25, 0.5, 0.0]
+        dmm = [0.75, 0.75, 2.0, 2.0, 0.75, 0.75]  # 2.0: not preferred
+        active, saved = self.both(
+            frontier, dmin, dmm, 1.0, 0, 2, "lemma1"
+        )
+        assert [c.ref.page_id for c in active] == [5, 1]
+        assert [c.ref.page_id for c in saved] == [3, 0, 4, 2]
+
+    def test_lower_bound_promotes_from_the_saved_run(self):
+        frontier = [
+            ChildRef(Rect((0.0,), (1.0,)), 1, i) for i in range(4)
+        ]
+        dmin = [0.5, 0.25, 1.0, 3.0]
+        dmm = [2.0] * 4  # nothing preferred
+        active, saved = self.both(
+            frontier, dmin, dmm, 1.0, 2, 4, "kth"
+        )
+        assert [c.ref.page_id for c in active] == [1, 0]
+        assert [c.ref.page_id for c in saved] == [2]
 
 
 class TestBusBottleneck:

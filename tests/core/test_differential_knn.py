@@ -1,10 +1,11 @@
-"""Differential kNN: every algorithm vs brute force, on both kernel paths.
+"""Differential kNN: every algorithm vs brute force, on both tree forms.
 
 Complements the hypothesis suite in ``test_exactness.py`` with seeded,
 deterministic datasets engineered for the ugly cases — duplicate points
-and exact distance ties — and runs each algorithm twice, once on the
-vectorized kernels and once on the scalar reference, asserting the two
-paths return the identical answers *and* pay the identical I/O.
+and exact distance ties — and runs each algorithm twice, once over the
+pointer tree (the build form) and once over its freeze (the read form),
+asserting the two return the identical answers *and* pay the identical
+I/O.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from repro.core import BBSS, CRSS, FPSS, WOPTSS, CountingExecutor
 from repro.geometry.point import squared_euclidean
 from repro.parallel import build_parallel_tree
-from repro.perf import use_vectorized
+from repro.rtree import flatten
 
 
 def tie_heavy_dataset(dims, n, seed):
@@ -56,7 +57,10 @@ def test_all_algorithms_match_brute_force_on_both_paths(dims):
     tree = build_parallel_tree(
         points, dims=dims, num_disks=num_disks, max_entries=8
     )
-    executor = CountingExecutor(tree)
+    executors = {
+        "pointer": CountingExecutor(tree),
+        "frozen": CountingExecutor(flatten(tree)),
+    }
     rng = np.random.default_rng(100 + dims)
     queries = [
         tuple(rng.uniform(0.0, 1.0, dims).tolist()),  # off-grid
@@ -72,21 +76,19 @@ def test_all_algorithms_match_brute_force_on_both_paths(dims):
             for factory in algorithm_factories(query, k, num_disks, dk):
                 answers = {}
                 stats = {}
-                for vectorized in (True, False):
-                    with use_vectorized(vectorized):
-                        result = executor.execute(factory())
-                    answers[vectorized] = result
+                for form, executor in executors.items():
+                    answers[form] = executor.execute(factory())
                     s = executor.last_stats
-                    stats[vectorized] = (
+                    stats[form] = (
                         s.nodes_visited, s.rounds, s.critical_path
                     )
                 name = factory().name
-                # Both paths: identical answers and identical traversal.
-                assert answers[True] == answers[False], (name, k)
-                assert stats[True] == stats[False], (name, k)
+                # Both forms: identical answers and identical traversal.
+                assert answers["pointer"] == answers["frozen"], (name, k)
+                assert stats["pointer"] == stats["frozen"], (name, k)
                 # And both match the brute-force oracle exactly.
-                got_ids = [n.oid for n in answers[True]]
-                got_distances = [n.distance for n in answers[True]]
+                got_ids = [n.oid for n in answers["frozen"]]
+                got_distances = [n.distance for n in answers["frozen"]]
                 assert got_ids == expected_ids, (name, k)
                 assert got_distances == expected_distances, (name, k)
 
@@ -98,14 +100,13 @@ def test_duplicate_query_point_k_covers_all_copies():
     base = [tuple(rng.uniform(0.0, 1.0, dims).tolist()) for _ in range(12)]
     points = [p for p in base for _ in range(copies)]
     tree = build_parallel_tree(points, dims=dims, num_disks=4, max_entries=6)
-    executor = CountingExecutor(tree)
+    executors = [CountingExecutor(tree), CountingExecutor(flatten(tree))]
     query = base[5]
     for k in (1, copies - 1, copies, copies + 1):
         expected_ids = [oid for _, oid in oracle(points, query, k)]
-        for vectorized in (True, False):
-            with use_vectorized(vectorized):
-                got = executor.execute(CRSS(query, k, num_disks=4))
-            assert [n.oid for n in got] == expected_ids, (k, vectorized)
+        for executor in executors:
+            got = executor.execute(CRSS(query, k, num_disks=4))
+            assert [n.oid for n in got] == expected_ids, k
         # The k nearest of a query sitting on a duplicated point start
         # with that duplicate group, in oid order.
         group = sorted(

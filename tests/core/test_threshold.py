@@ -12,7 +12,7 @@ from repro.core.protocol import ChildRef
 from repro.core.threshold import threshold_distance_sq
 from repro.geometry.point import euclidean
 from repro.geometry.rect import Rect
-from repro.perf import use_vectorized
+from tests.core import oracle
 
 
 def ref(low, high, count, page_id=0):
@@ -123,23 +123,26 @@ class TestLemma1Property:
 
 
 class TestScalarVectorizedBitIdentity:
-    """Satellite: the two Lemma 1 paths must agree bit-for-bit.
+    """Lemma 1 must agree bit-for-bit with the loop it replaced.
 
-    The scalar reference sorts ``(Dmax, count)`` tuples; the vectorized
-    path lexsorts the same keys and cumsum/searchsorteds the prefix.
-    Adversarial inputs target exactly where they could diverge: equal
-    Dmax values with differing counts (tie-break order), zero-count
-    entries (prefix padding), and k beyond the total object count (the
-    not-guaranteed fall-through).
+    The oracle (``tests/core/oracle.py``) sorts ``(Dmax, count)``
+    tuples over per-rectangle ``core.distances`` values; the kept form
+    lexsorts the same keys over kernel values and cumsum/searchsorteds
+    the prefix.  Adversarial inputs target exactly where they could
+    diverge: equal Dmax values with differing counts (tie-break order),
+    zero-count entries (prefix padding), and k beyond the total object
+    count (the not-guaranteed fall-through).
     """
 
     @staticmethod
     def both_paths(query, entries, k, counts=None):
-        with use_vectorized(True):
-            vec = threshold_distance_sq(query, entries, k, counts=counts)
-        with use_vectorized(False):
-            scalar = threshold_distance_sq(query, entries, k)
-        return vec, scalar
+        vec = threshold_distance_sq(query, entries, k, counts=counts)
+        dmax_sq = [maximum_distance_sq(query, ref.rect) for ref in entries]
+        # What the algorithms do: hand over the Dmax they already have.
+        assert vec == threshold_distance_sq(
+            query, entries, k, dmax_sq=dmax_sq, counts=counts
+        )
+        return vec, oracle.threshold_distance_sq(entries, k, dmax_sq)
 
     @given(
         st.lists(
@@ -212,12 +215,11 @@ class TestScalarVectorizedBitIdentity:
             for i, count in enumerate(counts)
         ]
         packed = np.asarray(counts, dtype=np.int64)
-        with use_vectorized(True):
-            with_counts = threshold_distance_sq(
-                (0.0, 0.5), entries, k, counts=packed
-            )
-            without = threshold_distance_sq((0.0, 0.5), entries, k)
-        assert with_counts == without
+        with_counts, scalar = self.both_paths(
+            (0.0, 0.5), entries, k, counts=packed
+        )
+        without = threshold_distance_sq((0.0, 0.5), entries, k)
+        assert with_counts == without == scalar
 
     def test_counts_length_mismatch_rejected(self):
         entries = [ChildRef(Rect((0.0, 0.0), (1.0, 1.0)), 2, 0)]

@@ -16,12 +16,19 @@ from repro.core.distances import (
     minmax_distance_sq,
 )
 from repro.core.protocol import ChildRef
-from repro.core.regions import batch_region_distances
+from repro.core.regions import (
+    batch_region_distances,
+    region_maximum_distance_sq,
+    region_minimum_distance_sq,
+    region_minmax_distance_sq,
+)
 from repro.core.threshold import threshold_distance_sq
 from repro.geometry.point import squared_euclidean
 from repro.geometry.rect import Rect
+from repro.geometry.sphere import Sphere
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import kernels
+from tests.core import oracle
 
 DIMS = [2, 3, 5, 7, 10, 13, 16, 20]
 
@@ -125,31 +132,30 @@ def test_query_on_mbr_faces(dims):
 
 @pytest.mark.parametrize("dims", [2, 10])
 def test_batch_region_distances_paths_agree(dims):
-    """The region dispatcher returns identical lists on both paths."""
+    """The rectangle batch equals the per-region dispatchers' lists."""
     lows, highs = random_mbrs(dims, 40, seed=600 + dims)
     rects = as_rects(lows, highs)
     query = tuple(np.random.default_rng(700 + dims).uniform(-5, 5, dims))
     metrics = ["dmin", "dmm", "dmax"]
-    with kernels.use_vectorized(True):
-        vectorized = batch_region_distances(query, rects, metrics)
-    with kernels.use_vectorized(False):
-        scalar = batch_region_distances(query, rects, metrics)
-    assert vectorized == scalar
-    # Prebuilt bounds (the cached-node fast path) agree too.
-    with kernels.use_vectorized(True):
-        cached = batch_region_distances(
-            query, rects, metrics, bounds=(lows, highs)
+    vectorized = batch_region_distances(query, rects, metrics)
+    scalar = [
+        [dispatch(query, rect) for rect in rects]
+        for dispatch in (
+            region_minimum_distance_sq,
+            region_minmax_distance_sq,
+            region_maximum_distance_sq,
         )
-    assert cached == scalar
+    ]
+    assert vectorized == scalar
 
 
 @pytest.mark.parametrize("k", [1, 3, 10, 50, 1000])
 def test_threshold_paths_agree(k):
-    """Lemma 1 returns the identical Threshold on both paths.
+    """Lemma 1 returns the Threshold of the tuple-sort loop it replaced.
 
     The MBR set contains duplicated rectangles (equal ``Dmax``) with
-    different subtree counts, so the lexsort tie-break of the vectorized
-    path is exercised against the scalar tuple sort.
+    different subtree counts, so the lexsort tie-break is exercised
+    against the oracle's tuple sort.
     """
     lows, highs = random_mbrs(4, 20, seed=800)
     rects = as_rects(lows, highs)
@@ -166,10 +172,10 @@ def test_threshold_paths_agree(k):
         for i in (0, 3, 7)
     ]
     query = tuple(rng.uniform(-5, 5, 4))
-    with kernels.use_vectorized(True):
-        vectorized = threshold_distance_sq(query, entries, k)
-    with kernels.use_vectorized(False):
-        scalar = threshold_distance_sq(query, entries, k)
+    vectorized = threshold_distance_sq(query, entries, k)
+    scalar = oracle.threshold_distance_sq(
+        entries, k, [maximum_distance_sq(query, ref.rect) for ref in entries]
+    )
     assert vectorized == scalar
     assert vectorized.dth_sq == scalar.dth_sq
     assert vectorized.prefix_length == scalar.prefix_length
@@ -207,21 +213,24 @@ class TestInstrumentation:
             ).value == 17
 
     def test_scalar_counters(self):
+        """Regions without a matrix form are counted as ``scalar``."""
         registry = MetricsRegistry()
         previous = kernels.instrument_kernels(registry)
         try:
-            lows, highs = random_mbrs(3, 9, seed=1001)
+            lows, _ = random_mbrs(3, 9, seed=1001)
             query = (0.0, 0.0, 0.0)
-            with kernels.use_vectorized(False):
-                batch_region_distances(
-                    query, as_rects(lows, highs), ["dmin", "dmax"]
-                )
+            batch_region_distances(
+                query,
+                [Sphere(tuple(center), 0.5) for center in lows.tolist()],
+                ["dmin", "dmax"],
+            )
         finally:
             kernels.instrument_kernels(previous)
         for metric in ("dmin", "dmax"):
             assert registry.counter(
                 f"kernels.{metric}.scalar_entries"
             ).value == 9
+        assert not any("vector" in counter.name for counter in registry)
 
     def test_detached_registry_sees_nothing(self):
         registry = MetricsRegistry()
@@ -244,11 +253,3 @@ class TestValidation:
         lows, highs = random_mbrs(3, 4, seed=1101)
         with pytest.raises(ValueError, match="corner matrices"):
             kernels.batch_maximum_distance_sq((0.0,) * 3, lows, highs[:2])
-
-    def test_switch_restores_on_error(self):
-        assert kernels.vectorization_enabled()
-        with pytest.raises(RuntimeError):
-            with kernels.use_vectorized(False):
-                assert not kernels.vectorization_enabled()
-                raise RuntimeError("boom")
-        assert kernels.vectorization_enabled()

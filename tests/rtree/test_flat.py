@@ -13,7 +13,6 @@ import pytest
 from repro.core import BBSS, CRSS, FPSS, WOPTSS, CountingExecutor
 from repro.datasets import gaussian, sample_queries
 from repro.parallel import build_parallel_tree
-from repro.perf import use_vectorized
 from repro.rtree import (
     FlatNode,
     FlatTree,
@@ -108,10 +107,16 @@ class TestFreezeShape:
 
 
 class TestFlatDifferential:
-    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("reloaded", [True, False])
     def test_all_algorithms_bit_identical(
-        self, points, pointer_tree, frozen_tree, vectorized
+        self, tmp_path, points, pointer_tree, frozen_tree, reloaded
     ):
+        """Pointer tree vs. its freeze — as made in memory, and as
+        mapped back from the file ``save_flat`` wrote."""
+        if reloaded:
+            path = str(tmp_path / "tree.flat")
+            save_flat(frozen_tree, path)
+            frozen_tree = load_flat(path, mmap=True)
         queries = sample_queries(points, 5, seed=12)
         for query in queries:
             factories = algorithm_factories(pointer_tree, query, 10, 5)
@@ -123,8 +128,7 @@ class TestFlatDifferential:
                     ("flat", frozen_tree),
                 ):
                     executor = CountingExecutor(tree)
-                    with use_vectorized(vectorized):
-                        answers[label] = executor.execute(factory())
+                    answers[label] = executor.execute(factory())
                     s = executor.last_stats
                     stats[label] = (
                         s.nodes_visited, s.rounds, s.critical_path
@@ -333,8 +337,4 @@ class TestAfterDeletions:
         from repro.rtree.query import knn
 
         for query in sample_queries(survivors, 6, seed=15):
-            for vectorized in (True, False):
-                with use_vectorized(vectorized):
-                    got = knn(tree, query, 10)
-                    expected = knn(fresh, query, 10)
-                assert got == expected
+            assert knn(tree, query, 10) == knn(fresh, query, 10)

@@ -17,7 +17,6 @@ import pytest
 from repro import datasets
 from repro.extensions.xtree import ParallelXTree
 from repro.parallel import ParallelRStarTree, build_parallel_tree, make_policy
-from repro.perf.kernels import use_vectorized
 from repro.rtree import RStarTree, check_invariants
 
 #: ``benchmarks/wall/workloads.py`` at its default ``--seed 11``:
@@ -136,12 +135,6 @@ def build_3d():
     return tree
 
 
-def build_scalar_switch():
-    """``use_vectorized`` governs the query path only: same tree."""
-    with use_vectorized(False):
-        return ledger_tree(datasets.uniform(n=1200, dims=2, seed=23), 2)
-
-
 GOLDEN = {
     "ledger_2d": (
         build_ledger_2d,
@@ -171,10 +164,6 @@ GOLDEN = {
         build_3d,
         "da3f86931fe61b99f8df7b3639881eb2ffe53796768ff397ecd8f2115367a231",
     ),
-    "scalar_switch": (
-        build_scalar_switch,
-        "b48738362da99790b70564af292991d03ac312bcd71be237c40aee8d88ca8da9",
-    ),
 }
 
 
@@ -184,11 +173,6 @@ def test_structure_digest_is_pinned(name):
     tree = build()
     check_invariants(getattr(tree, "tree", tree))
     assert structure_digest(tree) == expected
-
-
-def test_scalar_switch_build_equals_the_default_build():
-    default = ledger_tree(datasets.uniform(n=1200, dims=2, seed=23), 2)
-    assert structure_digest(default) == GOLDEN["scalar_switch"][1]
 
 
 def test_xtree_case_has_supernodes_wider_than_a_page():

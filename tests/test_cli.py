@@ -86,14 +86,18 @@ class TestValidation:
             main(["info", "--disks", "0"])
 
 
-class TestKernelsSwitch:
-    def test_scalar_kernels_give_identical_answers(self, capsys):
-        args = ["knn", *FAST, "--k", "4", "--query", "0.5,0.5"]
-        assert main([*args, "--kernels", "vectorized"]) == 0
-        vectorized = capsys.readouterr().out
-        assert main([*args, "--kernels", "scalar"]) == 0
-        scalar = capsys.readouterr().out
-        assert vectorized == scalar
+class TestOneReadSide:
+    @pytest.mark.parametrize(
+        "command", ["knn", "explain", "simulate", "serve", "chaos", "bench"]
+    )
+    def test_kernels_and_layout_flags_are_gone(self, command, capsys):
+        for flag in ("--kernels=scalar", "--layout=flat"):
+            with pytest.raises(SystemExit) as caught:
+                main([command, flag])
+            assert caught.value.code == 2
+            assert (
+                f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            )
 
 
 class TestBench:

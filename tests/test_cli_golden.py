@@ -11,7 +11,8 @@ At that commit the same commands were also run with ``--layout flat``
 (where the flag existed) and required to write the same artifact once
 ``config.layout`` and the config digest derived from it were set aside —
 the proof that freezing by default would not move a byte.  That half
-went away with the flag.
+went away with the flag; today the readers freeze and these are the
+only runs there are.
 """
 
 import hashlib
@@ -94,25 +95,16 @@ GOLDEN = {
 }
 
 #: ``repro bench --smoke``: sha256 of the document's deterministic part
-#: (``strip_nondeterministic``) without its top-level ``layout`` key.
+#: (``strip_nondeterministic``), recorded without the top-level
+#: ``layout`` key the document carried while the flag existed.
 GOLDEN_BENCH_SMOKE = (
     "a23058ca78b9d563fd76f8079e28621844044f31cf6f977eb020607dc0f61f01"
 )
-
-#: Commands that took ``--layout`` when the hashes were recorded.
-HAD_LAYOUT_FLAG = ("simulate", "serve")
-
 
 def run(argv, out, names, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     return [(out / name).read_bytes() for name in names]
-
-
-def bench_digest(path) -> str:
-    doc = json.loads(path.read_text())
-    doc.pop("layout", None)
-    return hashlib.sha256(canonical_bytes(doc)).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -127,37 +119,7 @@ def test_bench_smoke_deterministic_part_is_pinned(tmp_path, capsys):
     path = tmp_path / "bench.json"
     assert main(["bench", "--smoke", "--out", str(path)]) == 0
     capsys.readouterr()
-    assert bench_digest(path) == GOLDEN_BENCH_SMOKE
-
-
-def without_layout(blob: bytes) -> dict:
-    doc = json.loads(blob)
-    doc["config"].pop("layout", None)
-    del doc["config_digest"]
-    return doc
-
-
-@pytest.mark.parametrize("case", HAD_LAYOUT_FLAG)
-def test_layout_flat_writes_the_same_artifacts(case, tmp_path, capsys):
-    build, _ = GOLDEN[case]
-    (tmp_path / "pointer").mkdir()
-    (tmp_path / "flat").mkdir()
-    argv, names = build(tmp_path / "pointer")
-    pointer = run(argv, tmp_path / "pointer", names, capsys)
-    argv, names = build(tmp_path / "flat")
-    flat = run([*argv, "--layout", "flat"], tmp_path / "flat", names, capsys)
-    for name, a, b in zip(names, pointer, flat):
-        assert json.loads(b)["config"]["layout"] == "flat", name
-        assert without_layout(a) == without_layout(b), name
-
-
-def test_bench_smoke_layout_flat_has_the_same_deterministic_part(
-    tmp_path, capsys
-):
-    path = tmp_path / "bench-flat.json"
-    assert main(
-        ["bench", "--smoke", "--layout", "flat", "--out", str(path)]
-    ) == 0
-    capsys.readouterr()
-    assert json.loads(path.read_text())["layout"] == "flat"
-    assert bench_digest(path) == GOLDEN_BENCH_SMOKE
+    doc = json.loads(path.read_text())
+    assert hashlib.sha256(canonical_bytes(doc)).hexdigest() == (
+        GOLDEN_BENCH_SMOKE
+    )
