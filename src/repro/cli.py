@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Three subcommands cover the library's everyday uses without writing
+The subcommands cover the library's everyday uses without writing
 Python:
 
 * ``repro info`` — build a declustered tree and print its shape and
@@ -83,49 +83,106 @@ then freezes it once into the flat struct-of-arrays form
 (:mod:`repro.rtree.flat`) the batch kernels scan; ``info`` reports on
 the build form.  Neither is selectable: there is one read side.
 
+The commands that run a workload (``simulate``, ``serve``, ``chaos``,
+and for the stages that apply ``knn`` / ``explain``) describe it once,
+as one pipeline whose every stage is a single function here:
+
+1. **flags** — one declaration per argument group (tree, array,
+   redundancy + fault plan, tail tolerance, observers, trace,
+   SLO/lifecycle); a command takes the groups that apply to it;
+2. **checks** — ``main`` verifies every output directory up front and
+   is the one place where a ``ValueError`` / ``OSError`` raised by bad
+   input becomes a clean exit; ``_algorithm`` vets algorithm names;
+3. **policies** — ``_system_parameters``, ``_fault_policies``,
+   ``_tail_policies``, ``_serve_policy``: flags → the objects the
+   library entry points take;
+4. **observers** — ``_make_observers`` creates exactly the
+   tracer / timeline / metrics / explain / lifecycle / SLO objects the
+   flags ask for;
+5. **run** — the library entry point, its signature untouched;
+6. **config** — ``_run_config`` composes the RunReport ``config``
+   section (and so the config digest) from per-group key tuples;
+7. **export** — ``_export`` flushes the observers into the tracer and
+   writes report → lifecycle log → OpenMetrics → trace, in that order.
+
+The four ``bench*`` verbs are one parser loop and one body over
+``_BENCH_VERBS``.
+
 Invoke via ``python -m repro <subcommand> --help``.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
+import importlib
+import json
 import os
 import sys
-from typing import Optional, Sequence
+import time
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from repro.core import ALGORITHMS, CountingExecutor
 from repro.datasets import DATASETS, sample_queries
+from repro.experiments.paper import PAPER_EXPERIMENTS, run_paper_experiment
 from repro.experiments.report import (
     format_breakdown_table,
     format_percentile_table,
     format_table,
 )
 from repro.experiments.setup import make_factory
+from repro.faults import (
+    FaultPlan,
+    RetryPolicy,
+    parse_crash_spec,
+    parse_slow_spec,
+    run_chaos,
+)
+from repro.faults.health import HealthPolicy, HedgePolicy, RebuildPolicy
 from repro.obs import (
     TRACE_FORMATS,
     ExplainRecorder,
+    LifecycleLog,
     MetricsRegistry,
+    SLOTracker,
     TimelineSampler,
     Tracer,
     WorkloadExplain,
     build_run_report,
     diff_reports,
     explain_artifact,
+    flatten_scalars,
     format_explain,
     format_report,
     format_report_details,
+    format_slo_section,
+    load_lifecycle_jsonl,
     load_report,
+    replay,
+    slo_from_policy,
     write_explain,
+    write_openmetrics,
     write_report,
     write_trace,
 )
+from repro.obs.slo import DEFAULT_BURN_WINDOWS
 from repro.parallel import build_parallel_tree
 from repro.parallel.declustering import make_policy
 from repro.rtree.flat import flatten
-from repro.serving.traffic import SCENARIO_KINDS
+from repro.serving import (
+    SCENARIO_KINDS,
+    PriorityClass,
+    ServingPolicy,
+    make_scenario,
+    serve_scenario,
+)
 from repro.simulation import simulate_workload
 from repro.simulation.parameters import SystemParameters
 from repro.simulation.scheduling import SCHEDULERS
+
+
+# -- Stage 1 — flags: one declaration per argument group.
 
 
 def _add_tree_arguments(parser: argparse.ArgumentParser) -> None:
@@ -160,50 +217,35 @@ def _add_tree_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_tree(args: argparse.Namespace):
-    """The data set and its declustered R*-tree in the build form."""
-    generator = DATASETS[args.dataset]
-    if args.dataset in ("california_places", "long_beach"):
-        if args.dims != 2:
-            raise SystemExit(f"{args.dataset} is a 2-d data set")
-        data = generator(n=args.n, seed=args.seed)
-    else:
-        data = generator(n=args.n, dims=args.dims, seed=args.seed)
-    tree = build_parallel_tree(
-        data,
-        dims=args.dims,
-        num_disks=args.disks,
-        policy=make_policy(args.policy, seed=args.seed),
-        seed=args.seed,
-        page_size=args.page_size,
+def _add_k_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--k", type=int, default=10, help="neighbors (default: 10)"
     )
-    return data, tree
-
-
-def _build_frozen_tree(args: argparse.Namespace):
-    """The data set and its tree frozen for reading — what every
-    command that never inserts or deletes runs its queries over."""
-    data, tree = _build_tree(args)
-    return data, flatten(tree)
-
-
-def _parse_point(text: str, dims: int):
-    try:
-        coords = tuple(float(c) for c in text.split(","))
-    except ValueError:
-        raise SystemExit(f"cannot parse point {text!r}; expected e.g. 0.5,0.5")
-    if len(coords) != dims:
-        raise SystemExit(
-            f"query has {len(coords)} coordinates but the data is {dims}-d"
-        )
-    return coords
 
 
 def _algorithm_name(text: str) -> str:
     return text.strip().upper()
 
 
-def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_single_query_arguments(parser: argparse.ArgumentParser) -> None:
+    """The one query ``knn`` and ``explain`` answer."""
+    _add_k_argument(parser)
+    parser.add_argument(
+        "--algorithm",
+        default="CRSS",
+        type=_algorithm_name,
+        choices=sorted(ALGORITHMS),
+        help="search algorithm (default: CRSS)",
+    )
+    parser.add_argument(
+        "--query",
+        default="",
+        help="comma-separated query point (default: sampled from the data)",
+    )
+
+
+def _add_array_arguments(parser: argparse.ArgumentParser) -> None:
+    """The disk array's timing model: what becomes SystemParameters."""
     parser.add_argument(
         "--scheduler",
         choices=SCHEDULERS,
@@ -236,475 +278,64 @@ def _add_scheduler_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--timeline",
-        action="store_true",
-        help="sample simulated-time series (queue depths, utilizations, "
-        "buffer hit rate, in-flight queries) and render them as ASCII "
-        "sparklines; with --trace they also land in the Chrome export "
-        "as counter tracks",
-    )
-    parser.add_argument(
-        "--report",
-        default="",
-        metavar="PATH",
-        help="write a deterministic RunReport JSON artifact to PATH for "
-        "'repro diff' (several algorithms: PATH gains a .<algorithm> "
-        "suffix)",
-    )
-    parser.add_argument(
-        "--explain",
-        action="store_true",
-        help="record traversal decision traces (visited/pruned nodes with "
-        "reasons, Dth trajectories, disk fanout) and print the aggregated "
-        "pruning-efficiency / declustering section; with --report the "
-        "section is embedded in the RunReport so 'repro diff' gates it — "
-        "answers and timings are bit-identical either way",
-    )
-
-
-def _add_slo_arguments(parser: argparse.ArgumentParser) -> None:
-    """SLO / lifecycle / exposition knobs (``serve`` only).
-
-    None of these flags enters the config digest: they attach pure
-    write-only observers, and same-seed runs stay bit-identical with
-    or without them (golden-asserted).
-    """
-    group = parser.add_argument_group("slo & lifecycle observability")
+def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
+    """Array redundancy and the fault plan played against it
+    (``serve`` and ``chaos``)."""
+    group = parser.add_argument_group("redundancy & fault plan")
     group.add_argument(
-        "--slo",
-        action="store_true",
-        help="evaluate per-priority-class SLOs: latency-quantile and "
-        "goodput objectives (latency targets inherited from class "
-        "deadlines), error-budget accounting and multi-window burn "
-        "rates; prints the section and embeds it in --report artifacts "
-        "where 'repro diff' gates burn rate (up-bad) and budget "
-        "remaining / goodput margin (down-bad)",
+        "--raid",
+        choices=["raid0", "raid1"],
+        default="raid0",
+        help="array layout: striped raid0 or mirrored raid1 pairs with "
+        "failover (default: raid0; hedging and rebuild need raid1)",
     )
     group.add_argument(
-        "--slo-quantile",
-        type=float,
-        default=0.99,
-        metavar="FRAC",
-        help="latency quantile the objectives target (default: 0.99)",
-    )
-    group.add_argument(
-        "--slo-compliance",
-        type=float,
-        default=0.95,
-        metavar="FRAC",
-        help="fraction of offered queries that must meet the SLI; "
-        "1 minus this is the error budget (default: 0.95)",
-    )
-    group.add_argument(
-        "--slo-goodput",
-        type=float,
-        default=0.90,
-        metavar="FRAC",
-        help="fraction of offered queries that must be answered at all "
-        "(default: 0.90)",
-    )
-    group.add_argument(
-        "--slo-window",
+        "--crash",
         action="append",
-        type=float,
         default=[],
+        metavar="DISK@START[:REPAIR]",
+        help="crash window, e.g. 2@0.0 (dead from t=0) or 1@0.5:2.0; "
+        "repeatable — on raid1, DISK addresses a physical drive "
+        "(logical*2+replica)",
+    )
+    group.add_argument(
+        "--slow",
+        action="append",
+        default=[],
+        metavar="DISK@START-ENDxFACTOR",
+        help="fail-slow window, e.g. 1@0.0-2.5x8; repeatable",
+    )
+    group.add_argument(
+        "--transient",
+        type=float,
+        default=0.0,
+        metavar="PROB",
+        help="per-service transient read-error probability on every disk "
+        "(default: 0)",
+    )
+    group.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        help="seed of the fault plan's RNG streams (default: 0)",
+    )
+    group.add_argument(
+        "--max-attempts",
+        type=int,
+        default=3,
+        help="disk attempts per fetch before it fails permanently "
+        "(default: 3)",
+    )
+    group.add_argument(
+        "--attempt-timeout",
+        type=float,
+        default=None,
         metavar="SECONDS",
-        help="trailing burn-rate window in simulated seconds; "
-        "repeatable (default: 0.25 and 1.0, plus the full horizon)",
-    )
-    group.add_argument(
-        "--lifecycle-log",
-        default="",
-        metavar="PATH",
-        help="write one causally-ordered JSONL record per offered query "
-        "(admission, batching dedup credits, per-round fetches with "
-        "retry/hedge/breaker annotations, final outcome) — byte-"
-        "deterministic for a fixed seed",
-    )
-    group.add_argument(
-        "--metrics-out",
-        default="",
-        metavar="PATH",
-        help="write the run's metrics registry (plus serving/SLO scalar "
-        "gauges) as OpenMetrics/Prometheus text exposition — byte-"
-        "deterministic for a fixed seed",
-    )
-    group.add_argument(
-        "--trace",
-        default="",
-        metavar="PATH",
-        help="write a span trace of the serving run; each query's "
-        "lifecycle also lands as one Chrome async span "
-        "(admission→rounds→outcome) in the export",
-    )
-    group.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="chrome",
-        help="trace file format: 'chrome' (Perfetto / chrome://tracing "
-        "trace-event JSON) or 'jsonl' (default: chrome)",
+        help="per-attempt timeout in simulated seconds (default: none)",
     )
 
 
-def _make_workload_explain(tree, label: str) -> WorkloadExplain:
-    """An explain collector wired to *tree*'s level/disk resolvers."""
-    return WorkloadExplain(
-        num_disks=tree.num_disks,
-        level_of=lambda pid: tree.page(pid).level,
-        disk_of=tree.disk_of,
-        label=label,
-    )
-
-
-def _cmd_info(args: argparse.Namespace) -> int:
-    _, tree = _build_tree(args)
-    print(f"dataset       : {args.dataset} (n={args.n:,}, dims={args.dims})")
-    print(f"tree          : height {tree.height}, "
-          f"{len(tree.tree.pages)} pages, fan-out {tree.tree.max_entries}")
-    print(f"declustering  : {args.policy} over {args.disks} disks")
-    histogram = tree.placement_histogram()
-    rows = [(disk, histogram.get(disk, 0)) for disk in range(args.disks)]
-    print(format_table(["disk", "pages"], rows))
-    return 0
-
-
-def _cmd_knn(args: argparse.Namespace) -> int:
-    data, tree = _build_frozen_tree(args)
-    query = (
-        _parse_point(args.query, args.dims)
-        if args.query
-        else sample_queries(data, 1, seed=args.seed + 1)[0]
-    )
-    executor = CountingExecutor(tree)
-    factory = make_factory(args.algorithm, tree, args.k)
-    neighbors = executor.execute(factory(query))
-    stats = executor.last_stats
-    print(f"query  : {tuple(round(c, 4) for c in query)}  (k={args.k}, "
-          f"algorithm={args.algorithm})")
-    print(f"cost   : {stats.nodes_visited} pages in {stats.rounds} rounds "
-          f"(mean batch width {stats.parallelism:.2f})")
-    rows = [
-        (n.oid, ", ".join(f"{c:.4f}" for c in n.point), n.distance)
-        for n in neighbors
-    ]
-    print(format_table(["oid", "point", "distance"], rows, precision=5))
-    return 0
-
-
-def _cmd_explain(args: argparse.Namespace) -> int:
-    for option, path in (("--out", args.out), ("--trace", args.trace)):
-        if path:
-            directory = os.path.dirname(path) or "."
-            if not os.path.isdir(directory):
-                raise SystemExit(
-                    f"{option} directory does not exist: {directory}"
-                )
-    algorithm = args.algorithm.strip().upper()
-    if algorithm not in ALGORITHMS:
-        raise SystemExit(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    data, tree = _build_frozen_tree(args)
-    query = (
-        _parse_point(args.query, args.dims)
-        if args.query
-        else sample_queries(data, 1, seed=args.seed + 1)[0]
-    )
-    recorder = ExplainRecorder(
-        num_disks=tree.num_disks,
-        level_of=lambda pid: tree.page(pid).level,
-        disk_of=tree.disk_of,
-        label=algorithm,
-    )
-    instance = make_factory(algorithm, tree, args.k)(query)
-    instance.explain = recorder
-    executor = CountingExecutor(tree)
-    neighbors = executor.execute(instance)
-    print(format_explain(recorder))
-    if args.out:
-        config = {
-            "command": "explain",
-            "dataset": args.dataset,
-            "n": args.n,
-            "dims": args.dims,
-            "disks": args.disks,
-            "page_size": args.page_size,
-            "policy": args.policy,
-            "seed": args.seed,
-            "k": args.k,
-            "algorithm": algorithm,
-            "query": list(query),
-        }
-        write_explain(explain_artifact(config, recorder, neighbors), args.out)
-        print(f"explain written: {args.out}")
-    if args.trace:
-        tracer = Tracer()
-        recorder.flush_to_tracer(tracer)
-        write_trace(tracer, args.trace, args.trace_format)
-        print(f"trace written: {args.trace} ({args.trace_format})")
-    return 0
-
-
-def _cmd_report_show(args: argparse.Namespace) -> int:
-    try:
-        doc = load_report(args.path)
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error))
-    print(format_report_details(doc))
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """``repro top`` — replay a serving RunReport as dashboard frames."""
-    import time
-
-    from repro.obs.dashboard import replay
-    from repro.obs.lifecycle import load_lifecycle_jsonl
-
-    try:
-        doc = load_report(args.path)
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error))
-    records = None
-    if args.lifecycle:
-        try:
-            records = load_lifecycle_jsonl(args.lifecycle)
-        except (OSError, ValueError) as error:
-            raise SystemExit(str(error))
-    if args.frames < 1:
-        raise SystemExit("--frames must be positive")
-    frames = replay(
-        doc, frames=args.frames, lifecycle=records, tail=args.tail
-    )
-    for index, frame in enumerate(frames):
-        if index:
-            print()
-        print(frame)
-        if args.interval > 0 and index < len(frames) - 1:
-            time.sleep(args.interval)
-    return 0
-
-
-def _trace_path(base: str, name: str, multi: bool) -> str:
-    """The trace file for one algorithm's run (suffixed when several)."""
-    if not multi:
-        return base
-    root, ext = os.path.splitext(base)
-    return f"{root}.{name.lower()}{ext or '.json'}"
-
-
-def _simulate_config(args: argparse.Namespace, name: str) -> dict:
-    """The run configuration a simulate RunReport is keyed by."""
-    return {
-        "command": "simulate",
-        "dataset": args.dataset,
-        "n": args.n,
-        "dims": args.dims,
-        "disks": args.disks,
-        "page_size": args.page_size,
-        "policy": args.policy,
-        "seed": args.seed,
-        "k": args.k,
-        "queries": args.queries,
-        "arrival_rate": args.arrival_rate,
-        "algorithm": name,
-        "scheduler": args.scheduler,
-        "coalesce": args.coalesce,
-        "bus_time": args.bus_time,
-        "buffer_pages": args.buffer_pages,
-    }
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    for option, path in (("--trace", args.trace), ("--report", args.report)):
-        if path:
-            directory = os.path.dirname(path) or "."
-            if not os.path.isdir(directory):
-                raise SystemExit(
-                    f"{option} directory does not exist: {directory}"
-                )
-    data, tree = _build_frozen_tree(args)
-    queries = sample_queries(data, args.queries, seed=args.seed + 1)
-    names = [name.strip().upper() for name in args.algorithms.split(",")]
-    for name in names:
-        if name not in ALGORITHMS:
-            raise SystemExit(
-                f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
-            )
-    params = SystemParameters(
-        scheduler=args.scheduler, coalesce=args.coalesce,
-        bus_time=args.bus_time, buffer_pages=args.buffer_pages,
-    )
-    want_timeline = args.timeline or bool(args.report)
-    workloads = {}
-    trace_files = []
-    report_files = []
-    multi = len(names) > 1
-    for name in names:
-        tracer = Tracer() if args.trace else None
-        timeline = TimelineSampler() if want_timeline else None
-        metrics = MetricsRegistry() if args.report else None
-        explain = (
-            _make_workload_explain(tree, name) if args.explain else None
-        )
-        factory = make_factory(name, tree, args.k)
-        if explain is not None:
-            factory = explain.attach(factory)
-        result = simulate_workload(
-            tree,
-            factory,
-            queries,
-            arrival_rate=args.arrival_rate,
-            params=params,
-            seed=args.seed,
-            tracer=tracer,
-            metrics=metrics,
-            timeline=timeline,
-        )
-        workloads[name] = result
-        if tracer is not None:
-            if timeline is not None:
-                timeline.flush_to_tracer(tracer)
-            if explain is not None:
-                explain.flush_to_tracer(tracer)
-            path = _trace_path(args.trace, name, multi)
-            write_trace(tracer, path, args.trace_format)
-            trace_files.append(path)
-        if args.timeline and timeline is not None:
-            print(f"timeline: {name}")
-            print(timeline.render(until=max(result.makespan, timeline.end)))
-            print()
-        if explain is not None:
-            print(explain.render())
-            print()
-        if args.report:
-            doc = build_run_report(
-                "simulate",
-                _simulate_config(args, name),
-                result,
-                metrics=metrics,
-                timeline=timeline,
-                label=name,
-                explain=explain,
-            )
-            path = _trace_path(args.report, name, multi)
-            write_report(doc, path)
-            report_files.append(path)
-    mode = (
-        f"λ={args.arrival_rate}/s Poisson"
-        if args.arrival_rate
-        else "single-user serial"
-    )
-    if args.scheduler != "fcfs" or args.coalesce:
-        mode += f", {args.scheduler}" + ("+coalesce" if args.coalesce else "")
-    print(
-        format_percentile_table(
-            workloads,
-            precision=4,
-            title=f"{args.queries} queries, k={args.k}, {mode}, "
-            f"{args.disks} disks",
-        )
-    )
-    print()
-    print(
-        format_breakdown_table(
-            workloads,
-            precision=4,
-            title="time breakdown (mean s/query)",
-        )
-    )
-    for path in trace_files:
-        print(f"trace written: {path} ({args.trace_format})")
-    for path in report_files:
-        print(f"report written: {path}")
-    return 0
-
-
-def _serve_config(args: argparse.Namespace, algorithm: str) -> dict:
-    """The run configuration a serve RunReport is keyed by."""
-    config = {
-        "command": "serve",
-        "dataset": args.dataset,
-        "n": args.n,
-        "dims": args.dims,
-        "disks": args.disks,
-        "page_size": args.page_size,
-        "policy": args.policy,
-        "seed": args.seed,
-        "k": args.k,
-        "algorithm": algorithm,
-        "scenario": args.scenario,
-        "rate": args.rate,
-        "horizon": args.horizon,
-        "burst_factor": args.burst_factor,
-        "clients": args.clients,
-        "think_time": args.think_time,
-        "queries_per_client": args.queries_per_client,
-        "scheduler": args.scheduler,
-        "coalesce": args.coalesce,
-        "bus_time": args.bus_time,
-        "buffer_pages": args.buffer_pages,
-        "max_in_flight": args.max_in_flight,
-        "max_queued": args.max_queued,
-        "deadline": args.deadline,
-        "shed": args.shed,
-        "cross_batch": args.cross_batch,
-        "batch_window": args.batch_window,
-        "max_group_pages": args.max_group_pages,
-    }
-    # Fault/tail-tolerance keys appear only when the features are used,
-    # so pre-PR8 serve configs keep their digests byte-identical.
-    if args.raid != "raid0":
-        config["raid"] = args.raid
-    if args.crash or args.slow or args.transient > 0:
-        config["faults"] = {
-            "crash": list(args.crash),
-            "slow": list(args.slow),
-            "transient": args.transient,
-            "fault_seed": args.fault_seed,
-            "max_attempts": args.max_attempts,
-            "attempt_timeout": args.attempt_timeout,
-        }
-    config.update(_health_config_section(args))
-    return config
-
-
-def _serve_policy(args: argparse.Namespace):
-    """Build the ServingPolicy the serve flags describe."""
-    from repro.serving import PriorityClass, ServingPolicy
-
-    max_in_flight = args.max_in_flight if args.max_in_flight > 0 else None
-    max_queued = args.max_queued if args.max_queued >= 0 else None
-    deadline = args.deadline if args.deadline > 0 else None
-    if max_queued is not None and max_in_flight is None:
-        raise SystemExit("--max-queued requires --max-in-flight")
-    parts = []
-    if max_in_flight is not None:
-        parts.append("admission")
-    if args.cross_batch:
-        parts.append("batching")
-    if args.shed:
-        parts.append("shedding")
-    try:
-        return ServingPolicy(
-            name="+".join(parts) if parts else "no-admission",
-            max_in_flight=max_in_flight,
-            max_queued=max_queued,
-            shed_expired=args.shed,
-            cross_query_batching=args.cross_batch,
-            batch_window=args.batch_window,
-            max_group_pages=(
-                args.max_group_pages if args.max_group_pages > 0 else None
-            ),
-            classes=(PriorityClass(deadline=deadline),),
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _add_health_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_tail_arguments(parser: argparse.ArgumentParser) -> None:
     """Tail-tolerance knobs shared by ``serve`` and ``chaos``."""
     group = parser.add_argument_group("tail tolerance")
     group.add_argument(
@@ -796,191 +427,699 @@ def _add_health_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _health_config(args: argparse.Namespace):
-    """The (HealthPolicy, HedgePolicy, RebuildPolicy) the flags ask for."""
-    from repro.faults.health import HealthPolicy, HedgePolicy, RebuildPolicy
-
-    health = hedge = rebuild = None
-    try:
-        if args.health:
-            health = HealthPolicy(
-                window=args.health_window,
-                min_samples=min(8, args.health_window),
-                error_threshold=args.health_error_threshold,
-                latency_threshold=args.health_latency_threshold,
-                open_cooldown=args.health_cooldown,
-                probe_probability=args.health_probe_prob,
-                seed=args.seed,
-            )
-        if args.hedge:
-            hedge = HedgePolicy(
-                quantile=args.hedge_quantile,
-                min_delay=args.hedge_min_delay,
-            )
-        if args.rebuild:
-            rebuild = RebuildPolicy(
-                rate=args.rebuild_rate,
-                batch_pages=args.rebuild_batch,
-            )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    return health, hedge, rebuild
+def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--timeline",
+        action="store_true",
+        help="sample simulated-time series (queue depths, utilizations, "
+        "buffer hit rate, in-flight queries) and render them as ASCII "
+        "sparklines; with --trace they also land in the Chrome export "
+        "as counter tracks",
+    )
+    parser.add_argument(
+        "--report",
+        default="",
+        metavar="PATH",
+        help="write a deterministic RunReport JSON artifact to PATH for "
+        "'repro diff' (several algorithms: PATH gains a .<algorithm> "
+        "suffix)",
+    )
+    parser.add_argument(
+        "--explain",
+        action="store_true",
+        help="record traversal decision traces (visited/pruned nodes with "
+        "reasons, Dth trajectories, disk fanout) and print the aggregated "
+        "pruning-efficiency / declustering section; with --report the "
+        "section is embedded in the RunReport so 'repro diff' gates it — "
+        "answers and timings are bit-identical either way",
+    )
 
 
-def _health_config_section(args: argparse.Namespace) -> dict:
-    """Config-digest entries for enabled tail-tolerance features only.
+def _add_trace_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace",
+        default="",
+        metavar="PATH",
+        help="write a span trace of the run to PATH — simulate: one per "
+        "algorithm (several algorithms: PATH gains a .<algorithm> "
+        "suffix); serve: each query's lifecycle also lands as one Chrome "
+        "async span (admission→rounds→outcome); explain: the decision "
+        "events as logical instants (timestamp = fetch-round index)",
+    )
+    parser.add_argument(
+        "--trace-format",
+        choices=TRACE_FORMATS,
+        default="chrome",
+        help="trace file format: 'chrome' (Perfetto / chrome://tracing "
+        "trace-event JSON) or 'jsonl' (default: chrome)",
+    )
 
-    Keys appear exactly when the matching flag is on, so runs without
-    the PR8 knobs keep their pre-PR8 config digests (and report bodies)
-    byte-identical.
+
+def _add_slo_arguments(parser: argparse.ArgumentParser) -> None:
+    """SLO / lifecycle / exposition knobs (``serve`` only).
+
+    None of these flags enters the config digest: they attach pure
+    write-only observers, and same-seed runs stay bit-identical with
+    or without them (golden-asserted).
     """
-    section: dict = {}
+    group = parser.add_argument_group("slo & lifecycle observability")
+    group.add_argument(
+        "--slo",
+        action="store_true",
+        help="evaluate per-priority-class SLOs: latency-quantile and "
+        "goodput objectives (latency targets inherited from class "
+        "deadlines), error-budget accounting and multi-window burn "
+        "rates; prints the section and embeds it in --report artifacts "
+        "where 'repro diff' gates burn rate (up-bad) and budget "
+        "remaining / goodput margin (down-bad)",
+    )
+    group.add_argument(
+        "--slo-quantile",
+        type=float,
+        default=0.99,
+        metavar="FRAC",
+        help="latency quantile the objectives target (default: 0.99)",
+    )
+    group.add_argument(
+        "--slo-compliance",
+        type=float,
+        default=0.95,
+        metavar="FRAC",
+        help="fraction of offered queries that must meet the SLI; "
+        "1 minus this is the error budget (default: 0.95)",
+    )
+    group.add_argument(
+        "--slo-goodput",
+        type=float,
+        default=0.90,
+        metavar="FRAC",
+        help="fraction of offered queries that must be answered at all "
+        "(default: 0.90)",
+    )
+    group.add_argument(
+        "--slo-window",
+        action="append",
+        type=float,
+        default=[],
+        metavar="SECONDS",
+        help="trailing burn-rate window in simulated seconds; "
+        "repeatable (default: 0.25 and 1.0, plus the full horizon)",
+    )
+    group.add_argument(
+        "--lifecycle-log",
+        default="",
+        metavar="PATH",
+        help="write one causally-ordered JSONL record per offered query "
+        "(admission, batching dedup credits, per-round fetches with "
+        "retry/hedge/breaker annotations, final outcome) — byte-"
+        "deterministic for a fixed seed",
+    )
+    group.add_argument(
+        "--metrics-out",
+        default="",
+        metavar="PATH",
+        help="write the run's metrics registry (plus serving/SLO scalar "
+        "gauges) as OpenMetrics/Prometheus text exposition — byte-"
+        "deterministic for a fixed seed",
+    )
+
+
+# -- Stage 2 — checks (main() holds the bad-input → clean-exit boundary).
+
+
+def _check_out_dirs(args: argparse.Namespace) -> None:
+    """Fail fast if an output path's directory is missing."""
+    for option in ("out", "report", "lifecycle_log", "metrics_out", "trace"):
+        path = getattr(args, option, "")
+        if path:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise SystemExit(
+                    f"--{option.replace('_', '-')} directory does not "
+                    f"exist: {directory}"
+                )
+
+
+def _algorithm(text: str) -> str:
+    """*text* as a canonical algorithm name, or a clean exit."""
+    name = _algorithm_name(text)
+    if name not in ALGORITHMS:
+        raise SystemExit(
+            f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
+        )
+    return name
+
+
+def _parse_point(text: str, dims: int):
+    try:
+        coords = tuple(float(c) for c in text.split(","))
+    except ValueError:
+        raise SystemExit(f"cannot parse point {text!r}; expected e.g. 0.5,0.5")
+    if len(coords) != dims:
+        raise SystemExit(
+            f"query has {len(coords)} coordinates but the data is {dims}-d"
+        )
+    return coords
+
+
+# -- Stage 3 — flags → the tree and the policy objects the library takes.
+
+# Flag dests by group.  They double as RunReport config keys (stage 6)
+# and, for the array and scenario groups, as the library's keyword names.
+_TREE_KEYS = ("dataset", "n", "dims", "disks", "page_size", "policy", "seed")
+_ARRAY_KEYS = ("scheduler", "coalesce", "bus_time", "buffer_pages")
+_FAULT_KEYS = (
+    "crash", "slow", "transient", "fault_seed", "max_attempts",
+    "attempt_timeout",
+)
+_WORKLOAD_KEYS = ("queries", "arrival_rate")
+_SCENARIO_KEYS = (
+    "rate", "horizon", "burst_factor", "clients", "think_time",
+    "queries_per_client",
+)
+_SERVING_KEYS = (
+    "max_in_flight", "max_queued", "deadline", "shed", "cross_batch",
+    "batch_window", "max_group_pages",
+)
+
+
+def _pick(args: argparse.Namespace, keys) -> dict:
+    return {key: getattr(args, key) for key in keys}
+
+
+def _build_tree(args: argparse.Namespace):
+    """The data set and its declustered R*-tree in the build form."""
+    generator = DATASETS[args.dataset]
+    if args.dataset in ("california_places", "long_beach"):
+        if args.dims != 2:
+            raise SystemExit(f"{args.dataset} is a 2-d data set")
+        data = generator(n=args.n, seed=args.seed)
+    else:
+        data = generator(n=args.n, dims=args.dims, seed=args.seed)
+    tree = build_parallel_tree(
+        data,
+        dims=args.dims,
+        num_disks=args.disks,
+        policy=make_policy(args.policy, seed=args.seed),
+        seed=args.seed,
+        page_size=args.page_size,
+    )
+    return data, tree
+
+
+def _build_frozen_tree(args: argparse.Namespace):
+    """The data set and its tree frozen for reading — what every
+    command that never inserts or deletes runs its queries over."""
+    data, tree = _build_tree(args)
+    return data, flatten(tree)
+
+
+def _single_query(args: argparse.Namespace):
+    """The frozen tree and the point ``knn`` / ``explain`` query on it:
+    given, or sampled with the query seed ``seed + 1`` every workload
+    command uses."""
+    data, tree = _build_frozen_tree(args)
+    if args.query:
+        return tree, _parse_point(args.query, args.dims)
+    return tree, sample_queries(data, 1, seed=args.seed + 1)[0]
+
+
+def _system_parameters(args: argparse.Namespace) -> SystemParameters:
+    return SystemParameters(**_pick(args, _ARRAY_KEYS))
+
+
+def _faulty(args: argparse.Namespace) -> bool:
+    """Whether any fault flag is set."""
+    return bool(args.crash or args.slow or args.transient > 0)
+
+
+def _fault_policies(args: argparse.Namespace):
+    """The (FaultPlan, RetryPolicy) the fault flags describe.
+
+    ``chaos`` always builds them — its no-fault run is a control that
+    still runs the retry machinery; ``serve`` only when :func:`_faulty`,
+    so a fault-free serve stays on the untouched fetch path.
+    """
+    plan = FaultPlan(
+        seed=args.fault_seed,
+        default_transient_prob=args.transient,
+        crashes=tuple(parse_crash_spec(spec) for spec in args.crash),
+        slow_windows=tuple(parse_slow_spec(spec) for spec in args.slow),
+    )
+    retry = RetryPolicy(
+        max_attempts=args.max_attempts,
+        attempt_timeout=args.attempt_timeout,
+    )
+    return plan, retry
+
+
+def _tail_policies(args: argparse.Namespace) -> dict:
+    """The ``health=`` / ``hedge=`` / ``rebuild=`` keywords the
+    tail-tolerance flags ask for (``None`` where a feature is off)."""
+    health = hedge = rebuild = None
     if args.health:
-        section["health"] = {
-            "window": args.health_window,
-            "error_threshold": args.health_error_threshold,
-            "latency_threshold": args.health_latency_threshold,
-            "cooldown": args.health_cooldown,
-            "probe_prob": args.health_probe_prob,
-        }
+        health = HealthPolicy(
+            window=args.health_window,
+            # Derived, not a flag: stays out of the config.
+            min_samples=min(8, args.health_window),
+            error_threshold=args.health_error_threshold,
+            latency_threshold=args.health_latency_threshold,
+            open_cooldown=args.health_cooldown,
+            probe_probability=args.health_probe_prob,
+            seed=args.seed,
+        )
     if args.hedge:
-        section["hedge"] = {
-            "quantile": args.hedge_quantile,
-            "min_delay": args.hedge_min_delay,
-        }
+        hedge = HedgePolicy(
+            quantile=args.hedge_quantile,
+            min_delay=args.hedge_min_delay,
+        )
     if args.rebuild:
-        section["rebuild"] = {
-            "rate": args.rebuild_rate,
-            "batch_pages": args.rebuild_batch,
-        }
-    return section
+        rebuild = RebuildPolicy(
+            rate=args.rebuild_rate,
+            batch_pages=args.rebuild_batch,
+        )
+    return {"health": health, "hedge": hedge, "rebuild": rebuild}
+
+
+def _serve_policy(args: argparse.Namespace) -> ServingPolicy:
+    """Build the ServingPolicy the serve flags describe."""
+    max_in_flight = args.max_in_flight if args.max_in_flight > 0 else None
+    max_queued = args.max_queued if args.max_queued >= 0 else None
+    deadline = args.deadline if args.deadline > 0 else None
+    if max_queued is not None and max_in_flight is None:
+        raise SystemExit("--max-queued requires --max-in-flight")
+    parts = []
+    if max_in_flight is not None:
+        parts.append("admission")
+    if args.cross_batch:
+        parts.append("batching")
+    if args.shed:
+        parts.append("shedding")
+    return ServingPolicy(
+        name="+".join(parts) if parts else "no-admission",
+        max_in_flight=max_in_flight,
+        max_queued=max_queued,
+        shed_expired=args.shed,
+        cross_query_batching=args.cross_batch,
+        batch_window=args.batch_window,
+        max_group_pages=(
+            args.max_group_pages if args.max_group_pages > 0 else None
+        ),
+        classes=(PriorityClass(deadline=deadline),),
+    )
+
+
+def _slo_tracker(args: argparse.Namespace, policy: ServingPolicy) -> SLOTracker:
+    return SLOTracker(
+        slo_from_policy(
+            policy,
+            quantile=args.slo_quantile,
+            compliance_target=args.slo_compliance,
+            goodput_target=args.slo_goodput,
+            default_latency_target=(
+                args.deadline if args.deadline > 0 else None
+            ),
+            windows=tuple(args.slo_window) or DEFAULT_BURN_WINDOWS,
+        )
+    )
+
+
+# -- Stage 4 — observers: write-only, none enters the config digest.
+
+
+@dataclass
+class _Observers:
+    """The write-only observers one run's flags asked for."""
+
+    tracer: Optional[Tracer] = None
+    timeline: Optional[TimelineSampler] = None
+    metrics: Optional[MetricsRegistry] = None
+    explain: object = None
+    lifecycle: Optional[LifecycleLog] = None
+    slo: Optional[SLOTracker] = None
+
+    def attach(self, factory):
+        """*factory* with the explain collector on, if there is one."""
+        return factory if self.explain is None else self.explain.attach(factory)
+
+    def render_timeline(self, result) -> str:
+        return self.timeline.render(
+            until=max(result.makespan, self.timeline.end)
+        )
+
+
+def _explain_collector(cls, tree, label: str):
+    """An :class:`ExplainRecorder` / :class:`WorkloadExplain` wired to
+    *tree*'s level/disk resolvers."""
+    return cls(
+        num_disks=tree.num_disks,
+        level_of=lambda pid: tree.page(pid).level,
+        disk_of=tree.disk_of,
+        label=label,
+    )
+
+
+def _make_observers(
+    args: argparse.Namespace,
+    tree,
+    label: str,
+    serving_policy: Optional[ServingPolicy] = None,
+) -> _Observers:
+    """The observers the flags of ``simulate`` / ``serve`` / ``chaos``
+    imply.  The creation rules are bit-identity hazards — an observer
+    that exists is exported, so creating one more moves pinned bytes:
+
+    * timeline iff ``--timeline`` or ``--report``;
+    * metrics iff ``--report`` or ``--metrics-out`` — never on
+      ``chaos``, whose RunReport carries no registry;
+    * lifecycle iff ``--lifecycle-log`` or ``--trace``, on the command
+      that declares the lifecycle group (``serve``);
+    * tracer iff ``--trace``; explain iff ``--explain``; SLO iff ``--slo``.
+    """
+    report, trace = bool(args.report), bool(getattr(args, "trace", ""))
+    metrics = report or bool(getattr(args, "metrics_out", ""))
+    lifecycle = hasattr(args, "lifecycle_log") and bool(
+        args.lifecycle_log or trace
+    )
+    return _Observers(
+        tracer=Tracer() if trace else None,
+        timeline=TimelineSampler() if (args.timeline or report) else None,
+        metrics=(
+            MetricsRegistry() if metrics and args.command != "chaos" else None
+        ),
+        explain=(
+            _explain_collector(WorkloadExplain, tree, label)
+            if args.explain
+            else None
+        ),
+        lifecycle=LifecycleLog() if lifecycle else None,
+        slo=(
+            _slo_tracker(args, serving_policy)
+            if getattr(args, "slo", False)
+            else None
+        ),
+    )
+
+
+# -- Stage 6 — config: which flags key a RunReport, as data.
+
+#: command -> the flags that always enter its config, flat.  The shapes
+#: differ on purpose: every one is golden-pinned.
+_CONFIG_KEYS = {
+    "explain": _TREE_KEYS + ("k",),
+    "simulate": _TREE_KEYS + ("k",) + _WORKLOAD_KEYS + _ARRAY_KEYS,
+    "serve": (
+        _TREE_KEYS + ("k", "scenario") + _SCENARIO_KEYS + _ARRAY_KEYS
+        + _SERVING_KEYS
+    ),
+    "chaos": (
+        _TREE_KEYS + ("k",) + _WORKLOAD_KEYS + ("raid",) + _ARRAY_KEYS
+        + _FAULT_KEYS + ("deadline",)
+    ),
+}
+
+#: section -> {config key: flag}; a section appears exactly when the
+#: flag it is named after is on, so runs without the PR8 knobs keep
+#: their pre-PR8 config digests (and report bodies) byte-identical.
+_TAIL_SECTIONS = {
+    "health": {
+        "window": "health_window",
+        "error_threshold": "health_error_threshold",
+        "latency_threshold": "health_latency_threshold",
+        "cooldown": "health_cooldown",
+        "probe_prob": "health_probe_prob",
+    },
+    "hedge": {"quantile": "hedge_quantile", "min_delay": "hedge_min_delay"},
+    "rebuild": {"rate": "rebuild_rate", "batch_pages": "rebuild_batch"},
+}
+
+
+def _run_config(args: argparse.Namespace, algorithm: str) -> dict:
+    """The run configuration a command's artifact is keyed by.
+
+    Reads *args* as ``main`` left them — ``--arrival-rate 0`` is already
+    ``None`` here.  Observer flags never enter.
+    """
+    config = {"command": args.command, "algorithm": algorithm}
+    config.update(_pick(args, _CONFIG_KEYS[args.command]))
+    if args.command == "serve":
+        # ``chaos`` carries ``raid`` and the fault keys flat and always;
+        # ``serve`` only when used, so pre-PR8 serve configs keep their
+        # digests byte-identical.
+        if args.raid != "raid0":
+            config["raid"] = args.raid
+        if _faulty(args):
+            config["faults"] = _pick(args, _FAULT_KEYS)
+    for section, keys in _TAIL_SECTIONS.items():
+        if getattr(args, section, False):
+            config[section] = {
+                key: getattr(args, flag) for key, flag in keys.items()
+            }
+    return config
+
+
+# -- Stage 7 — export.
+
+
+def _suffixed(base: str, name: str, multi: bool) -> str:
+    """The artifact for one algorithm's run (suffixed when several)."""
+    if not multi:
+        return base
+    root, ext = os.path.splitext(base)
+    return f"{root}.{name.lower()}{ext or '.json'}"
+
+
+def _export(
+    args: argparse.Namespace,
+    obs: _Observers,
+    result=None,
+    algorithm: str = "",
+    label: str = "",
+    multi: bool = False,
+    **sections,
+) -> Dict[str, str]:
+    """Write every artifact the flags ask for, in one fixed order:
+    observers flush into the tracer (timeline, explain, lifecycle),
+    then report → lifecycle log → OpenMetrics → trace.
+
+    :param result: the run's WorkloadResult (for ``--report``).
+    :param multi: several algorithms share the flags — report and trace
+        paths gain a ``.<algorithm>`` suffix.
+    :param sections: extra ``build_run_report`` sections; ``serving``
+        and ``slo`` also ride along in the OpenMetrics exposition as
+        scalar gauges.
+    :returns: flag → the path written, in write order.
+    """
+    written: Dict[str, str] = {}
+    report = getattr(args, "report", "")
+    if report and obs.slo is not None and obs.timeline is not None:
+        # The slo.<class>.* step tracks land in the report's timelines
+        # so `repro top` can replay budget burn — before it is built.
+        obs.slo.merge_into(obs.timeline)
+    if obs.tracer is not None:
+        for observer in (obs.timeline, obs.explain, obs.lifecycle):
+            if observer is not None:
+                observer.flush_to_tracer(obs.tracer)
+    if report:
+        doc = build_run_report(
+            args.command,
+            _run_config(args, algorithm),
+            result,
+            metrics=obs.metrics,
+            timeline=obs.timeline,
+            label=label,
+            explain=obs.explain,
+            **sections,
+        )
+        written["report"] = _suffixed(report, algorithm, multi)
+        write_report(doc, written["report"])
+    if getattr(args, "lifecycle_log", ""):
+        obs.lifecycle.write_jsonl(args.lifecycle_log)
+        written["lifecycle_log"] = args.lifecycle_log
+    if getattr(args, "metrics_out", ""):
+        extra: Dict[str, float] = {}
+        for name in ("serving", "slo"):
+            if sections.get(name) is not None:
+                extra.update(flatten_scalars({name: sections[name]}))
+        write_openmetrics(obs.metrics, args.metrics_out, extra=extra)
+        written["metrics_out"] = args.metrics_out
+    if obs.tracer is not None:
+        written["trace"] = _suffixed(args.trace, algorithm, multi)
+        write_trace(obs.tracer, written["trace"], args.trace_format)
+    return written
+
+
+# -- Commands.
+
+
+def _cmd_info(args: argparse.Namespace) -> int:
+    _, tree = _build_tree(args)
+    print(f"dataset       : {args.dataset} (n={args.n:,}, dims={args.dims})")
+    print(f"tree          : height {tree.height}, "
+          f"{len(tree.tree.pages)} pages, fan-out {tree.tree.max_entries}")
+    print(f"declustering  : {args.policy} over {args.disks} disks")
+    histogram = tree.placement_histogram()
+    rows = [(disk, histogram.get(disk, 0)) for disk in range(args.disks)]
+    print(format_table(["disk", "pages"], rows))
+    return 0
+
+
+def _cmd_knn(args: argparse.Namespace) -> int:
+    tree, query = _single_query(args)
+    executor = CountingExecutor(tree)
+    factory = make_factory(args.algorithm, tree, args.k)
+    neighbors = executor.execute(factory(query))
+    stats = executor.last_stats
+    print(f"query  : {tuple(round(c, 4) for c in query)}  (k={args.k}, "
+          f"algorithm={args.algorithm})")
+    print(f"cost   : {stats.nodes_visited} pages in {stats.rounds} rounds "
+          f"(mean batch width {stats.parallelism:.2f})")
+    rows = [
+        (n.oid, ", ".join(f"{c:.4f}" for c in n.point), n.distance)
+        for n in neighbors
+    ]
+    print(format_table(["oid", "point", "distance"], rows, precision=5))
+    return 0
+
+
+def _cmd_explain(args: argparse.Namespace) -> int:
+    tree, query = _single_query(args)
+    recorder = _explain_collector(ExplainRecorder, tree, args.algorithm)
+    instance = make_factory(args.algorithm, tree, args.k)(query)
+    instance.explain = recorder
+    executor = CountingExecutor(tree)
+    neighbors = executor.execute(instance)
+    print(format_explain(recorder))
+    if args.out:
+        config = _run_config(args, args.algorithm)
+        config["query"] = list(query)
+        write_explain(explain_artifact(config, recorder, neighbors), args.out)
+        print(f"explain written: {args.out}")
+    obs = _Observers(Tracer() if args.trace else None, explain=recorder)
+    if "trace" in _export(args, obs):
+        print(f"trace written: {args.trace} ({args.trace_format})")
+    return 0
+
+
+def _cmd_report_show(args: argparse.Namespace) -> int:
+    print(format_report_details(load_report(args.path)))
+    return 0
+
+
+def _cmd_top(args: argparse.Namespace) -> int:
+    """``repro top`` — replay a serving RunReport as dashboard frames."""
+    doc = load_report(args.path)
+    records = load_lifecycle_jsonl(args.lifecycle) if args.lifecycle else None
+    if args.frames < 1:
+        raise SystemExit("--frames must be positive")
+    frames = replay(
+        doc, frames=args.frames, lifecycle=records, tail=args.tail
+    )
+    for index, frame in enumerate(frames):
+        if index:
+            print()
+        print(frame)
+        if args.interval > 0 and index < len(frames) - 1:
+            time.sleep(args.interval)
+    return 0
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    names = [_algorithm(name) for name in args.algorithms.split(",")]
+    params = _system_parameters(args)
+    data, tree = _build_frozen_tree(args)
+    queries = sample_queries(data, args.queries, seed=args.seed + 1)
+    workloads = {}
+    exports = []
+    for name in names:
+        obs = _make_observers(args, tree, name)
+        result = simulate_workload(
+            tree,
+            obs.attach(make_factory(name, tree, args.k)),
+            queries,
+            arrival_rate=args.arrival_rate,
+            params=params,
+            seed=args.seed,
+            tracer=obs.tracer,
+            metrics=obs.metrics,
+            timeline=obs.timeline,
+        )
+        workloads[name] = result
+        if args.timeline:
+            print(f"timeline: {name}")
+            print(obs.render_timeline(result))
+            print()
+        if obs.explain is not None:
+            print(obs.explain.render())
+            print()
+        exports.append(
+            _export(
+                args, obs, result, algorithm=name, label=name,
+                multi=len(names) > 1,
+            )
+        )
+    mode = (
+        f"λ={args.arrival_rate}/s Poisson"
+        if args.arrival_rate
+        else "single-user serial"
+    )
+    if args.scheduler != "fcfs" or args.coalesce:
+        mode += f", {args.scheduler}" + ("+coalesce" if args.coalesce else "")
+    print(
+        format_percentile_table(
+            workloads,
+            precision=4,
+            title=f"{args.queries} queries, k={args.k}, {mode}, "
+            f"{args.disks} disks",
+        )
+    )
+    print()
+    print(
+        format_breakdown_table(
+            workloads,
+            precision=4,
+            title="time breakdown (mean s/query)",
+        )
+    )
+    for flag, note in (("trace", f" ({args.trace_format})"), ("report", "")):
+        for written in exports:
+            if flag in written:
+                print(f"{flag} written: {written[flag]}{note}")
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.faults import (
-        FaultPlan,
-        RetryPolicy,
-        parse_crash_spec,
-        parse_slow_spec,
+    algorithm = args.algorithm
+    # A fault-free serve passes no plan at all (see _fault_policies).
+    fault_plan, retry_policy = (
+        _fault_policies(args) if _faulty(args) else (None, None)
     )
-    from repro.serving import make_scenario, serve_scenario
-
-    _check_out_dirs(args)
-    algorithm = args.algorithm.strip().upper()
-    if algorithm not in ALGORITHMS:
-        raise SystemExit(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    faulty = bool(args.crash or args.slow or args.transient > 0)
-    fault_plan = None
-    retry_policy = None
-    if faulty:
-        try:
-            fault_plan = FaultPlan(
-                seed=args.fault_seed,
-                default_transient_prob=args.transient,
-                crashes=tuple(
-                    parse_crash_spec(spec) for spec in args.crash
-                ),
-                slow_windows=tuple(
-                    parse_slow_spec(spec) for spec in args.slow
-                ),
-            )
-            retry_policy = RetryPolicy(
-                max_attempts=args.max_attempts,
-                attempt_timeout=args.attempt_timeout,
-            )
-        except ValueError as error:
-            raise SystemExit(str(error))
-    health, hedge, rebuild = _health_config(args)
-    data, tree = _build_frozen_tree(args)
-    try:
-        scenario = make_scenario(
-            args.scenario,
-            data,
-            rate=args.rate,
-            horizon=args.horizon,
-            seed=args.seed + 1,
-            burst_factor=args.burst_factor,
-            clients=args.clients,
-            think_time=args.think_time,
-            queries_per_client=args.queries_per_client,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
+    tail = _tail_policies(args)
     policy = _serve_policy(args)
-    params = SystemParameters(
-        scheduler=args.scheduler, coalesce=args.coalesce,
-        bus_time=args.bus_time, buffer_pages=args.buffer_pages,
+    params = _system_parameters(args)
+    data, tree = _build_frozen_tree(args)
+    scenario = make_scenario(
+        args.scenario, data, seed=args.seed + 1,
+        **_pick(args, _SCENARIO_KEYS),
     )
-    # PR10 write-only observers: none of these enters the config digest
-    # and attaching them never changes the simulated run.
-    slo_tracker = None
-    if args.slo:
-        from repro.obs.slo import (
-            DEFAULT_BURN_WINDOWS,
-            SLOTracker,
-            slo_from_policy,
-        )
-
-        try:
-            slo_tracker = SLOTracker(
-                slo_from_policy(
-                    policy,
-                    quantile=args.slo_quantile,
-                    compliance_target=args.slo_compliance,
-                    goodput_target=args.slo_goodput,
-                    default_latency_target=(
-                        args.deadline if args.deadline > 0 else None
-                    ),
-                    windows=(
-                        tuple(args.slo_window)
-                        if args.slo_window
-                        else DEFAULT_BURN_WINDOWS
-                    ),
-                )
-            )
-        except ValueError as error:
-            raise SystemExit(str(error))
-    lifecycle = None
-    if args.lifecycle_log or args.trace:
-        from repro.obs.lifecycle import LifecycleLog
-
-        lifecycle = LifecycleLog()
-    tracer = Tracer() if args.trace else None
-    want_timeline = args.timeline or bool(args.report)
-    timeline = TimelineSampler() if want_timeline else None
-    metrics = (
-        MetricsRegistry() if (args.report or args.metrics_out) else None
+    obs = _make_observers(args, tree, algorithm, serving_policy=policy)
+    serving = serve_scenario(
+        tree,
+        obs.attach(make_factory(algorithm, tree, args.k)),
+        scenario,
+        policy=policy,
+        params=params,
+        seed=args.seed,
+        tracer=obs.tracer,
+        metrics=obs.metrics,
+        timeline=obs.timeline,
+        fault_plan=fault_plan,
+        retry_policy=retry_policy,
+        raid=args.raid,
+        lifecycle=obs.lifecycle,
+        slo=obs.slo,
+        **tail,
     )
-    explain = (
-        _make_workload_explain(tree, algorithm) if args.explain else None
-    )
-    factory = make_factory(algorithm, tree, args.k)
-    if explain is not None:
-        factory = explain.attach(factory)
-    try:
-        serving = serve_scenario(
-            tree,
-            factory,
-            scenario,
-            policy=policy,
-            params=params,
-            seed=args.seed,
-            tracer=tracer,
-            metrics=metrics,
-            timeline=timeline,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            raid=args.raid,
-            health=health,
-            hedge=hedge,
-            rebuild=rebuild,
-            lifecycle=lifecycle,
-            slo=slo_tracker,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
 
     section = serving.serving_section()
     counts = section["counts"]
@@ -1047,122 +1186,139 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{serving.rebuild_shed} arrivals shed during rebuild"
         )
     if serving.slo is not None:
-        from repro.obs.slo import format_slo_section
-
         print("  " + format_slo_section(serving.slo).replace("\n", "\n  "))
-    if args.timeline and timeline is not None:
+    if args.timeline:
         print()
-        print(
-            timeline.render(
-                until=max(serving.result.makespan, timeline.end)
-            )
-        )
-    if explain is not None:
+        print(obs.render_timeline(serving.result))
+    if obs.explain is not None:
         print()
-        print(explain.render())
-    if args.report:
-        if not serving.result.records:
-            raise SystemExit(
-                "--report needs at least one admitted query; every query "
-                "was rejected or shed"
-            )
-        if slo_tracker is not None and timeline is not None:
-            # The slo.<class>.* step tracks land in the report's
-            # timelines so `repro top` can replay budget burn.
-            slo_tracker.merge_into(timeline)
-        doc = build_run_report(
-            "serve",
-            _serve_config(args, algorithm),
-            serving.result,
-            metrics=metrics,
-            timeline=timeline,
-            label=f"{algorithm}/{policy.name}",
-            explain=explain,
-            serving=section,
-            health=serving.health,
-            hedge=serving.hedge,
-            rebuild=serving.rebuild,
-            slo=serving.slo,
+        print(obs.explain.render())
+    if args.report and not serving.result.records:
+        raise SystemExit(
+            "--report needs at least one admitted query; every query "
+            "was rejected or shed"
         )
-        write_report(doc, args.report)
+    written = _export(
+        args,
+        obs,
+        serving.result,
+        algorithm=algorithm,
+        label=f"{algorithm}/{policy.name}",
+        serving=section,
+        health=serving.health,
+        hedge=serving.hedge,
+        rebuild=serving.rebuild,
+        slo=serving.slo,
+    )
+    if "report" in written:
         print(f"report written: {args.report}")
-    if args.lifecycle_log and lifecycle is not None:
-        lifecycle.write_jsonl(args.lifecycle_log)
+    if "lifecycle_log" in written:
         print(
             f"lifecycle log written: {args.lifecycle_log} "
-            f"({len(lifecycle)} queries)"
+            f"({len(obs.lifecycle)} queries)"
         )
-    if args.metrics_out:
-        from repro.obs.openmetrics import flatten_scalars, write_openmetrics
-
-        extra = flatten_scalars({"serving": section})
-        if serving.slo is not None:
-            extra.update(flatten_scalars({"slo": serving.slo}))
-        write_openmetrics(metrics, args.metrics_out, extra=extra)
+    if "metrics_out" in written:
         print(f"metrics written: {args.metrics_out}")
-    if args.trace and tracer is not None:
-        if timeline is not None:
-            timeline.flush_to_tracer(tracer)
-        if lifecycle is not None:
-            lifecycle.flush_to_tracer(tracer)
-        write_trace(tracer, args.trace, args.trace_format)
+    if "trace" in written:
         print(f"trace written: {args.trace}")
     return 0
 
 
-def _cmd_bench_serving(args: argparse.Namespace) -> int:
-    from repro.serving.bench import (
-        format_summary,
-        run_serving_bench,
-        to_run_report,
-        write_bench,
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    algorithm = _algorithm(args.algorithm)
+    plan, retry = _fault_policies(args)
+    tail = _tail_policies(args)
+    params = _system_parameters(args)
+    data, tree = _build_frozen_tree(args)
+    queries = sample_queries(data, args.queries, seed=args.seed + 1)
+    label = f"{algorithm}/{args.raid}"
+    obs = _make_observers(args, tree, label)
+    report = run_chaos(
+        tree,
+        algorithm,
+        queries,
+        k=args.k,
+        raid=args.raid,
+        arrival_rate=args.arrival_rate,
+        params=params,
+        seed=args.seed,
+        fault_plan=plan,
+        retry_policy=retry,
+        deadline=args.deadline,
+        timeline=obs.timeline,
+        explain=obs.explain,
+        **tail,
     )
-
-    _check_out_dirs(args)
-    doc = run_serving_bench(smoke=args.smoke, seed=args.seed)
-    write_bench(doc, args.out)
-    print(format_summary(doc))
-    print(f"\nbench written: {args.out}")
-    if args.report:
-        write_report(to_run_report(doc), args.report)
+    if args.timeline:
+        print(obs.render_timeline(report.result))
+        print()
+    if obs.explain is not None:
+        print(obs.explain.render())
+        print()
+    print(report.summary())
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(report.to_json())
+            handle.write("\n")
+        print(f"report written: {args.out}")
+    written = _export(
+        args,
+        obs,
+        report.result,
+        algorithm=algorithm,
+        label=label,
+        health=report.health,
+        hedge=report.hedge,
+        rebuild=report.rebuild,
+    )
+    if "report" in written:
         print(f"report written: {args.report}")
     return 0
 
 
-def _cmd_bench_chaos_serving(args: argparse.Namespace) -> int:
-    from repro.serving.chaos_bench import (
-        format_summary,
-        run_chaos_serving_bench,
-        to_run_report,
-        write_bench,
-    )
+#: (verb, module, runner, default --out, help).  Every module exposes
+#: the same ``write_bench`` / ``format_summary`` / ``to_run_report``.
+_BENCH_VERBS = (
+    (
+        "bench", "repro.perf.bench", "run_bench", "BENCH_PR9.json",
+        "run the reproducible benchmark suite and write BENCH_*.json "
+        "('bench index' lists the existing artifacts instead)",
+    ),
+    (
+        "bench-schedulers", "repro.perf.sched_bench", "run_sched_bench",
+        "BENCH_PR4.json",
+        "compare queue disciplines on the multi-user workload and "
+        "write BENCH_PR4.json",
+    ),
+    (
+        "bench-serving", "repro.serving.bench", "run_serving_bench",
+        "BENCH_PR7.json",
+        "sweep serving policies over offered load and write the "
+        "p99-vs-throughput frontier to BENCH_PR7.json",
+    ),
+    (
+        "bench-chaos-serving", "repro.serving.chaos_bench",
+        "run_chaos_serving_bench", "BENCH_PR8.json",
+        "sweep fault-aware serving under fail-slow + crash chaos and "
+        "write the tail-tolerance comparison to BENCH_PR8.json",
+    ),
+)
 
-    _check_out_dirs(args)
-    doc = run_chaos_serving_bench(smoke=args.smoke, seed=args.seed)
-    write_bench(doc, args.out)
-    print(format_summary(doc))
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    if getattr(args, "mode", None) == "index":
+        return _cmd_bench_index(args)
+    # Imported lazily: the bench harnesses pull in the whole experiment
+    # stack, which the other subcommands don't need.
+    module = importlib.import_module(args.bench_module)
+    doc = getattr(module, args.bench_runner)(smoke=args.smoke, seed=args.seed)
+    module.write_bench(doc, args.out)
+    print(module.format_summary(doc))
     print(f"\nbench written: {args.out}")
     if args.report:
-        write_report(to_run_report(doc), args.report)
+        write_report(module.to_run_report(doc), args.report)
         print(f"report written: {args.report}")
     return 0
-
-
-def _check_out_dirs(args: argparse.Namespace) -> None:
-    """Fail fast if an output path's directory is missing."""
-    for option, path in (
-        ("--out", getattr(args, "out", "")),
-        ("--report", getattr(args, "report", "")),
-        ("--lifecycle-log", getattr(args, "lifecycle_log", "")),
-        ("--metrics-out", getattr(args, "metrics_out", "")),
-        ("--trace", getattr(args, "trace", "")),
-    ):
-        if path:
-            directory = os.path.dirname(path) or "."
-            if not os.path.isdir(directory):
-                raise SystemExit(
-                    f"{option} directory does not exist: {directory}"
-                )
 
 
 def _bench_headline(doc: dict) -> str:
@@ -1208,9 +1364,6 @@ def _bench_headline(doc: dict) -> str:
 
 def _cmd_bench_index(args: argparse.Namespace) -> int:
     """``repro bench index`` — one line per BENCH_*.json artifact."""
-    import glob
-    import json
-
     paths = sorted(glob.glob(os.path.join(args.dir, "BENCH_*.json")))
     if not paths:
         print(f"no BENCH_*.json found in {args.dir}")
@@ -1243,181 +1396,9 @@ def _cmd_bench_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.mode == "index":
-        return _cmd_bench_index(args)
-    # Imported lazily: the bench harness pulls in the whole experiment
-    # and simulation stack, which the other subcommands don't need.
-    from repro.perf.bench import (
-        format_summary,
-        run_bench,
-        to_run_report,
-        write_bench,
-    )
-
-    _check_out_dirs(args)
-    doc = run_bench(smoke=args.smoke, seed=args.seed)
-    write_bench(doc, args.out)
-    print(format_summary(doc))
-    print(f"\nbench written: {args.out}")
-    if args.report:
-        write_report(to_run_report(doc), args.report)
-        print(f"report written: {args.report}")
-    return 0
-
-
-def _cmd_bench_schedulers(args: argparse.Namespace) -> int:
-    from repro.perf.sched_bench import (
-        format_summary,
-        run_sched_bench,
-        to_run_report,
-        write_bench,
-    )
-
-    _check_out_dirs(args)
-    doc = run_sched_bench(smoke=args.smoke, seed=args.seed)
-    write_bench(doc, args.out)
-    print(format_summary(doc))
-    print(f"\nbench written: {args.out}")
-    if args.report:
-        write_report(to_run_report(doc), args.report)
-        print(f"report written: {args.report}")
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    # Imported lazily, like bench: the fault layer pulls in the whole
-    # simulation stack.
-    from repro.faults import (
-        FaultPlan,
-        RetryPolicy,
-        parse_crash_spec,
-        parse_slow_spec,
-        run_chaos,
-    )
-
-    _check_out_dirs(args)
-    algorithm = args.algorithm.strip().upper()
-    if algorithm not in ALGORITHMS:
-        raise SystemExit(
-            f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
-        )
-    try:
-        crashes = tuple(parse_crash_spec(spec) for spec in args.crash)
-        slow_windows = tuple(parse_slow_spec(spec) for spec in args.slow)
-        plan = FaultPlan(
-            seed=args.fault_seed,
-            default_transient_prob=args.transient,
-            crashes=crashes,
-            slow_windows=slow_windows,
-        )
-        policy = RetryPolicy(
-            max_attempts=args.max_attempts,
-            attempt_timeout=args.attempt_timeout,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    health, hedge, rebuild = _health_config(args)
-    data, tree = _build_frozen_tree(args)
-    queries = sample_queries(data, args.queries, seed=args.seed + 1)
-    timeline = (
-        TimelineSampler() if (args.timeline or args.report) else None
-    )
-    explain = (
-        _make_workload_explain(tree, f"{algorithm}/{args.raid}")
-        if args.explain
-        else None
-    )
-    try:
-        report = run_chaos(
-            tree,
-            algorithm,
-            queries,
-            k=args.k,
-            raid=args.raid,
-            arrival_rate=args.arrival_rate,
-            params=SystemParameters(
-                scheduler=args.scheduler, coalesce=args.coalesce,
-                bus_time=args.bus_time, buffer_pages=args.buffer_pages,
-            ),
-            seed=args.seed,
-            fault_plan=plan,
-            retry_policy=policy,
-            deadline=args.deadline,
-            timeline=timeline,
-            explain=explain,
-            health=health,
-            hedge=hedge,
-            rebuild=rebuild,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    if args.timeline and timeline is not None:
-        print(
-            timeline.render(
-                until=max(report.result.makespan, timeline.end)
-            )
-        )
-        print()
-    if explain is not None:
-        print(explain.render())
-        print()
-    print(report.summary())
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        print(f"report written: {args.out}")
-    if args.report:
-        config = {
-            "command": "chaos",
-            "dataset": args.dataset,
-            "n": args.n,
-            "dims": args.dims,
-            "disks": args.disks,
-            "page_size": args.page_size,
-            "policy": args.policy,
-            "seed": args.seed,
-            "k": args.k,
-            "queries": args.queries,
-            "arrival_rate": args.arrival_rate,
-            "algorithm": algorithm,
-            "raid": args.raid,
-            "scheduler": args.scheduler,
-            "coalesce": args.coalesce,
-            "bus_time": args.bus_time,
-            "buffer_pages": args.buffer_pages,
-            "crash": list(args.crash),
-            "slow": list(args.slow),
-            "transient": args.transient,
-            "fault_seed": args.fault_seed,
-            "max_attempts": args.max_attempts,
-            "attempt_timeout": args.attempt_timeout,
-            "deadline": args.deadline,
-        }
-        config.update(_health_config_section(args))
-        doc = build_run_report(
-            "chaos",
-            config,
-            report.result,
-            timeline=timeline,
-            label=f"{algorithm}/{args.raid}",
-            explain=explain,
-            health=report.health,
-            hedge=report.hedge,
-            rebuild=report.rebuild,
-        )
-        write_report(doc, args.report)
-        print(f"report written: {args.report}")
-    return 0
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        baseline = load_report(args.baseline)
-        candidate = load_report(args.candidate)
-    except (OSError, ValueError) as error:
-        raise SystemExit(str(error))
+    baseline = load_report(args.baseline)
+    candidate = load_report(args.candidate)
     if args.show:
         print(format_report(baseline))
         print()
@@ -1431,8 +1412,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper(args: argparse.Namespace) -> int:
-    from repro.experiments.paper import run_paper_experiment
-
     print(run_paper_experiment(args.experiment))
     return 0
 
@@ -1452,19 +1431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     knn = subparsers.add_parser("knn", help="answer one k-NN query")
     _add_tree_arguments(knn)
-    knn.add_argument("--k", type=int, default=10, help="neighbors (default: 10)")
-    knn.add_argument(
-        "--algorithm",
-        default="CRSS",
-        type=_algorithm_name,
-        choices=sorted(ALGORITHMS),
-        help="search algorithm (default: CRSS)",
-    )
-    knn.add_argument(
-        "--query",
-        default="",
-        help="comma-separated query point (default: sampled from the data)",
-    )
+    _add_single_query_arguments(knn)
     knn.set_defaults(handler=_cmd_knn)
 
     explain = subparsers.add_parser(
@@ -1474,21 +1441,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trajectory, CRSS mode transitions, and the per-disk heatmap",
     )
     _add_tree_arguments(explain)
-    explain.add_argument(
-        "--k", type=int, default=10, help="neighbors (default: 10)"
-    )
-    explain.add_argument(
-        "--algorithm",
-        default="CRSS",
-        type=_algorithm_name,
-        choices=sorted(ALGORITHMS),
-        help="search algorithm (default: CRSS)",
-    )
-    explain.add_argument(
-        "--query",
-        default="",
-        help="comma-separated query point (default: sampled from the data)",
-    )
+    _add_single_query_arguments(explain)
     explain.add_argument(
         "--out",
         default="",
@@ -1497,26 +1450,14 @@ def build_parser() -> argparse.ArgumentParser:
         "artifact (same-seed runs are byte-identical — the CI "
         "explain-smoke job cmp's two of them)",
     )
-    explain.add_argument(
-        "--trace",
-        default="",
-        metavar="PATH",
-        help="write the decision events as logical trace instants "
-        "(timestamp = fetch-round index)",
-    )
-    explain.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="chrome",
-        help="trace file format (default: chrome)",
-    )
+    _add_trace_arguments(explain)
     explain.set_defaults(handler=_cmd_explain)
 
     simulate = subparsers.add_parser(
         "simulate", help="simulate a multi-user workload"
     )
     _add_tree_arguments(simulate)
-    simulate.add_argument("--k", type=int, default=10)
+    _add_k_argument(simulate)
     simulate.add_argument(
         "--queries", type=int, default=50, help="queries in the workload"
     )
@@ -1531,95 +1472,54 @@ def build_parser() -> argparse.ArgumentParser:
         default="BBSS,FPSS,CRSS,WOPTSS",
         help="comma-separated algorithm list",
     )
-    _add_scheduler_arguments(simulate)
-    simulate.add_argument(
-        "--trace",
-        default="",
-        metavar="PATH",
-        help="write a span trace of each algorithm's workload to PATH "
-        "(several algorithms: PATH gains a .<algorithm> suffix)",
-    )
-    simulate.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="chrome",
-        help="trace file format: 'chrome' (Perfetto / chrome://tracing "
-        "trace-event JSON) or 'jsonl' (default: chrome)",
-    )
+    _add_array_arguments(simulate)
+    _add_trace_arguments(simulate)
     _add_obs_arguments(simulate)
     simulate.set_defaults(handler=_cmd_simulate)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the reproducible benchmark suite and write BENCH_*.json "
-        "('bench index' lists the existing artifacts instead)",
-    )
-    bench.add_argument(
-        "mode",
-        nargs="?",
-        choices=["index"],
-        default=None,
-        help="optional subaction: 'index' prints one line per "
-        "BENCH_*.json at --dir (schema, label, seed, smoke, headline "
-        "metric) instead of running the suite",
-    )
-    bench.add_argument(
-        "--dir",
-        default=".",
-        metavar="DIR",
-        help="directory 'bench index' scans for BENCH_*.json "
-        "(default: .)",
-    )
-    bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run: small populations, few queries",
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_PR9.json",
-        metavar="PATH",
-        help="output JSON path (default: BENCH_PR9.json)",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=0, help="RNG seed (default: 0)"
-    )
-    bench.add_argument(
-        "--report",
-        default="",
-        metavar="PATH",
-        help="additionally write the document as a RunReport artifact "
-        "for 'repro diff'",
-    )
-    bench.set_defaults(handler=_cmd_bench)
-
-    sched = subparsers.add_parser(
-        "bench-schedulers",
-        help="compare queue disciplines on the multi-user workload and "
-        "write BENCH_PR4.json",
-    )
-    sched.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run: small tree, few queries",
-    )
-    sched.add_argument(
-        "--out",
-        default="BENCH_PR4.json",
-        metavar="PATH",
-        help="output JSON path (default: BENCH_PR4.json)",
-    )
-    sched.add_argument(
-        "--seed", type=int, default=0, help="RNG seed (default: 0)"
-    )
-    sched.add_argument(
-        "--report",
-        default="",
-        metavar="PATH",
-        help="additionally write the document as a RunReport artifact "
-        "for 'repro diff'",
-    )
-    sched.set_defaults(handler=_cmd_bench_schedulers)
+    for verb, module, runner, default_out, help_text in _BENCH_VERBS:
+        bench = subparsers.add_parser(verb, help=help_text)
+        if verb == "bench":
+            bench.add_argument(
+                "mode",
+                nargs="?",
+                choices=["index"],
+                default=None,
+                help="optional subaction: 'index' prints one line per "
+                "BENCH_*.json at --dir (schema, label, seed, smoke, "
+                "headline metric) instead of running the suite",
+            )
+            bench.add_argument(
+                "--dir",
+                default=".",
+                metavar="DIR",
+                help="directory 'bench index' scans for BENCH_*.json "
+                "(default: .)",
+            )
+        bench.add_argument(
+            "--smoke",
+            action="store_true",
+            help="CI-sized run: small trees, few queries, short horizons",
+        )
+        bench.add_argument(
+            "--out",
+            default=default_out,
+            metavar="PATH",
+            help=f"output JSON path (default: {default_out})",
+        )
+        bench.add_argument(
+            "--seed", type=int, default=0, help="RNG seed (default: 0)"
+        )
+        bench.add_argument(
+            "--report",
+            default="",
+            metavar="PATH",
+            help="additionally write the document as a RunReport artifact "
+            "for 'repro diff'",
+        )
+        bench.set_defaults(
+            handler=_cmd_bench, bench_module=module, bench_runner=runner
+        )
 
     serve = subparsers.add_parser(
         "serve",
@@ -1627,7 +1527,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(admission control, cross-query batching, load shedding)",
     )
     _add_tree_arguments(serve)
-    serve.add_argument("--k", type=int, default=10, help="neighbors (default: 10)")
+    _add_k_argument(serve)
     serve.add_argument(
         "--algorithm",
         default="CRSS",
@@ -1727,96 +1627,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on pages per merged transaction (fairness bound); "
         "0 for unbounded (default: 0)",
     )
-    serve.add_argument(
-        "--raid",
-        choices=["raid0", "raid1"],
-        default="raid0",
-        help="array layout: striped raid0 or mirrored raid1 pairs "
-        "(default: raid0; hedging and rebuild need raid1)",
-    )
-    serve.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="DISK@START[:REPAIR]",
-        help="crash window, e.g. 2@0.0 or 1@0.5:2.0; repeatable — on "
-        "raid1, DISK addresses a physical drive (logical*2+replica)",
-    )
-    serve.add_argument(
-        "--slow",
-        action="append",
-        default=[],
-        metavar="DISK@START-ENDxFACTOR",
-        help="fail-slow window, e.g. 1@0.0-2.5x8; repeatable",
-    )
-    serve.add_argument(
-        "--transient",
-        type=float,
-        default=0.0,
-        metavar="PROB",
-        help="per-service transient read-error probability on every disk "
-        "(default: 0)",
-    )
-    serve.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed of the fault plan's RNG streams (default: 0)",
-    )
-    serve.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="disk attempts per fetch before it fails permanently "
-        "(default: 3)",
-    )
-    serve.add_argument(
-        "--attempt-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-attempt timeout in simulated seconds (default: none)",
-    )
-    _add_health_arguments(serve)
-    _add_scheduler_arguments(serve)
+    _add_fault_arguments(serve)
+    _add_tail_arguments(serve)
+    _add_array_arguments(serve)
     _add_obs_arguments(serve)
     _add_slo_arguments(serve)
+    _add_trace_arguments(serve)
     serve.set_defaults(handler=_cmd_serve)
-
-    serving_bench = subparsers.add_parser(
-        "bench-serving",
-        help="sweep serving policies over offered load and write the "
-        "p99-vs-throughput frontier to BENCH_PR7.json",
-    )
-    serving_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run: small tree, short horizon, two load points",
-    )
-    serving_bench.add_argument(
-        "--out",
-        default="BENCH_PR7.json",
-        metavar="PATH",
-        help="output JSON path (default: BENCH_PR7.json)",
-    )
-    serving_bench.add_argument(
-        "--seed", type=int, default=0, help="RNG seed (default: 0)"
-    )
-    serving_bench.add_argument(
-        "--report",
-        default="",
-        metavar="PATH",
-        help="additionally write the document as a RunReport artifact "
-        "for 'repro diff'",
-    )
-    serving_bench.set_defaults(handler=_cmd_bench_serving)
 
     chaos = subparsers.add_parser(
         "chaos",
         help="replay a workload under a fault plan and report robustness",
     )
     _add_tree_arguments(chaos)
-    chaos.add_argument("--k", type=int, default=10, help="neighbors (default: 10)")
+    _add_k_argument(chaos)
     chaos.add_argument(
         "--queries", type=int, default=20, help="queries in the workload"
     )
@@ -1832,58 +1656,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="CRSS",
         help="search algorithm (default: CRSS)",
     )
-    chaos.add_argument(
-        "--raid",
-        choices=["raid0", "raid1"],
-        default="raid0",
-        help="array layout: striped raid0 or mirrored raid1 with failover "
-        "(default: raid0)",
-    )
-    _add_scheduler_arguments(chaos)
-    chaos.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="DISK@START[:REPAIR]",
-        help="crash window, e.g. 2@0.0 (dead from t=0) or 1@0.5:2.0; "
-        "repeatable — on raid1, DISK addresses a physical drive "
-        "(logical*2+replica)",
-    )
-    chaos.add_argument(
-        "--slow",
-        action="append",
-        default=[],
-        metavar="DISK@START-ENDxFACTOR",
-        help="fail-slow window, e.g. 1@0.0-2.5x8; repeatable",
-    )
-    chaos.add_argument(
-        "--transient",
-        type=float,
-        default=0.0,
-        metavar="PROB",
-        help="per-service transient read-error probability on every disk "
-        "(default: 0)",
-    )
-    chaos.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed of the fault plan's RNG streams (default: 0)",
-    )
-    chaos.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="disk attempts per fetch before it fails permanently "
-        "(default: 3)",
-    )
-    chaos.add_argument(
-        "--attempt-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-attempt timeout in simulated seconds (default: none)",
-    )
+    _add_array_arguments(chaos)
+    _add_fault_arguments(chaos)
     chaos.add_argument(
         "--deadline",
         type=float,
@@ -1899,37 +1673,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the JSON chaos report to PATH",
     )
-    _add_health_arguments(chaos)
+    _add_tail_arguments(chaos)
     _add_obs_arguments(chaos)
     chaos.set_defaults(handler=_cmd_chaos)
-
-    chaos_bench = subparsers.add_parser(
-        "bench-chaos-serving",
-        help="sweep fault-aware serving under fail-slow + crash chaos and "
-        "write the tail-tolerance comparison to BENCH_PR8.json",
-    )
-    chaos_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI-sized run: small tree, short horizon, two load points",
-    )
-    chaos_bench.add_argument(
-        "--out",
-        default="BENCH_PR8.json",
-        metavar="PATH",
-        help="output JSON path (default: BENCH_PR8.json)",
-    )
-    chaos_bench.add_argument(
-        "--seed", type=int, default=0, help="RNG seed (default: 0)"
-    )
-    chaos_bench.add_argument(
-        "--report",
-        default="",
-        metavar="PATH",
-        help="additionally write the document as a RunReport artifact "
-        "for 'repro diff'",
-    )
-    chaos_bench.set_defaults(handler=_cmd_bench_chaos_serving)
 
     diff = subparsers.add_parser(
         "diff",
@@ -2023,11 +1769,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     paper.add_argument(
         "experiment",
-        choices=sorted(
-            __import__(
-                "repro.experiments.paper", fromlist=["PAPER_EXPERIMENTS"]
-            ).PAPER_EXPERIMENTS
-        ),
+        choices=sorted(PAPER_EXPERIMENTS),
         help="which figure/table to run",
     )
     paper.set_defaults(handler=_cmd_paper)
@@ -2038,13 +1780,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Before any handler reads it: config dicts record None, not 0.0.
     if getattr(args, "arrival_rate", None) == 0.0:
         args.arrival_rate = None
     if getattr(args, "n", 1) < 1:
         raise SystemExit("--n must be positive")
     if getattr(args, "disks", 1) < 1:
         raise SystemExit("--disks must be positive")
-    return args.handler(args)
+    _check_out_dirs(args)
+    try:
+        return args.handler(args)
+    except (OSError, ValueError) as error:
+        # The one boundary where bad input — a value a constructor or
+        # the workload rejects, an unreadable file — exits cleanly.
+        raise SystemExit(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover

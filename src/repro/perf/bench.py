@@ -360,31 +360,42 @@ def canonical_bytes(doc: Dict[str, object]) -> bytes:
     ).encode()
 
 
-def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
-    """The bench document as a RunReport envelope for ``repro diff``.
+def run_report_envelope(
+    kind: str, doc: Dict[str, object], keys: Sequence[str] = (), **config
+) -> Dict[str, object]:
+    """A bench document as a RunReport envelope for ``repro diff``.
 
     Every seed-reproducible numeric leaf of the document (wall-clock
     keys stripped) flattens to a dotted-path metric, so two bench runs
     compare metric-by-metric exactly like two workload RunReports.
+    What keys the comparison — the envelope's config — is the
+    document's ``schema`` / ``smoke`` / ``seed``, the further top-level
+    *keys* named, the document's own ``config`` (where it has one) as
+    ``workload``, and whatever *config* adds.  The one implementation
+    behind every bench module's ``to_run_report``.
     """
     from repro.obs.diff import flatten_numeric
     from repro.obs.report import bench_run_report
 
     stripped = strip_nondeterministic(doc)
-    config = {
-        "schema": stripped.get("schema"),
-        "smoke": stripped.get("smoke"),
-        "seed": stripped.get("seed"),
-        "suite": [
-            {
-                key: entry[key]
-                for key in ("dataset", "n", "dims", "queries", "disks", "k")
-                if key in entry
-            }
-            for entry in stripped.get("configs", [])
-        ],
-    }
-    return bench_run_report("bench", doc, flatten_numeric(stripped), config)
+    for key in ("schema", "smoke", "seed", *keys):
+        config[key] = stripped.get(key)
+    if "config" in stripped:
+        config["workload"] = dict(stripped["config"])
+    return bench_run_report(kind, doc, flatten_numeric(stripped), config)
+
+
+def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
+    """The bench document as a RunReport envelope for ``repro diff``."""
+    suite = [
+        {
+            key: entry[key]
+            for key in ("dataset", "n", "dims", "queries", "disks", "k")
+            if key in entry
+        }
+        for entry in doc.get("configs", [])
+    ]
+    return run_report_envelope("bench", doc, suite=suite)
 
 
 def write_bench(doc: Dict[str, object], path: str) -> None:

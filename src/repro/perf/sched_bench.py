@@ -23,12 +23,16 @@ produce byte-identical files (enforced by
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, List, Optional
 
 from repro.datasets import sample_queries
 from repro.experiments.setup import build_tree, dataset, make_factory
-from repro.perf.bench import _percentile, write_bench
+from repro.perf.bench import (
+    _percentile,
+    canonical_bytes,
+    run_report_envelope,
+    write_bench,
+)
 from repro.simulation import simulate_workload
 from repro.simulation.parameters import SystemParameters
 from repro.simulation.scheduling import SCHEDULERS
@@ -169,35 +173,15 @@ def run_sched_bench(smoke: bool = False, seed: int = 0) -> Dict[str, object]:
     }
 
 
-def canonical_bytes(doc: Dict[str, object]) -> bytes:
-    """The document's deterministic serialization.
-
-    Unlike the main bench there are no wall-clock keys to strip —
-    every value is simulated time derived from the seed.
-    """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
 def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
     """The scheduler-bench document as a RunReport envelope.
 
     Every numeric leaf is already seed-reproducible (the document has
-    no wall-clock values), so the whole document flattens into the
+    no wall-clock values — :func:`~repro.perf.bench.canonical_bytes`
+    strips nothing from it), so the whole document flattens into the
     envelope's metrics for ``repro diff``.
     """
-    from repro.obs.diff import flatten_numeric
-    from repro.obs.report import bench_run_report
-
-    config = {
-        "schema": doc.get("schema"),
-        "smoke": doc.get("smoke"),
-        "seed": doc.get("seed"),
-        "algorithm": doc.get("algorithm"),
-        "workload": dict(doc.get("config", {})),
-    }
-    return bench_run_report(
-        "bench-schedulers", doc, flatten_numeric(doc), config
-    )
+    return run_report_envelope("bench-schedulers", doc, ("algorithm",))
 
 
 def format_summary(doc: Dict[str, object]) -> str:

@@ -28,11 +28,10 @@ at build time:
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, List
 
 from repro.experiments.setup import build_tree, dataset, make_factory
-from repro.perf.bench import _percentile, write_bench
+from repro.perf.bench import canonical_bytes, run_report_envelope, write_bench
 from repro.serving.admission import (
     ServingPolicy,
     admission_only_policy,
@@ -231,26 +230,10 @@ def run_serving_bench(
     }
 
 
-def canonical_bytes(doc: Dict[str, object]) -> bytes:
-    """Deterministic serialization — every value derives from the seed."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
 def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
     """The serving-bench document as a RunReport envelope for ``diff``."""
-    from repro.obs.diff import flatten_numeric
-    from repro.obs.report import bench_run_report
-
-    config = {
-        "schema": doc.get("schema"),
-        "smoke": doc.get("smoke"),
-        "seed": doc.get("seed"),
-        "algorithm": doc.get("algorithm"),
-        "scenario": doc.get("scenario"),
-        "workload": dict(doc.get("config", {})),
-    }
-    return bench_run_report(
-        "bench-serving", doc, flatten_numeric(doc), config
+    return run_report_envelope(
+        "bench-serving", doc, ("algorithm", "scenario")
     )
 
 

@@ -37,8 +37,6 @@ job).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from typing import Dict, List, Optional
 
@@ -46,8 +44,9 @@ from repro.experiments.setup import build_tree, dataset, make_factory
 from repro.faults.health import HealthPolicy, HedgePolicy, RebuildPolicy
 from repro.faults.plan import CrashWindow, FaultPlan, SlowWindow
 from repro.faults.policy import RetryPolicy
-from repro.perf.bench import write_bench
+from repro.perf.bench import canonical_bytes, run_report_envelope, write_bench
 from repro.serving.admission import full_serving_policy
+from repro.serving.bench import _served_digest
 from repro.serving.frontend import ServingResult, serve_scenario
 from repro.serving.traffic import make_scenario
 from repro.simulation.parameters import SystemParameters
@@ -126,17 +125,6 @@ def _tail_policies(config: Dict[str, object]):
         min_delay=config["hedge_min_delay"],
     )
     return health, hedge
-
-
-def _served_digest(serving: ServingResult) -> str:
-    """Stable hash over every offered query's outcome and answers."""
-    digest = hashlib.sha256()
-    for query in serving.queries:
-        digest.update(f"{query.qid}:{query.outcome}:".encode())
-        for neighbor in query.answers:
-            digest.update(f"{neighbor.oid}:{neighbor.distance!r};".encode())
-        digest.update(b"|")
-    return digest.hexdigest()
 
 
 def _serve(
@@ -359,26 +347,10 @@ def run_chaos_serving_bench(
     }
 
 
-def canonical_bytes(doc: Dict[str, object]) -> bytes:
-    """Deterministic serialization — every value derives from the seed."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-
-
 def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
     """The chaos-serving document as a RunReport envelope for ``diff``."""
-    from repro.obs.diff import flatten_numeric
-    from repro.obs.report import bench_run_report
-
-    config = {
-        "schema": doc.get("schema"),
-        "smoke": doc.get("smoke"),
-        "seed": doc.get("seed"),
-        "algorithm": doc.get("algorithm"),
-        "scenario": doc.get("scenario"),
-        "workload": dict(doc.get("config", {})),
-    }
-    return bench_run_report(
-        "bench-chaos-serving", doc, flatten_numeric(doc), config
+    return run_report_envelope(
+        "bench-chaos-serving", doc, ("algorithm", "scenario")
     )
 
 

@@ -17,7 +17,7 @@ from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.timeline import TimelineSampler
 from repro.obs.trace import InstantRecord, SpanRecord
 from repro.serving.admission import PriorityClass, ServingPolicy
-from repro.serving.chaos_bench import _served_digest
+from repro.serving.bench import _served_digest
 from repro.serving.frontend import serve_scenario
 from repro.serving.traffic import make_scenario
 from repro.simulation.parameters import SystemParameters

@@ -72,6 +72,35 @@ class TestSimulate:
             main(["simulate", *FAST, "--algorithms", "DIJKSTRA"])
 
 
+class TestBadInputExitsCleanly:
+    """A value a policy constructor or the workload rejects ends the
+    command with its message and a non-zero status, never a traceback —
+    on every run command alike."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("simulate", "--k", "0"),
+            ("simulate", "--queries", "0"),
+            ("simulate", "--arrival-rate", "-1"),
+            ("simulate", "--buffer-pages", "100000"),
+            ("serve", "--bus-time", "-1"),
+            ("serve", "--k", "0"),
+            ("serve", "--buffer-pages", "100000"),
+            ("chaos", "--k", "0"),
+            ("chaos", "--queries", "0"),
+            ("chaos", "--buffer-pages", "-1"),
+            ("knn", "--k", "0"),
+            ("explain", "--k", "0"),
+        ],
+    )
+    def test_message_and_nonzero_status(self, command, flag, value):
+        with pytest.raises(SystemExit) as raised:
+            main([command, *FAST, flag, value])
+        message = raised.value.code
+        assert isinstance(message, str) and message
+
+
 class TestValidation:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -376,6 +405,23 @@ class TestExplainFlag:
         ]
         assert explain_events
         assert any(e["name"] == "prune" for e in explain_events)
+
+    @pytest.mark.parametrize("explain", [False, True])
+    def test_serve_trace_has_explain_events_iff_asked(
+        self, explain, capsys, tmp_path
+    ):
+        import json
+
+        trace = tmp_path / "trace.json"
+        assert main(
+            ["serve", *FAST, "--k", "3", "--rate", "30", "--horizon", "0.3",
+             "--trace", str(trace), *(["--explain"] if explain else [])]
+        ) == 0
+        capsys.readouterr()
+        categories = {
+            e.get("cat") for e in json.loads(trace.read_text())["traceEvents"]
+        }
+        assert ("explain" in categories) == explain
 
 
 class TestReportShowCli:
