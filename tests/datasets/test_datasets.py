@@ -130,6 +130,23 @@ class TestSurrogates:
         rounded = Counter(round(p[0], 3) for p in data)
         assert rounded.most_common(1)[0][1] > 5
 
+    @pytest.mark.parametrize("generator, expected", [
+        (california_places_surrogate,
+         "8bb6521b97e4e9f5b7dae50d2be418255767a3c7e4edae2e01a3f756cfc99ff8"),
+        (long_beach_surrogate,
+         "aa23073f8ecd5679b1bc096efa4e107bee46e259c0ecdade08702108dbbef592"),
+    ])
+    def test_points_are_pinned_python_floats(self, generator, expected):
+        """Every coordinate, bit for bit, as tuples of Python floats."""
+        import hashlib
+
+        data = generator(1000, seed=12)
+        assert all(type(p) is tuple and len(p) == 2 for p in data)
+        assert all(type(c) is float for p in data for c in p)
+        assert hashlib.sha256(
+            repr([c.hex() for p in data for c in p]).encode()
+        ).hexdigest() == expected
+
     def test_deterministic(self):
         assert california_places_surrogate(500, seed=1) == (
             california_places_surrogate(500, seed=1)
