@@ -51,12 +51,13 @@ class BBSS(SearchAlgorithm):
     def _visit(self, node: Node, neighbors: NeighborList):
         """Recursive DFS over *node*, yielding one fetch per child visited."""
         if node.is_leaf:
-            offer_leaf(self.query, node, neighbors)
+            offer_leaf(self.query, [node], neighbors)
             return
 
         # Build the Active Branch List ordered by ascending Dmin; the
-        # whole node is scored in one batch over its cached bounds.
-        scan = scan_children(self.query, node, want_dmm=True)
+        # node is scored as a round of one, in one batch over its
+        # cached bounds.
+        scan = scan_children(self.query, [node], want_dmm=True)
         branches = sorted(
             (dmin_sq, dmm_sq, ref.page_id)
             for dmin_sq, dmm_sq, ref in zip(scan.dmin_sq, scan.dmm_sq, scan.refs)

@@ -24,7 +24,7 @@ NORMAL, TERMINATE) appear here as the phases of the main loop.
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.core.protocol import (
     SearchCoroutine,
 )
 from repro.core.results import NeighborList
-from repro.core.scan import gathered_counts, offer_leaf, scan_children
+from repro.core.scan import offer_leaf, scan_children
 from repro.core.stack import Candidate, CandidateStack
 from repro.core.threshold import threshold_distance_sq
 from repro.rtree.node import Node
@@ -81,40 +81,22 @@ class CRSS(SearchAlgorithm):
         pending = {root_page_id: 0.0}
         while batch:
             fetched: Mapping[int, Node] = yield FetchRequest(batch)
-            leaves_in_batch = False
+            leaves, internal = self.split_round(batch, fetched, pending)
+            # UPDATE mode: new data objects refine the k-th best.
+            offer_leaf(self.query, leaves, neighbors)
+            leaves_in_batch = bool(leaves)
+            reached_leaves = reached_leaves or leaves_in_batch
 
-            # Split the fetched pages into data and branch information.
-            # Each internal node is scored in one batch scan: Dmin and
-            # Dmm always (the reduction criterion), Dmax only while no
-            # leaf has been reached (Lemma 1 is moot afterwards).  When
-            # the frontier reaches the threshold computation below, no
-            # leaf was in this batch, so every scan carried Dmax and the
-            # lists are fully aligned.
-            frontier: List[ChildRef] = []
-            fr_dmin_sq: List[float] = []
-            fr_dmm_sq: List[float] = []
-            fr_dmax_sq: List[float] = []
-            fr_counts: List[np.ndarray] = []
-            for page_id in batch:
-                node = fetched.get(page_id)
-                if node is None:
-                    self.note_unreachable(pending[page_id])
-                elif node.is_leaf:
-                    # UPDATE mode: new data objects refine the k-th best.
-                    offer_leaf(self.query, node, neighbors)
-                    reached_leaves = True
-                    leaves_in_batch = True
-                elif node.entries:
-                    scan = scan_children(
-                        self.query, node,
-                        want_dmm=True, want_dmax=not reached_leaves,
-                    )
-                    frontier.extend(scan.refs)
-                    fr_dmin_sq.extend(scan.dmin_sq)
-                    fr_dmm_sq.extend(scan.dmm_sq)
-                    if scan.dmax_sq is not None:
-                        fr_dmax_sq.extend(scan.dmax_sq)
-                        fr_counts.append(scan.counts)
+            # The round's internal nodes are scored in one scan: Dmin
+            # and Dmm always (the reduction criterion), Dmax only while
+            # no leaf has been reached, before or in this round — Lemma
+            # 1 is evaluated only then, so skipping Dmax otherwise
+            # cannot change an answer.
+            scan = scan_children(
+                self.query, internal,
+                want_dmm=True, want_dmax=not reached_leaves,
+            )
+            frontier = scan.refs
 
             if not reached_leaves:
                 # ADAPTIVE mode: tighten D_th from Lemma 1.  Only safe to
@@ -122,8 +104,8 @@ class CRSS(SearchAlgorithm):
                 # otherwise answers may hide in stacked candidates beyond
                 # the frontier's reach.
                 threshold = threshold_distance_sq(
-                    self.query, frontier, self.k, dmax_sq=fr_dmax_sq,
-                    counts=gathered_counts(fr_counts),
+                    self.query, frontier, self.k, dmax_sq=scan.dmax_sq,
+                    counts=scan.counts,
                 )
                 lower_bound = 1
                 if threshold.guaranteed:
@@ -150,7 +132,7 @@ class CRSS(SearchAlgorithm):
                 explain.threshold(dth_sq, neighbors.kth_distance_sq())
 
             active, saved = self._reduce(
-                frontier, fr_dmin_sq, fr_dmm_sq, radius_sq, lower_bound,
+                frontier, scan.dmin_sq, scan.dmm_sq, radius_sq, lower_bound,
                 prune_reason,
             )
             stack.push_run(saved)

@@ -12,18 +12,15 @@ control over the number of fetched nodes.
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, Optional
-
-import numpy as np
+from typing import Mapping
 
 from repro.core.protocol import (
-    ChildRef,
     FetchRequest,
     SearchAlgorithm,
     SearchCoroutine,
 )
 from repro.core.results import NeighborList
-from repro.core.scan import gathered_counts, offer_leaf, scan_children
+from repro.core.scan import ChildScan, offer_leaf, scan_children
 from repro.core.threshold import threshold_distance_sq
 from repro.rtree.node import Node
 
@@ -41,28 +38,12 @@ class FPSS(SearchAlgorithm):
         pending = {root_page_id: 0.0}
         while batch:
             fetched: Mapping[int, Node] = yield FetchRequest(batch)
-            # Per fetched node, one batch scan yields both the Dmin used
-            # for the intersection filter and the Dmax Lemma 1 needs.
-            frontier: List[ChildRef] = []
-            dmin_sq: List[float] = []
-            dmax_sq: List[float] = []
-            count_chunks: List[np.ndarray] = []
-            for page_id in batch:
-                node = fetched.get(page_id)
-                if node is None:
-                    self.note_unreachable(pending[page_id])
-                elif node.is_leaf:
-                    offer_leaf(self.query, node, neighbors)
-                elif node.entries:
-                    scan = scan_children(self.query, node, want_dmax=True)
-                    frontier.extend(scan.refs)
-                    dmin_sq.extend(scan.dmin_sq)
-                    dmax_sq.extend(scan.dmax_sq)
-                    count_chunks.append(scan.counts)
-            pending = self._activate(
-                frontier, dmin_sq, dmax_sq, neighbors,
-                counts=gathered_counts(count_chunks),
-            )
+            leaves, internal = self.split_round(batch, fetched, pending)
+            offer_leaf(self.query, leaves, neighbors)
+            # One round scan yields both the Dmin used for the
+            # intersection filter and the Dmax Lemma 1 needs.
+            scan = scan_children(self.query, internal, want_dmax=True)
+            pending = self._activate(scan, neighbors)
             batch = list(pending)
         if self.explain is not None:
             # Terminal sample: the leaf scans ran after the last
@@ -71,24 +52,21 @@ class FPSS(SearchAlgorithm):
         return neighbors.as_sorted()
 
     def _activate(
-        self,
-        frontier: List[ChildRef],
-        dmin_sq: List[float],
-        dmax_sq: List[float],
-        neighbors: NeighborList,
-        counts: Optional[np.ndarray] = None,
+        self, scan: ChildScan, neighbors: NeighborList
     ) -> Mapping[int, float]:
-        """Every frontier branch that intersects the current query sphere.
+        """Every branch of the round's *scan* that intersects the query sphere.
 
         The sphere radius is the tighter of the Lemma 1 threshold over the
         frontier and the k-th best actual distance seen so far.  Returns
         the surviving pages with their Dmin lower bounds (used as the
         degraded-mode certificate should a page never arrive).
         """
+        frontier, dmin_sq = scan.refs, scan.dmin_sq
         if not frontier:
             return {}
         dth_sq = threshold_distance_sq(
-            self.query, frontier, self.k, dmax_sq=dmax_sq, counts=counts
+            self.query, frontier, self.k, dmax_sq=scan.dmax_sq,
+            counts=scan.counts,
         ).dth_sq
         kth_sq = neighbors.kth_distance_sq()
         radius_sq = min(dth_sq, kth_sq)

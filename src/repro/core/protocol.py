@@ -138,6 +138,30 @@ class SearchAlgorithm:
         """
         self._unreachable_dmin_sq.append(max(0.0, dmin_sq))
 
+    def split_round(
+        self,
+        batch: Sequence[int],
+        fetched: Mapping[int, Optional[Node]],
+        pending: Mapping[int, float],
+    ) -> Tuple[List[Node], List[Node]]:
+        """A fetch round's ``(leaves, internal nodes)``, each in batch order.
+
+        Pages that never arrived are recorded via
+        :meth:`note_unreachable` with their ``Dmin`` bound from
+        *pending*.
+        """
+        leaves: List[Node] = []
+        internal: List[Node] = []
+        for page_id in batch:
+            node = fetched.get(page_id)
+            if node is None:
+                self.note_unreachable(pending[page_id])
+            elif node.is_leaf:
+                leaves.append(node)
+            else:
+                internal.append(node)
+        return leaves, internal
+
     @property
     def unreachable_pages(self) -> int:
         """Subtrees skipped because their page never arrived."""

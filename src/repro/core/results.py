@@ -12,6 +12,8 @@ import heapq
 import math
 from typing import List, NamedTuple, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point, squared_euclidean
 
 
@@ -93,11 +95,11 @@ class NeighborList:
             self.offer(point, oid)
 
     def offer_block(self, dist_sq, oids, points) -> None:
-        """Consider a whole leaf's objects from packed arrays.
+        """Consider a block of objects (a round's leaves) from packed arrays.
 
         :param dist_sq: squared distances (array or list) aligned with
             *oids*, as produced by the batch point kernel.
-        :param oids: the leaf's object ids (array or list).
+        :param oids: the objects' ids (array or list).
         :param points: ``(n, dims)`` point matrix, row-aligned.
 
         Admits exactly the objects :meth:`offer_computed` would, but the
@@ -105,13 +107,20 @@ class NeighborList:
         candidates that actually enter the heap.  That is sound because
         heap items compare on ``(-dist_sq, -oid)`` first and oids are
         globally unique, so the point element never decides an ordering.
+        Once the list is full, the whole block is first compared with
+        the k-th distance at block start: that distance only shrinks,
+        so a candidate beyond it would never be admitted by the loop.
         """
         heap = self._heap
         k = self.k
-        dist_list = (
-            dist_sq.tolist() if hasattr(dist_sq, "tolist") else list(dist_sq)
-        )
-        oid_list = oids.tolist() if hasattr(oids, "tolist") else list(oids)
+        dist_sq = np.asarray(dist_sq, dtype=np.float64)
+        oids = np.asarray(oids, dtype=np.int64)
+        points = np.asarray(points, dtype=np.float64)
+        if len(heap) >= k:
+            keep = np.flatnonzero(dist_sq <= -heap[0][0])
+            dist_sq, oids, points = dist_sq[keep], oids[keep], points[keep]
+        dist_list = dist_sq.tolist()
+        oid_list = oids.tolist()
         for i, (dist, oid) in enumerate(zip(dist_list, oid_list)):
             if len(heap) < k:
                 heapq.heappush(

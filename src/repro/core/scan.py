@@ -1,22 +1,29 @@
-"""Batched node scans — the hot path of every search algorithm.
+"""Batched round scans — the hot path of every search algorithm.
 
-All four algorithms do the same two things with a fetched page: score
-every child MBR of an internal node (``Dmin`` / ``Dmm`` / ``Dmax``), or
-score every data point of a leaf against the running neighbor list.
-This module performs both as single batch operations over the node's
-cached corner matrices (:meth:`repro.rtree.node.Node.entry_bounds`),
-on the vectorized kernels of :mod:`repro.perf.kernels`.
+All four algorithms do the same two things with the pages of a fetch
+round: score every child MBR of its internal nodes (``Dmin`` / ``Dmm`` /
+``Dmax``), and score every data point of its leaves against the running
+neighbor list.  The unit of work here is the round, not the node: FPSS
+and WOPTSS hand over every node of a level at once, CRSS up to
+``NumOfDisks`` of them, BBSS a round of one.  Each metric is one call of
+a :mod:`repro.perf.kernels` kernel over the round's concatenated corner
+matrices (:meth:`repro.rtree.node.Node.entry_bounds`), and the results
+come back already concatenated in round order — exactly what scanning
+node by node and joining the lists would give.
 
 Flat nodes (:class:`repro.rtree.flat.FlatNode`) take the fastest path:
 their child-reference lists are cached across scans, their corner
-matrices are zero-copy slices of the frozen per-level arrays, and leaf
-offers go through :meth:`~repro.core.results.NeighborList.offer_block`
-over the packed oid/point slices — no per-entry Python objects at all.
+matrices are zero-copy slices of the frozen per-level arrays (a round's
+children are a gather of contiguous level slices), and a round's leaves
+are offered through one
+:meth:`~repro.core.results.NeighborList.offer_block` over their gathered
+oid/point slices — no per-entry Python objects at all.
 
 Nodes without corner matrices — sphere-bounded SS-tree nodes, SR-tree
 composites, TV-tree reduced regions — are scored region by region
-through :func:`~repro.core.regions.batch_region_distances`, so the
-algorithms above this module never need to know the node type.
+through :func:`~repro.core.regions.batch_region_distances`, fed the
+round's regions, so the algorithms above this module never need to know
+the node type.
 """
 
 from __future__ import annotations
@@ -39,15 +46,16 @@ _VECTOR_KERNELS = {
 
 
 class ChildScan(NamedTuple):
-    """Per-entry distances for one internal node's branches.
+    """Per-entry distances for the branches of one round's internal nodes.
 
-    Each distance field is a list aligned with :attr:`refs`, or ``None``
-    when the metric was not requested.  :attr:`counts` carries the
-    subtree object counts as an int64 array (aligned with :attr:`refs`)
-    whenever ``Dmax`` was requested — the Lemma 1 consumers feed it to
+    :attr:`refs` holds every branch of the scanned nodes, node after
+    node in round order, and each distance field is a list aligned with
+    it, or ``None`` when the metric was not requested.  :attr:`counts`
+    carries the subtree object counts as an int64 array (aligned with
+    :attr:`refs`) whenever ``Dmax`` was requested — the Lemma 1
+    consumers feed it to
     :func:`~repro.core.threshold.threshold_distance_sq`, saving the
-    per-entry count gather there.  For flat nodes it is a zero-copy
-    slice of the frozen count array.
+    per-entry count gather there.
     """
 
     refs: List[ChildRef]
@@ -63,20 +71,31 @@ def _node_bounds(node):
     return getter() if getter is not None else None
 
 
+def _gather(chunks: List[np.ndarray]) -> np.ndarray:
+    """Row-concatenate per-node arrays; a lone chunk is passed through."""
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
 def scan_children(
     query: Sequence[float],
-    node,
+    nodes: Sequence,
     *,
     want_dmm: bool = False,
     want_dmax: bool = False,
 ) -> ChildScan:
-    """Score every child branch of internal *node* in one batch.
+    """Score every child branch of a round's internal *nodes* at once.
 
     ``Dmin`` is always computed (every algorithm needs it); ``Dmm`` and
-    ``Dmax`` on request.  The result lists contain plain Python floats.
+    ``Dmax`` on request — one kernel call per metric over the nodes'
+    concatenated corner matrices.  The result lists contain plain
+    Python floats, identical to scanning the nodes one by one and
+    concatenating.
     """
-    refs_getter = getattr(node, "child_refs", None)
-    refs = refs_getter() if refs_getter is not None else child_refs(node)
+    nodes = [node for node in nodes if node.entries]
+    refs: List[ChildRef] = []
+    for node in nodes:
+        getter = getattr(node, "child_refs", None)
+        refs.extend(getter() if getter is not None else child_refs(node))
     if not refs:
         return ChildScan(refs, [], [] if want_dmm else None,
                          [] if want_dmax else None,
@@ -86,12 +105,13 @@ def scan_children(
         metrics.append("dmm")
     if want_dmax:
         metrics.append("dmax")
-    bounds = _node_bounds(node)
-    if bounds is not None:
+    bounds = [_node_bounds(node) for node in nodes]
+    if all(b is not None for b in bounds):
         # Pre-flattened corner matrices: call the kernels directly,
         # skipping both the per-scan region-list build and the shape
         # dispatch of batch_region_distances.
-        lows, highs = bounds
+        lows = _gather([b[0] for b in bounds])
+        highs = _gather([b[1] for b in bounds])
         results = [
             _VECTOR_KERNELS[m](query, lows, highs).tolist() for m in metrics
         ]
@@ -101,14 +121,12 @@ def scan_children(
         )
     counts: Optional[np.ndarray] = None
     if want_dmax:
-        counts_getter = getattr(node, "child_counts", None)
-        counts = (
-            counts_getter()
-            if counts_getter is not None
-            else np.fromiter(
+        if all(hasattr(node, "child_counts") for node in nodes):
+            counts = _gather([node.child_counts() for node in nodes])
+        else:
+            counts = np.fromiter(
                 (ref.count for ref in refs), dtype=np.int64, count=len(refs)
             )
-        )
     by_metric = dict(zip(metrics, results))
     return ChildScan(
         refs,
@@ -119,48 +137,43 @@ def scan_children(
     )
 
 
-def gathered_counts(chunks: List[np.ndarray]) -> Optional[np.ndarray]:
-    """Concatenate the per-scan count arrays of one fetch batch.
-
-    The Lemma 1 consumers accumulate :attr:`ChildScan.counts` across a
-    fetch batch and pass the concatenation to
-    :func:`~repro.core.threshold.threshold_distance_sq`, which rejects
-    a result that does not line up with the frontier.  ``None`` for an
-    empty frontier.
-    """
-    if not chunks:
-        return None
-    if len(chunks) == 1:
-        return chunks[0]
-    return np.concatenate(chunks)
-
-
 def offer_leaf(
-    query: Sequence[float], node, neighbors: NeighborList
+    query: Sequence[float], nodes: Sequence, neighbors: NeighborList
 ) -> None:
-    """Offer every data object of leaf *node* to *neighbors*.
+    """Offer every data object of a round's leaf *nodes* to *neighbors*.
 
-    All squared distances come from one kernel call over the leaf's
-    cached point matrix (the low corners of its degenerate MBRs).  Flat
-    leaves then feed the packed oid/point slices straight to the
-    neighbor list's block offer; pointer leaves offer entry by entry.
-    Leaves without a point matrix (the extension access methods) take
-    the neighbor list's own per-entry distance loop.  All three admit
-    exactly the same objects.
+    Frozen leaves are offered together: one kernel call over their
+    gathered point slices, then one
+    :meth:`~repro.core.results.NeighborList.offer_block` over the
+    gathered oids.  Pointer leaves score their cached point matrix (the
+    low corners of their degenerate MBRs) in one kernel call each and
+    offer entry by entry; leaves without a point matrix (the extension
+    access methods) take the neighbor list's own per-entry distance
+    loop.  The neighbor list keeps the k best under a total order on
+    ``(distance, oid)``, so the order of offers within a round does not
+    change what it holds afterwards.
     """
-    if not node.entries:
-        return
-    bounds = _node_bounds(node)
-    if bounds is not None:
-        distances = kernels.batch_point_distance_sq(query, bounds[0])
+    frozen = []
+    for node in nodes:
+        if not node.entries:
+            continue
         leaf_data = getattr(node, "leaf_data", None)
         if leaf_data is not None:
-            oids, points = leaf_data
-            neighbors.offer_block(distances, oids, points)
-            return
-        for entry, dist_sq in zip(node.entries, distances.tolist()):
-            neighbors.offer_computed(dist_sq, entry.point, entry.oid)
-        return
-    entries = leaf_points(node)
-    neighbors.offer_many(entries)
-    kernels.record_kernel_use("pointdist", "scalar", len(entries))
+            frozen.append(leaf_data)
+            continue
+        bounds = _node_bounds(node)
+        if bounds is not None:
+            distances = kernels.batch_point_distance_sq(query, bounds[0])
+            for entry, dist_sq in zip(node.entries, distances.tolist()):
+                neighbors.offer_computed(dist_sq, entry.point, entry.oid)
+            continue
+        entries = leaf_points(node)
+        neighbors.offer_many(entries)
+        kernels.record_kernel_use("pointdist", "scalar", len(entries))
+    if frozen:
+        points = _gather([p for _, p in frozen])
+        neighbors.offer_block(
+            kernels.batch_point_distance_sq(query, points),
+            _gather([o for o, _ in frozen]),
+            points,
+        )

@@ -16,7 +16,7 @@ and exposes the maximum parallelism that node set admits.
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.distances import squared_radius
 from repro.core.protocol import (
@@ -36,8 +36,8 @@ class WOPTSS(SearchAlgorithm):
     :param k: neighbors requested.
     :param num_disks: accepted for interface uniformity (unused).
     :param oracle_dk: the exact distance to the k-th nearest neighbor,
-        obtained out-of-band (e.g. from
-        :func:`repro.rtree.query.kth_nearest_distance`).
+        obtained out-of-band (e.g. from the tree's
+        ``kth_nearest_distance``).
     """
 
     name = "WOPTSS"
@@ -67,26 +67,19 @@ class WOPTSS(SearchAlgorithm):
         pending = {root_page_id: 0.0}
         while batch:
             fetched: Mapping[int, Node] = yield FetchRequest(batch)
-            next_pending: dict = {}
-            for page_id in batch:
-                node = fetched.get(page_id)
-                if node is None:
-                    self.note_unreachable(pending[page_id])
-                elif node.is_leaf:
-                    offer_leaf(self.query, node, neighbors)
-                else:
-                    scan = scan_children(self.query, node)
-                    if explain is not None:
-                        for ref, d in zip(scan.refs, scan.dmin_sq):
-                            if d > radius_sq:
-                                explain.prune(ref.page_id, "oracle")
-                    next_pending.update(
-                        (ref.page_id, d)
-                        for ref, d in zip(scan.refs, scan.dmin_sq)
-                        if d <= radius_sq
-                    )
+            leaves, internal = self.split_round(batch, fetched, pending)
+            offer_leaf(self.query, leaves, neighbors)
+            scan = scan_children(self.query, internal)
+            if explain is not None:
+                for ref, d in zip(scan.refs, scan.dmin_sq):
+                    if d > radius_sq:
+                        explain.prune(ref.page_id, "oracle")
+            pending = {
+                ref.page_id: d
+                for ref, d in zip(scan.refs, scan.dmin_sq)
+                if d <= radius_sq
+            }
             if explain is not None:
                 explain.threshold(radius_sq, neighbors.kth_distance_sq())
-            pending = next_pending
             batch = list(pending)
         return neighbors.as_sorted()

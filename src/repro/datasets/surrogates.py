@@ -23,6 +23,7 @@ from typing import List
 
 import numpy as np
 
+from repro.datasets.synthetic import _as_points
 from repro.geometry.point import Point
 
 #: Population of the original California Places set (paper Appendix I).
@@ -30,10 +31,6 @@ CP_POPULATION = 62_173
 
 #: Population of the original Long Beach set (paper Appendix I).
 LB_POPULATION = 53_145
-
-
-def _as_points(array: np.ndarray) -> List[Point]:
-    return [tuple(float(c) for c in row) for row in array]
 
 
 def california_places_surrogate(

@@ -231,17 +231,18 @@ def run_microbench(
 def _whole_tree_scan(query, nodes) -> None:
     """One sweep of the search hot path over every node of a tree.
 
-    Internal nodes get the full three-metric batch scan, leaves feed a
-    running neighbor list — the exact per-page work the four algorithms
-    do, minus traversal logic, so the pointer/flat difference isolates
-    the storage layout.
+    Each node is scanned as a round of one (as BBSS does): internal
+    nodes get the full three-metric batch scan, leaves feed a running
+    neighbor list — the per-page work of the four algorithms minus
+    traversal logic and round batching, so the pointer/flat difference
+    isolates the storage layout.
     """
     neighbors = NeighborList(query, _K)
     for node in nodes:
         if node.is_leaf:
-            offer_leaf(query, node, neighbors)
-        elif node.entries:
-            scan_children(query, node, want_dmm=True, want_dmax=True)
+            offer_leaf(query, [node], neighbors)
+        else:
+            scan_children(query, [node], want_dmm=True, want_dmax=True)
 
 
 def _layout_microbench_case(

@@ -13,10 +13,14 @@ algorithms run on the kernels alone and the differential tests compare
 the two with ``==``, not with a tolerance.  IEEE-754 addition is not
 associative, so the kernels may not use :func:`numpy.sum` over the axis
 dimension (numpy's pairwise summation reassociates terms).  Instead
-they loop over the *dims* axis — small, 2–30 — accumulating exactly
-like the scalar loops do, while vectorizing over the *entries* axis
-where the real work is.  Per-element operations (``+`` ``-`` ``*``
-``abs`` ``min`` ``max``) are correctly rounded in both numpy and
+each kernel computes its ``(n, dims)`` per-element terms in one
+broadcast over all *n* rows — a node, or a whole fetch round — and then
+folds the columns strictly left to right from axis 0 (:func:`_fold`),
+the order of the scalar loops.  Those loops start from ``0.0``; the
+fold starts from the first column itself, which is the same float
+because every term is a square and a square is never ``-0.0``, so
+``0.0 + x == x`` bit for bit.  Per-element operations (``+`` ``-``
+``*`` ``abs`` ``min`` ``max``) are correctly rounded in both numpy and
 CPython, so equal operand order implies equal results.
 
 The module also owns one piece of global plumbing: an optional
@@ -109,6 +113,14 @@ def _as_matrices(
     return query, low_m, high_m
 
 
+def _fold(op: np.ufunc, sides: np.ndarray) -> np.ndarray:
+    """Reduce the *leading* axis with *op*, strictly in axis order."""
+    result = sides[0]
+    for axis in range(1, sides.shape[0]):
+        result = op(result, sides[axis])
+    return result
+
+
 def batch_minimum_distance_sq(point, lows, highs) -> np.ndarray:
     """Squared ``Dmin`` from *point* to each of *n* MBRs, all at once.
 
@@ -116,15 +128,12 @@ def batch_minimum_distance_sq(point, lows, highs) -> np.ndarray:
     :func:`repro.core.distances.minimum_distance_sq`.
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
-    total = np.zeros(low_m.shape[0], dtype=np.float64)
-    for axis in range(low_m.shape[1]):
-        p = query[axis]
-        lo = low_m[:, axis]
-        hi = high_m[:, axis]
-        gap = np.where(p < lo, lo - p, np.where(p > hi, p - hi, 0.0))
-        total += gap * gap
+    gap = np.where(
+        query < low_m, low_m - query,
+        np.where(query > high_m, query - high_m, 0.0),
+    )
     record_kernel_use("dmin", "vector", low_m.shape[0])
-    return total
+    return _fold(np.add, (gap * gap).T)
 
 
 def batch_maximum_distance_sq(point, lows, highs) -> np.ndarray:
@@ -134,13 +143,9 @@ def batch_maximum_distance_sq(point, lows, highs) -> np.ndarray:
     :func:`repro.core.distances.maximum_distance_sq`.
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
-    total = np.zeros(low_m.shape[0], dtype=np.float64)
-    for axis in range(low_m.shape[1]):
-        p = query[axis]
-        far = np.maximum(np.abs(p - low_m[:, axis]), np.abs(high_m[:, axis] - p))
-        total += far * far
+    far = np.maximum(np.abs(query - low_m), np.abs(high_m - query))
     record_kernel_use("dmax", "vector", low_m.shape[0])
-    return total
+    return _fold(np.add, (far * far).T)
 
 
 def batch_minmax_distance_sq(point, lows, highs) -> np.ndarray:
@@ -148,30 +153,20 @@ def batch_minmax_distance_sq(point, lows, highs) -> np.ndarray:
 
     Exact batch twin of
     :func:`repro.core.distances.minmax_distance_sq`: the per-axis
-    near/far edge squared distances are materialized as ``(n, dims)``
-    columns, ``far_total`` is accumulated axis by axis in scalar order,
-    and the minimum over the per-axis guarantees is taken last (min is
+    near/far edge squared distances are ``(n, dims)`` matrices,
+    ``far_total`` is their column fold in scalar order, and the minimum
+    over the per-axis guarantees is taken last (min is
     order-insensitive, so ``numpy.min`` over the axis is safe).
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
-    n, dims = low_m.shape
-    near_sq = np.empty((n, dims), dtype=np.float64)
-    far_sq = np.empty((n, dims), dtype=np.float64)
-    far_total = np.zeros(n, dtype=np.float64)
-    for axis in range(dims):
-        p = query[axis]
-        lo = low_m[:, axis]
-        hi = high_m[:, axis]
-        mid = (lo + hi) / 2.0
-        near_edge = np.where(p <= mid, lo, hi)
-        far_edge = np.where(p >= mid, lo, hi)
-        near_gap = p - near_edge
-        far_gap = p - far_edge
-        near_sq[:, axis] = near_gap * near_gap
-        far_sq[:, axis] = far_gap * far_gap
-        far_total += far_sq[:, axis]
+    mid = (low_m + high_m) / 2.0
+    near_gap = query - np.where(query <= mid, low_m, high_m)
+    far_gap = query - np.where(query >= mid, low_m, high_m)
+    near_sq = near_gap * near_gap
+    far_sq = far_gap * far_gap
+    far_total = _fold(np.add, far_sq.T)
     candidates = far_total[:, None] - far_sq + near_sq
-    record_kernel_use("dmm", "vector", n)
+    record_kernel_use("dmm", "vector", low_m.shape[0])
     return candidates.min(axis=1)
 
 
@@ -194,12 +189,9 @@ def batch_point_distance_sq(point, points) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {query.shape[0]} vs {matrix.shape[1]}"
         )
-    total = np.zeros(matrix.shape[0], dtype=np.float64)
-    for axis in range(matrix.shape[1]):
-        diff = query[axis] - matrix[:, axis]
-        total += diff * diff
+    diff = query - matrix
     record_kernel_use("pointdist", "vector", matrix.shape[0])
-    return total
+    return _fold(np.add, (diff * diff).T)
 
 
 # -- build-path kernels ----------------------------------------------------
@@ -215,14 +207,6 @@ def batch_point_distance_sq(point, points) -> np.ndarray:
 # differ from the scalar conditional in the sign of a zero only, which
 # no comparison of the scores can observe; the scores decide, they are
 # never stored.
-
-
-def _fold(op: np.ufunc, sides: np.ndarray) -> np.ndarray:
-    """Reduce the *leading* axis with *op*, strictly in axis order."""
-    result = sides[0]
-    for axis in range(1, sides.shape[0]):
-        result = op(result, sides[axis])
-    return result
 
 
 def batch_enlargement(low, high, lows, highs) -> "tuple[np.ndarray, np.ndarray]":

@@ -41,6 +41,7 @@ is the way back to a tree that takes inserts and deletes.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -48,6 +49,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.rect import Rect
+from repro.perf import kernels
 from repro.rtree.node import LeafEntry, Node
 from repro.rtree.tree import RStarTree
 
@@ -567,10 +569,52 @@ class FrozenParallelTree:
         return knn(self.tree, tuple(point), k)
 
     def kth_nearest_distance(self, point: Sequence[float], k: int) -> float:
-        """Oracle distance ``D_k`` — what WOPTSS assumes known."""
-        from repro.rtree.query import kth_nearest_distance
+        """Oracle distance ``D_k`` — what WOPTSS assumes known.
 
-        return kth_nearest_distance(self.tree, tuple(point), k)
+        Computed on the leaf level's arrays, bit-identical to
+        :func:`repro.rtree.query.kth_nearest_distance`: leaves sorted
+        (stably) by ``Dmin``, the k-th smallest point distance over the
+        shortest prefix holding ``min(k, size)`` objects bounds the
+        answer, and the k-th smallest over that prefix plus every leaf
+        with ``Dmin`` below the bound is ``D_k``².  Exact because a leaf
+        row is the bounding box of its points and IEEE rounding is
+        monotone, so a leaf's ``Dmin`` never exceeds any of its point
+        distances, bit for bit.
+
+        :raises ValueError: if the tree is empty, *k* is not positive or
+            *point* has the wrong dimensionality.
+        """
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
+        flat = self.tree
+        if not flat.size:
+            raise ValueError(
+                "k-th nearest distance is undefined on an empty tree"
+            )
+        dmin = kernels.batch_minimum_distance_sq(
+            point, flat.level_lows[0], flat.level_highs[0]
+        )
+        order = np.argsort(dmin, kind="stable")
+        starts = flat.level_entry_offsets[0][order]
+        lengths = flat.level_entry_counts[0][order]
+        rank = min(k, flat.size) - 1
+        prefix = int(np.searchsorted(np.cumsum(lengths), rank + 1)) + 1
+
+        def distances(begin: int, stop: int) -> np.ndarray:
+            """Squared point distances of sorted leaves ``begin:stop``."""
+            counts = lengths[begin:stop]
+            ends = np.cumsum(counts)
+            rows = np.arange(ends[-1]) + np.repeat(
+                starts[begin:stop] - ends + counts, counts
+            )
+            return kernels.batch_point_distance_sq(point, flat.points[rows])
+
+        dist = distances(0, prefix)
+        bound = np.partition(dist, rank)[rank]
+        stop = int(np.searchsorted(dmin[order], bound, side="left"))
+        if stop > prefix:
+            dist = np.concatenate((dist, distances(prefix, stop)))
+        return math.sqrt(float(np.partition(dist, rank)[rank]))
 
     def optimal_page_set(self, point: Sequence[float], k: int):
         """Page ids a weak-optimal search would fetch (Definition 6)."""

@@ -1,19 +1,36 @@
-"""The scalar Lemma 1 and CRSS reduction loops, kept as the oracle.
+"""The read side's replaced loops, kept as the oracle.
 
-These are the loops ``repro.core.threshold`` and ``repro.core.crss`` ran
-behind the ``use_vectorized(False)`` switch before the array forms
-became the only query path — moved here verbatim (the method became a
-function taking ``max_active`` and ``explain``, nothing else changed).
-The differential tests require the array forms to return the same
-threshold, the same active and saved runs in the same order, and to
-report the same prunes in the same order, always.
+* The scalar Lemma 1 and CRSS reduction loops ``repro.core.threshold``
+  and ``repro.core.crss`` ran behind the ``use_vectorized(False)``
+  switch before the array forms became the only query path — moved
+  here verbatim (the method became a function taking ``max_active`` and
+  ``explain``, nothing else changed).  The differential tests require
+  the array forms to return the same threshold, the same active and
+  saved runs in the same order, and to report the same prunes in the
+  same order, always.
+* The per-axis distance kernels, the per-node scans and the unfiltered
+  ``NeighborList.offer_block`` loop that ``repro.perf.kernels``,
+  ``repro.core.scan`` and ``repro.core.results`` ran before a scan's
+  unit became the fetch round — moved here verbatim, except that the
+  kernels' names lost their ``batch_`` prefix and the method became a
+  function taking the neighbor list, which the per-node leaf scan
+  calls.  The round scans must return the concatenation of the
+  per-node scans, the broadcast kernels the loops' floats, and the
+  filtered block offer the loop's heap.
 """
 
-from typing import List, Sequence, Tuple
+import heapq
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.protocol import ChildRef
+import numpy as np
+
+from repro.core.protocol import ChildRef, child_refs, leaf_points
+from repro.core.regions import batch_region_distances
+from repro.core.results import NeighborList
 from repro.core.stack import Candidate
 from repro.core.threshold import Threshold
+from repro.perf import kernels
+from repro.perf.kernels import _as_matrices, record_kernel_use
 
 
 def threshold_distance_sq(
@@ -71,3 +88,249 @@ def reduce_candidates(
         active.extend(saved[:promote])
         saved = saved[promote:]
     return active, saved
+
+
+# -- per-axis kernels ------------------------------------------------------
+
+
+def minimum_distance_sq(point, lows, highs) -> np.ndarray:
+    """Squared ``Dmin`` from *point* to each of *n* MBRs, all at once.
+
+    Exact batch twin of
+    :func:`repro.core.distances.minimum_distance_sq`.
+    """
+    query, low_m, high_m = _as_matrices(point, lows, highs)
+    total = np.zeros(low_m.shape[0], dtype=np.float64)
+    for axis in range(low_m.shape[1]):
+        p = query[axis]
+        lo = low_m[:, axis]
+        hi = high_m[:, axis]
+        gap = np.where(p < lo, lo - p, np.where(p > hi, p - hi, 0.0))
+        total += gap * gap
+    record_kernel_use("dmin", "vector", low_m.shape[0])
+    return total
+
+
+def maximum_distance_sq(point, lows, highs) -> np.ndarray:
+    """Squared ``Dmax`` from *point* to each of *n* MBRs, all at once.
+
+    Exact batch twin of
+    :func:`repro.core.distances.maximum_distance_sq`.
+    """
+    query, low_m, high_m = _as_matrices(point, lows, highs)
+    total = np.zeros(low_m.shape[0], dtype=np.float64)
+    for axis in range(low_m.shape[1]):
+        p = query[axis]
+        far = np.maximum(np.abs(p - low_m[:, axis]), np.abs(high_m[:, axis] - p))
+        total += far * far
+    record_kernel_use("dmax", "vector", low_m.shape[0])
+    return total
+
+
+def minmax_distance_sq(point, lows, highs) -> np.ndarray:
+    """Squared ``Dmm`` (MINMAXDIST) from *point* to each MBR, all at once.
+
+    Exact batch twin of
+    :func:`repro.core.distances.minmax_distance_sq`: the per-axis
+    near/far edge squared distances are materialized as ``(n, dims)``
+    columns, ``far_total`` is accumulated axis by axis in scalar order,
+    and the minimum over the per-axis guarantees is taken last (min is
+    order-insensitive, so ``numpy.min`` over the axis is safe).
+    """
+    query, low_m, high_m = _as_matrices(point, lows, highs)
+    n, dims = low_m.shape
+    near_sq = np.empty((n, dims), dtype=np.float64)
+    far_sq = np.empty((n, dims), dtype=np.float64)
+    far_total = np.zeros(n, dtype=np.float64)
+    for axis in range(dims):
+        p = query[axis]
+        lo = low_m[:, axis]
+        hi = high_m[:, axis]
+        mid = (lo + hi) / 2.0
+        near_edge = np.where(p <= mid, lo, hi)
+        far_edge = np.where(p >= mid, lo, hi)
+        near_gap = p - near_edge
+        far_gap = p - far_edge
+        near_sq[:, axis] = near_gap * near_gap
+        far_sq[:, axis] = far_gap * far_gap
+        far_total += far_sq[:, axis]
+    candidates = far_total[:, None] - far_sq + near_sq
+    record_kernel_use("dmm", "vector", n)
+    return candidates.min(axis=1)
+
+
+def point_distance_sq(point, points) -> np.ndarray:
+    """Squared Euclidean distance from *point* to each row of *points*.
+
+    Exact batch twin of
+    :func:`repro.geometry.point.squared_euclidean` — this is the leaf
+    scan kernel, where ``points`` is the cached low-corner matrix of a
+    leaf node (degenerate MBRs: low == high == the data point).
+    """
+    query = np.asarray(point, dtype=np.float64)
+    matrix = np.asarray(points, dtype=np.float64)
+    if query.ndim != 1 or matrix.ndim != 2:
+        raise ValueError(
+            f"expected a point and an (n, dims) matrix, got shapes "
+            f"{query.shape}, {matrix.shape}"
+        )
+    if query.shape[0] != matrix.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: {query.shape[0]} vs {matrix.shape[1]}"
+        )
+    total = np.zeros(matrix.shape[0], dtype=np.float64)
+    for axis in range(matrix.shape[1]):
+        diff = query[axis] - matrix[:, axis]
+        total += diff * diff
+    record_kernel_use("pointdist", "vector", matrix.shape[0])
+    return total
+
+
+# -- per-node scans --------------------------------------------------------
+
+#: metric name -> batch kernel, for the pre-flattened bounds fast path.
+_VECTOR_KERNELS = {
+    "dmin": kernels.batch_minimum_distance_sq,
+    "dmm": kernels.batch_minmax_distance_sq,
+    "dmax": kernels.batch_maximum_distance_sq,
+}
+
+
+class ChildScan(NamedTuple):
+    """Per-entry distances for one internal node's branches."""
+
+    refs: List[ChildRef]
+    dmin_sq: Optional[List[float]]
+    dmm_sq: Optional[List[float]] = None
+    dmax_sq: Optional[List[float]] = None
+    counts: Optional[np.ndarray] = None
+
+
+def _node_bounds(node):
+    """The node's cached corner matrices, or None if unsupported."""
+    getter = getattr(node, "entry_bounds", None)
+    return getter() if getter is not None else None
+
+
+def scan_children(
+    query: Sequence[float],
+    node,
+    *,
+    want_dmm: bool = False,
+    want_dmax: bool = False,
+) -> ChildScan:
+    """Score every child branch of internal *node* in one batch.
+
+    ``Dmin`` is always computed (every algorithm needs it); ``Dmm`` and
+    ``Dmax`` on request.  The result lists contain plain Python floats.
+    """
+    refs_getter = getattr(node, "child_refs", None)
+    refs = refs_getter() if refs_getter is not None else child_refs(node)
+    if not refs:
+        return ChildScan(refs, [], [] if want_dmm else None,
+                         [] if want_dmax else None,
+                         np.empty(0, dtype=np.int64) if want_dmax else None)
+    metrics = ["dmin"]
+    if want_dmm:
+        metrics.append("dmm")
+    if want_dmax:
+        metrics.append("dmax")
+    bounds = _node_bounds(node)
+    if bounds is not None:
+        # Pre-flattened corner matrices: call the kernels directly,
+        # skipping both the per-scan region-list build and the shape
+        # dispatch of batch_region_distances.
+        lows, highs = bounds
+        results = [
+            _VECTOR_KERNELS[m](query, lows, highs).tolist() for m in metrics
+        ]
+    else:
+        results = batch_region_distances(
+            query, [ref.rect for ref in refs], metrics
+        )
+    counts: Optional[np.ndarray] = None
+    if want_dmax:
+        counts_getter = getattr(node, "child_counts", None)
+        counts = (
+            counts_getter()
+            if counts_getter is not None
+            else np.fromiter(
+                (ref.count for ref in refs), dtype=np.int64, count=len(refs)
+            )
+        )
+    by_metric = dict(zip(metrics, results))
+    return ChildScan(
+        refs,
+        by_metric["dmin"],
+        by_metric.get("dmm"),
+        by_metric.get("dmax"),
+        counts,
+    )
+
+
+def gathered_counts(chunks: List[np.ndarray]) -> Optional[np.ndarray]:
+    """Concatenate the per-scan count arrays of one fetch batch.
+
+    The Lemma 1 consumers accumulate :attr:`ChildScan.counts` across a
+    fetch batch and pass the concatenation to
+    :func:`~repro.core.threshold.threshold_distance_sq`, which rejects
+    a result that does not line up with the frontier.  ``None`` for an
+    empty frontier.
+    """
+    if not chunks:
+        return None
+    if len(chunks) == 1:
+        return chunks[0]
+    return np.concatenate(chunks)
+
+
+def offer_leaf(
+    query: Sequence[float], node, neighbors: NeighborList
+) -> None:
+    """Offer every data object of leaf *node* to *neighbors*.
+
+    All squared distances come from one kernel call over the leaf's
+    cached point matrix (the low corners of its degenerate MBRs).  Flat
+    leaves then feed the packed oid/point slices straight to the
+    neighbor list's block offer; pointer leaves offer entry by entry.
+    Leaves without a point matrix (the extension access methods) take
+    the neighbor list's own per-entry distance loop.  All three admit
+    exactly the same objects.
+    """
+    if not node.entries:
+        return
+    bounds = _node_bounds(node)
+    if bounds is not None:
+        distances = kernels.batch_point_distance_sq(query, bounds[0])
+        leaf_data = getattr(node, "leaf_data", None)
+        if leaf_data is not None:
+            oids, points = leaf_data
+            offer_block(neighbors, distances, oids, points)
+            return
+        for entry, dist_sq in zip(node.entries, distances.tolist()):
+            neighbors.offer_computed(dist_sq, entry.point, entry.oid)
+        return
+    entries = leaf_points(node)
+    neighbors.offer_many(entries)
+    kernels.record_kernel_use("pointdist", "scalar", len(entries))
+
+
+def offer_block(neighbors: NeighborList, dist_sq, oids, points) -> None:
+    """``NeighborList.offer_block`` without the block filter."""
+    heap = neighbors._heap
+    k = neighbors.k
+    dist_list = (
+        dist_sq.tolist() if hasattr(dist_sq, "tolist") else list(dist_sq)
+    )
+    oid_list = oids.tolist() if hasattr(oids, "tolist") else list(oids)
+    for i, (dist, oid) in enumerate(zip(dist_list, oid_list)):
+        if len(heap) < k:
+            heapq.heappush(
+                heap, (-dist, -oid, tuple(points[i].tolist()))
+            )
+        else:
+            top = heap[0]
+            if -dist > top[0] or (-dist == top[0] and -oid > top[1]):
+                heapq.heapreplace(
+                    heap, (-dist, -oid, tuple(points[i].tolist()))
+                )

@@ -1,0 +1,182 @@
+"""Round scans and the filtered block offer against the per-node oracle.
+
+``repro.core.scan`` scores a whole fetch round in one kernel call per
+metric, and ``NeighborList.offer_block`` compares a block with the k-th
+distance at block start before its per-candidate loop.  Both replaced
+loops live on in ``tests/core/oracle.py``; these tests require the round
+scan to return byte for byte the concatenation of the per-node scans
+and the block offer to leave the heap the loop leaves.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import scan
+from repro.core.results import NeighborList
+from repro.datasets import uniform
+from repro.parallel import build_parallel_tree
+from repro.rtree import flatten
+from tests.core import oracle
+
+_pointer = build_parallel_tree(
+    uniform(300, 2, seed=21), dims=2, num_disks=4, max_entries=6
+)
+_frozen = flatten(_pointer)
+TREES = {"pointer": _pointer, "frozen": _frozen}
+PAGES = sorted(_pointer.tree.pages)
+INTERNAL = [p for p in PAGES if not _pointer.page(p).is_leaf]
+LEAVES = [p for p in PAGES if _pointer.page(p).is_leaf]
+
+coordinate = st.floats(-0.25, 1.25, allow_nan=False, width=32)
+query = st.tuples(coordinate, coordinate)
+
+
+def _bytes(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_fixture_tree_has_several_internal_levels():
+    levels = {_pointer.page(p).level for p in INTERNAL}
+    assert len(levels) >= 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(TREES)),
+    query,
+    st.lists(st.sampled_from(INTERNAL), unique=True, max_size=12),
+    st.booleans(),
+    st.booleans(),
+)
+def test_round_scan_is_the_concatenated_node_scans(
+    form, point, round_pages, want_dmm, want_dmax
+):
+    """Rounds of 0, 1 and many internal nodes, levels mixed freely."""
+    tree = TREES[form]
+    nodes = [tree.page(page_id) for page_id in round_pages]
+    got = scan.scan_children(
+        point, nodes, want_dmm=want_dmm, want_dmax=want_dmax
+    )
+    parts = [
+        oracle.scan_children(point, node, want_dmm=want_dmm,
+                             want_dmax=want_dmax)
+        for node in nodes
+    ]
+    assert got.refs == [ref for part in parts for ref in part.refs]
+    assert _bytes(got.dmin_sq) == _bytes(
+        [d for part in parts for d in part.dmin_sq]
+    )
+    for field, wanted in (("dmm_sq", want_dmm), ("dmax_sq", want_dmax)):
+        values = getattr(got, field)
+        if not wanted:
+            assert values is None
+            continue
+        assert _bytes(values) == _bytes(
+            [d for part in parts for d in getattr(part, field)]
+        )
+    if want_dmax:
+        expected = oracle.gathered_counts([part.counts for part in parts])
+        expected = (
+            np.empty(0, dtype=np.int64) if expected is None else expected
+        )
+        assert got.counts.dtype == np.int64
+        assert np.array_equal(got.counts, expected)
+    else:
+        assert got.counts is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(TREES)),
+    query,
+    st.lists(st.sampled_from(LEAVES), unique=True, max_size=10),
+    st.lists(st.sampled_from(LEAVES), unique=True, max_size=3),
+    st.integers(1, 40),
+)
+def test_leaf_round_leaves_the_per_node_heap(
+    form, point, round_pages, earlier_pages, k
+):
+    """Same heap, item for item, as offering leaf after leaf unfiltered.
+
+    Leaves offered before the round fill the list first, so the round
+    starts from a full list as often as from an empty one.
+    """
+    tree = TREES[form]
+    earlier = [tree.page(page_id) for page_id in earlier_pages]
+    nodes = [tree.page(page_id) for page_id in round_pages]
+    got = NeighborList(point, k)
+    expected = NeighborList(point, k)
+    for node in earlier:
+        scan.offer_leaf(point, [node], got)
+        oracle.offer_leaf(point, node, expected)
+    assert got._heap == expected._heap
+    scan.offer_leaf(point, nodes, got)
+    for node in nodes:
+        oracle.offer_leaf(point, node, expected)
+    assert got._heap == expected._heap
+    assert got.kth_distance_sq() == expected.kth_distance_sq()
+    assert got.as_sorted() == expected.as_sorted()
+
+
+def test_empty_round_scans_nothing():
+    empty = scan.scan_children((0.5, 0.5), [], want_dmm=True, want_dmax=True)
+    assert empty.refs == [] and empty.dmin_sq == []
+    assert empty.dmm_sq == [] and empty.dmax_sq == []
+    assert empty.counts.dtype == np.int64 and len(empty.counts) == 0
+    neighbors = NeighborList((0.5, 0.5), 3)
+    scan.offer_leaf((0.5, 0.5), [], neighbors)
+    assert len(neighbors) == 0
+
+
+# -- the block offer -------------------------------------------------------
+
+#: Few distinct distances, so ties — also at the k-th distance — abound.
+tied_distance = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 2.0])
+block = st.lists(tied_distance, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(block, min_size=1, max_size=6), st.integers(1, 25),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_offer_block_leaves_the_loops_heap(blocks, k, as_lists, rng):
+    """Tie-heavy blocks, empty blocks, k beyond the block, list inputs."""
+    oids = list(range(sum(len(b) for b in blocks)))
+    rng.shuffle(oids)
+    got = NeighborList((0.0, 0.0), k)
+    expected = NeighborList((0.0, 0.0), k)
+    start = 0
+    for distances in blocks:
+        ids = oids[start:start + len(distances)]
+        start += len(distances)
+        points = np.array(
+            [[float(i), -float(i)] for i in ids], dtype=np.float64
+        ).reshape(len(ids), 2)
+        if as_lists:
+            got.offer_block(list(distances), list(ids), points.tolist())
+        else:
+            got.offer_block(np.array(distances, dtype=np.float64),
+                            np.array(ids, dtype=np.int64), points)
+        oracle.offer_block(expected, distances, ids, points)
+        assert got._heap == expected._heap
+        assert got.kth_distance_sq() == expected.kth_distance_sq()
+
+
+def test_offer_block_keeps_a_tie_at_the_kth_distance():
+    """A candidate equal to the k-th distance with a smaller oid enters."""
+    neighbors = NeighborList((0.0, 0.0), 2)
+    points = np.zeros((3, 2))
+    neighbors.offer_block([1.0, 2.0], [5, 9], points[:2])
+    neighbors.offer_block([2.0, 3.0], [7, 1], points[:2])
+    assert [n.oid for n in neighbors.as_sorted()] == [5, 7]
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_offer_block_takes_an_empty_block(k):
+    neighbors = NeighborList((0.0, 0.0), k)
+    neighbors.offer_block([3.0, 1.0, 2.0, 0.5], [0, 1, 2, 3], np.ones((4, 2)))
+    before = list(neighbors._heap)
+    neighbors.offer_block([], [], np.empty((0, 2)))
+    neighbors.offer_block(np.empty(0), np.empty(0, dtype=np.int64), [])
+    assert neighbors._heap == before

@@ -130,6 +130,85 @@ def test_query_on_mbr_faces(dims):
         assert kernels.batch_minimum_distance_sq(query, lows, highs)[0] == 0.0
 
 
+#: Broadcast kernel -> the per-axis loop it replaced (tests/core/oracle.py).
+LOOP_PAIRS = [
+    (kernels.batch_minimum_distance_sq, oracle.minimum_distance_sq),
+    (kernels.batch_minmax_distance_sq, oracle.minmax_distance_sq),
+    (kernels.batch_maximum_distance_sq, oracle.maximum_distance_sq),
+]
+
+
+def assert_kernels_exact(query, lows, highs):
+    """All four kernels: ``==`` the scalar functions, bits of the loops."""
+    rects = as_rects(np.asarray(lows), np.asarray(highs))
+    for (batch_fn, scalar_fn), (_, loop_fn) in zip(KERNEL_PAIRS, LOOP_PAIRS):
+        got = batch_fn(query, lows, highs)
+        assert got.tolist() == [scalar_fn(query, rect) for rect in rects]
+        assert got.tobytes() == loop_fn(query, lows, highs).tobytes()
+    got = kernels.batch_point_distance_sq(query, lows)
+    assert got.tolist() == [
+        squared_euclidean(query, tuple(row)) for row in np.asarray(lows).tolist()
+    ]
+    assert got.tobytes() == oracle.point_distance_sq(query, lows).tobytes()
+
+
+class TestBroadcastKernels:
+    """The one-broadcast + column-fold kernels at their edges."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 10])
+    def test_no_rows(self, dims):
+        empty = np.empty((0, dims))
+        assert_kernels_exact((0.5,) * dims, empty, empty)
+        assert kernels.batch_minmax_distance_sq(
+            (0.5,) * dims, empty, empty
+        ).shape == (0,)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_dimension(self, seed):
+        lows, highs = random_mbrs(1, 40, seed=1200 + seed)
+        for query in random_queries(1, lows, highs, seed=1300 + seed):
+            assert_kernels_exact(query, lows, highs)
+
+    @pytest.mark.parametrize("dims", [1, 3, 10])
+    def test_queries_on_faces(self, dims):
+        lows, highs = random_mbrs(dims, 16, seed=1400 + dims)
+        rng = np.random.default_rng(1500 + dims)
+        for _ in range(4):
+            picks = rng.integers(0, 2, dims)
+            query = tuple(np.where(picks, lows[0], highs[0]).tolist())
+            assert_kernels_exact(query, lows, highs)
+
+    @pytest.mark.parametrize("dims", [1, 2, 5])
+    def test_signed_zero_coordinates(self, dims):
+        rng = np.random.default_rng(1600 + dims)
+        lows = rng.choice([-0.0, 0.0, -1.0, 0.5], size=(24, dims))
+        highs = lows + rng.choice([-0.0, 0.0, 1.0], size=(24, dims))
+        for query in ((0.0,) * dims, (-0.0,) * dims,
+                      tuple(rng.choice([-0.0, 0.0, 0.25], dims).tolist())):
+            assert_kernels_exact(query, lows, highs)
+
+    @pytest.mark.parametrize("dims", [2, 7])
+    def test_empty_roots_zero_row(self, dims):
+        from repro.rtree import FlatTree, RStarTree
+
+        flat = FlatTree.from_tree(RStarTree(dims))
+        lows, highs = flat.level_lows[0], flat.level_highs[0]
+        assert lows.tolist() == [[0.0] * dims]
+        assert_kernels_exact((0.3,) * dims, lows, highs)
+
+    @pytest.mark.parametrize("dims", [2, 10])
+    def test_strided_level_slices(self, dims):
+        """Every-other-row, reversed and column-strided views."""
+        lows, highs = random_mbrs(2 * dims, 64, seed=1700 + dims)
+        query = tuple(np.random.default_rng(1800).uniform(-5, 5, dims))
+        for rows in (slice(None, None, 2), slice(None, None, -1),
+                     slice(5, 41, 3)):
+            for columns in (slice(None, None, 2), slice(dims, None)):
+                assert_kernels_exact(
+                    query, lows[rows, columns], highs[rows, columns]
+                )
+
+
 @pytest.mark.parametrize("dims", [2, 10])
 def test_batch_region_distances_paths_agree(dims):
     """The rectangle batch equals the per-region dispatchers' lists."""

@@ -23,6 +23,7 @@ from repro.rtree import (
     load_flat,
     save_flat,
 )
+from repro.rtree.query import kth_nearest_distance
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,67 @@ class TestFlatDifferential:
             assert frozen_tree.kth_nearest_distance(
                 query, 7
             ) == pointer_tree.kth_nearest_distance(query, 7)
+
+
+class TestFrozenKthNearestDistance:
+    """The array-computed ``D_k`` equals the best-first pointer oracle."""
+
+    @staticmethod
+    def assert_matches(data, dims, queries, ks):
+        pointer = build_parallel_tree(
+            data, dims=dims, num_disks=3, max_entries=6
+        )
+        frozen = flatten(pointer)
+        for query in queries:
+            for k in ks:
+                assert frozen.kth_nearest_distance(query, k) == (
+                    kth_nearest_distance(pointer.tree, tuple(query), k)
+                ), (query, k)
+
+    def test_lattice_duplicates(self):
+        sites = [(x / 4.0, y / 4.0) for x in range(5) for y in range(5)]
+        data = [site for site in sites for _ in range(3)]
+        queries = [(0.5, 0.5), (0.0, 0.0), (0.125, 0.25), (0.375, 0.625),
+                   (1.5, -0.5)]
+        self.assert_matches(
+            data, 2, queries, [1, 2, 3, 4, 10, 31, len(data), len(data) + 9]
+        )
+
+    def test_one_dimension(self):
+        data = [(x,) for x in np.random.default_rng(5).random(120).tolist()]
+        data += data[:20]
+        queries = [(0.5,), (0.0,), (1.0,), data[7], (-3.0,)]
+        self.assert_matches(data, 1, queries, [1, 5, 20, len(data), 500])
+
+    def test_sample_queries_and_every_k(self, points, pointer_tree,
+                                        frozen_tree):
+        for query in sample_queries(points, 4, seed=17):
+            for k in (1, 2, 50, len(points), len(points) + 1):
+                assert frozen_tree.kth_nearest_distance(query, k) == (
+                    kth_nearest_distance(pointer_tree.tree, query, k)
+                )
+
+    def test_bad_input_is_still_a_value_error(self, frozen_tree):
+        empty = flatten(build_parallel_tree([], dims=2, num_disks=2))
+        with pytest.raises(ValueError, match="empty tree"):
+            empty.kth_nearest_distance((0.5, 0.5), 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            frozen_tree.kth_nearest_distance((0.5, 0.5), 3)
+        with pytest.raises(ValueError, match="k must be positive"):
+            frozen_tree.kth_nearest_distance((0.5, 0.5, 0.5), 0)
+
+    def test_pointer_oracle_is_not_reached(self, monkeypatch, points,
+                                           frozen_tree):
+        from repro.rtree import query as pointer_queries
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the frozen tree ran the pointer oracle")
+
+        monkeypatch.setattr(pointer_queries, "knn", unreachable)
+        monkeypatch.setattr(
+            pointer_queries, "kth_nearest_distance", unreachable
+        )
+        assert frozen_tree.kth_nearest_distance(points[0], 5) >= 0.0
 
 
 class TestRoundTrips:
