@@ -21,14 +21,9 @@ import heapq
 import itertools
 
 from repro import BBSS, CRSS, CountingExecutor, WOPTSS, build_parallel_tree
-from repro.core.protocol import (
-    FetchRequest,
-    SearchAlgorithm,
-    child_refs,
-    leaf_points,
-)
-from repro.core.regions import region_minimum_distance_sq
+from repro.core.protocol import FetchRequest, SearchAlgorithm
 from repro.core.results import NeighborList
+from repro.core.scan import offer_leaf, scan_children
 from repro.datasets import gaussian, sample_queries
 from repro.simulation import simulate_workload
 
@@ -50,11 +45,13 @@ class BestFirstSearch(SearchAlgorithm):
                 break
             fetched = yield FetchRequest([page_id])
             node = fetched[page_id]
+            # The scan layer scores a fetch round (here, of one page) on
+            # the tree's own batch kernels, whatever its region shape.
             if node.is_leaf:
-                neighbors.offer_many(leaf_points(node))
+                offer_leaf(self.query, [node], neighbors)
             else:
-                for ref in child_refs(node):
-                    d = region_minimum_distance_sq(self.query, ref.rect)
+                scan = scan_children(self.query, [node])
+                for ref, d in zip(scan.refs, scan.dmin_sq):
                     heapq.heappush(frontier, (d, next(counter), ref.page_id))
         return neighbors.as_sorted()
 

@@ -104,8 +104,7 @@ class CRSS(SearchAlgorithm):
                 # otherwise answers may hide in stacked candidates beyond
                 # the frontier's reach.
                 threshold = threshold_distance_sq(
-                    self.query, frontier, self.k, dmax_sq=scan.dmax_sq,
-                    counts=scan.counts,
+                    frontier, self.k, scan.dmax_sq, counts=scan.counts
                 )
                 lower_bound = 1
                 if threshold.guaranteed:

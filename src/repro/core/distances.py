@@ -96,7 +96,9 @@ def minmax_distance_sq(point: Sequence[float], rect: Rect) -> float:
         far_edge = lo if p >= mid else hi
         near_sq.append((p - near_edge) * (p - near_edge))
         far_sq.append((p - far_edge) * (p - far_edge))
-    far_total = sum(far_sq)
+    far_total = 0.0
+    for f in far_sq:
+        far_total += f
     return min(far_total - f + n for f, n in zip(far_sq, near_sq))
 
 

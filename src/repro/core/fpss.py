@@ -65,8 +65,7 @@ class FPSS(SearchAlgorithm):
         if not frontier:
             return {}
         dth_sq = threshold_distance_sq(
-            self.query, frontier, self.k, dmax_sq=scan.dmax_sq,
-            counts=scan.counts,
+            frontier, self.k, scan.dmax_sq, counts=scan.counts
         ).dth_sq
         kth_sq = neighbors.kth_distance_sq()
         radius_sq = min(dth_sq, kth_sq)

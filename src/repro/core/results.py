@@ -89,11 +89,6 @@ class NeighborList:
             heapq.heapreplace(self._heap, item)
         return dist_sq
 
-    def offer_many(self, items: Sequence[Tuple[Point, int]]) -> None:
-        """Consider several ``(point, oid)`` data objects."""
-        for point, oid in items:
-            self.offer(point, oid)
-
     def offer_block(self, dist_sq, oids, points) -> None:
         """Consider a block of objects (a round's leaves) from packed arrays.
 

@@ -1,15 +1,17 @@
 """Batched round scans — the hot path of every search algorithm.
 
 All four algorithms do the same two things with the pages of a fetch
-round: score every child MBR of its internal nodes (``Dmin`` / ``Dmm`` /
-``Dmax``), and score every data point of its leaves against the running
-neighbor list.  The unit of work here is the round, not the node: FPSS
-and WOPTSS hand over every node of a level at once, CRSS up to
-``NumOfDisks`` of them, BBSS a round of one.  Each metric is one call of
-a :mod:`repro.perf.kernels` kernel over the round's concatenated corner
-matrices (:meth:`repro.rtree.node.Node.entry_bounds`), and the results
-come back already concatenated in round order — exactly what scanning
-node by node and joining the lists would give.
+round: score every child region of its internal nodes (``Dmin`` /
+``Dmm`` / ``Dmax``), and score every data point of its leaves against
+the running neighbor list.  The unit of work here is the round, not the
+node: FPSS and WOPTSS hand over every node of a level at once, CRSS up
+to ``NumOfDisks`` of them, BBSS a round of one.  Each metric is one call
+of the nodes' region kernel (:data:`repro.core.regions.KERNELS`) over
+the round's concatenated region arrays (``entry_bounds()``: MBR corner
+matrices, or the sphere, SR and TV arrays of the extension access
+methods), and the results come back already concatenated in round order
+— exactly what scanning node by node and joining the lists would give.
+The algorithms above this module never need to know the node type.
 
 Flat nodes (:class:`repro.rtree.flat.FlatNode`) take the fastest path:
 their child-reference lists are cached across scans, their corner
@@ -18,12 +20,6 @@ children are a gather of contiguous level slices), and a round's leaves
 are offered through one
 :meth:`~repro.core.results.NeighborList.offer_block` over their gathered
 oid/point slices — no per-entry Python objects at all.
-
-Nodes without corner matrices — sphere-bounded SS-tree nodes, SR-tree
-composites, TV-tree reduced regions — are scored region by region
-through :func:`~repro.core.regions.batch_region_distances`, fed the
-round's regions, so the algorithms above this module never need to know
-the node type.
 """
 
 from __future__ import annotations
@@ -32,17 +28,10 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.protocol import ChildRef, child_refs, leaf_points
-from repro.core.regions import batch_region_distances
+from repro.core.protocol import ChildRef, child_refs
+from repro.core.regions import KERNELS
 from repro.core.results import NeighborList
 from repro.perf import kernels
-
-#: metric name -> batch kernel, for the pre-flattened bounds fast path.
-_VECTOR_KERNELS = {
-    "dmin": kernels.batch_minimum_distance_sq,
-    "dmm": kernels.batch_minmax_distance_sq,
-    "dmax": kernels.batch_maximum_distance_sq,
-}
 
 
 class ChildScan(NamedTuple):
@@ -65,12 +54,6 @@ class ChildScan(NamedTuple):
     counts: Optional[np.ndarray] = None
 
 
-def _node_bounds(node):
-    """The node's cached corner matrices, or None if unsupported."""
-    getter = getattr(node, "entry_bounds", None)
-    return getter() if getter is not None else None
-
-
 def _gather(chunks: List[np.ndarray]) -> np.ndarray:
     """Row-concatenate per-node arrays; a lone chunk is passed through."""
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
@@ -86,10 +69,11 @@ def scan_children(
     """Score every child branch of a round's internal *nodes* at once.
 
     ``Dmin`` is always computed (every algorithm needs it); ``Dmm`` and
-    ``Dmax`` on request — one kernel call per metric over the nodes'
-    concatenated corner matrices.  The result lists contain plain
-    Python floats, identical to scanning the nodes one by one and
-    concatenating.
+    ``Dmax`` on request — one call of the nodes' region kernel per
+    metric over their concatenated region arrays.  The nodes of a round
+    come from one tree and so share one region family.  The result
+    lists contain plain Python floats, identical to scanning the nodes
+    one by one and concatenating.
     """
     nodes = [node for node in nodes if node.entries]
     refs: List[ChildRef] = []
@@ -105,20 +89,12 @@ def scan_children(
         metrics.append("dmm")
     if want_dmax:
         metrics.append("dmax")
-    bounds = [_node_bounds(node) for node in nodes]
-    if all(b is not None for b in bounds):
-        # Pre-flattened corner matrices: call the kernels directly,
-        # skipping both the per-scan region-list build and the shape
-        # dispatch of batch_region_distances.
-        lows = _gather([b[0] for b in bounds])
-        highs = _gather([b[1] for b in bounds])
-        results = [
-            _VECTOR_KERNELS[m](query, lows, highs).tolist() for m in metrics
-        ]
-    else:
-        results = batch_region_distances(
-            query, [ref.rect for ref in refs], metrics
-        )
+    bounds = [node.entry_bounds() for node in nodes]
+    arrays = [_gather(list(column)) for column in zip(*bounds)]
+    family = nodes[0].region_family
+    results = [
+        KERNELS[family, metric](query, *arrays).tolist() for metric in metrics
+    ]
     counts: Optional[np.ndarray] = None
     if want_dmax:
         if all(hasattr(node, "child_counts") for node in nodes):
@@ -145,11 +121,10 @@ def offer_leaf(
     Frozen leaves are offered together: one kernel call over their
     gathered point slices, then one
     :meth:`~repro.core.results.NeighborList.offer_block` over the
-    gathered oids.  Pointer leaves score their cached point matrix (the
-    low corners of their degenerate MBRs) in one kernel call each and
-    offer entry by entry; leaves without a point matrix (the extension
-    access methods) take the neighbor list's own per-entry distance
-    loop.  The neighbor list keeps the k best under a total order on
+    gathered oids.  Every other leaf scores its point matrix (the first
+    of its region arrays: the low corners of degenerate MBRs, or the
+    centres of zero-radius spheres) in one kernel call and offers entry
+    by entry.  The neighbor list keeps the k best under a total order on
     ``(distance, oid)``, so the order of offers within a round does not
     change what it holds afterwards.
     """
@@ -161,15 +136,11 @@ def offer_leaf(
         if leaf_data is not None:
             frozen.append(leaf_data)
             continue
-        bounds = _node_bounds(node)
-        if bounds is not None:
-            distances = kernels.batch_point_distance_sq(query, bounds[0])
-            for entry, dist_sq in zip(node.entries, distances.tolist()):
-                neighbors.offer_computed(dist_sq, entry.point, entry.oid)
-            continue
-        entries = leaf_points(node)
-        neighbors.offer_many(entries)
-        kernels.record_kernel_use("pointdist", "scalar", len(entries))
+        distances = kernels.batch_point_distance_sq(
+            query, node.entry_bounds()[0]
+        )
+        for entry, dist_sq in zip(node.entries, distances.tolist()):
+            neighbors.offer_computed(dist_sq, entry.point, entry.oid)
     if frozen:
         points = _gather([p for _, p in frozen])
         neighbors.offer_block(

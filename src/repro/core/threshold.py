@@ -19,9 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.regions import batch_region_distances
 from repro.core.protocol import ChildRef
-from repro.geometry.point import Point
 
 
 class Threshold(NamedTuple):
@@ -42,20 +40,18 @@ class Threshold(NamedTuple):
 
 
 def threshold_distance_sq(
-    query: Point,
     entries: Sequence[ChildRef],
     k: int,
-    dmax_sq: Optional[Sequence[float]] = None,
+    dmax_sq: Sequence[float],
     counts: Optional[np.ndarray] = None,
 ) -> Threshold:
     """Compute Lemma 1's threshold over *entries* for a k-NN query.
 
-    :param query: the query point ``P_q``.
-    :param entries: candidate branches with their MBRs and object counts.
+    :param entries: candidate branches with their object counts.
     :param k: number of neighbors requested.
-    :param dmax_sq: optional squared ``Dmax`` values aligned with
-        *entries* — the algorithms pass the batch they already computed
-        while scanning the frontier, avoiding a second evaluation.
+    :param dmax_sq: squared ``Dmax`` from the query point ``P_q`` to
+        each entry's region, aligned with *entries* — the round scan's
+        :attr:`~repro.core.scan.ChildScan.dmax_sq`.
     :param counts: optional int64 subtree object counts aligned with
         *entries* (the scan layer's :attr:`~repro.core.scan.ChildScan
         .counts`); saves the per-entry gather.  For frozen trees this
@@ -70,11 +66,7 @@ def threshold_distance_sq(
         raise ValueError(f"k must be positive, got {k}")
     if not entries:
         return Threshold(math.inf, 0, guaranteed=False)
-    if dmax_sq is None:
-        (dmax_sq,) = batch_region_distances(
-            query, [ref.rect for ref in entries], ["dmax"]
-        )
-    elif len(dmax_sq) != len(entries):
+    if len(dmax_sq) != len(entries):
         raise ValueError(
             f"dmax_sq has {len(dmax_sq)} values for {len(entries)} entries"
         )

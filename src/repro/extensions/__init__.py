@@ -1,11 +1,15 @@
 """Extensions implementing the paper's stated future work (§5).
 
-* :mod:`repro.extensions.sstree` — the SS-tree access method (White &
-  Jain, ICDE 1996): bounding *spheres* instead of rectangles.  The four
-  search algorithms run over it unchanged thanks to the region
-  abstraction of :mod:`repro.core.regions` ("the application of the
+* :mod:`repro.extensions.sstree`, :mod:`~repro.extensions.srtree`,
+  :mod:`~repro.extensions.tvtree`, :mod:`~repro.extensions.xtree` — the
+  SS-, SR-, TV- and X-tree access methods ("the application of the
   algorithm on other access methods for similarity search, like
-  SS-tree ...").
+  SS-tree, SR-tree, TV-tree and X-tree"): bounding spheres,
+  rect ∩ sphere pairs, reduced-dimension boxes and supernodes.  The
+  SR-tree is an SS-tree subclass, the X-tree an R*-tree subclass.  The
+  four search algorithms run over all of them unchanged, on the batch
+  kernels :mod:`repro.core.regions` assigns to each node's region
+  family.
 * :mod:`repro.extensions.raid1` — *shadowed disks*: a RAID level-1
   array where every read can be served by either replica and the
   scheduler picks the less-loaded one ("the study of similarity search

@@ -25,8 +25,8 @@ from repro.core.protocol import (
     child_refs,
     leaf_points,
 )
-from repro.core.regions import region_minimum_distance_sq
 from repro.core.results import Neighbor
+from repro.core.scan import scan_children
 from repro.geometry.point import squared_euclidean
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
@@ -57,9 +57,8 @@ class ParallelSphereSearch(SearchAlgorithm):
         batch = [root_page_id]
         while batch:
             fetched: Mapping[int, object] = yield FetchRequest(batch)
-            next_batch: List[int] = []
-            for page_id in batch:
-                node = fetched[page_id]
+            nodes = [fetched[page_id] for page_id in batch]
+            for node in nodes:
                 if node.is_leaf:
                     for point, oid in leaf_points(node):
                         dist_sq = squared_euclidean(self.query, point)
@@ -67,14 +66,15 @@ class ParallelSphereSearch(SearchAlgorithm):
                             answers.append(
                                 Neighbor(math.sqrt(dist_sq), point, oid)
                             )
-                else:
-                    for ref in child_refs(node):
-                        dmin_sq = region_minimum_distance_sq(
-                            self.query, ref.rect
-                        )
-                        if dmin_sq <= radius_sq:
-                            next_batch.append(ref.page_id)
-            batch = next_batch
+            # Every branch of the round's internal nodes in one scan.
+            scan = scan_children(
+                self.query, [node for node in nodes if not node.is_leaf]
+            )
+            batch = [
+                ref.page_id
+                for ref, dmin_sq in zip(scan.refs, scan.dmin_sq)
+                if dmin_sq <= radius_sq
+            ]
         answers.sort(key=lambda n: (n.distance, n.oid))
         return answers
 

@@ -10,23 +10,34 @@ they match the query geometry, at the cost of more mutual overlap.
 The implementation mirrors the R*-tree module's shape — same page
 table, same structural hooks, same per-branch object counts — so the
 four search algorithms of :mod:`repro.core` run over it through the
-identical fetch protocol (``node.mbr`` holds a
-:class:`~repro.geometry.sphere.Sphere`, which the region dispatchers in
-:mod:`repro.core.regions` understand).
+identical fetch protocol.  ``node.mbr`` holds a
+:class:`~repro.geometry.sphere.Sphere`; the node exposes its branches as
+row-aligned ``(centres, radii)`` arrays (:meth:`SSNode.entry_bounds`),
+which the ``sphere`` kernels of :mod:`repro.core.regions` score.
 
 Insertion follows White & Jain: descend toward the child whose centroid
 is nearest the new point; split an overflowing node along the
 coordinate of highest centroid variance, at the index minimizing the
-summed group variance.
+summed group variance.  The SR-tree (:mod:`repro.extensions.srtree`)
+is this tree with a different node region.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+import random
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.core.regions import KERNELS
 from repro.geometry.point import Point, squared_euclidean, validate_point
+from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
+from repro.parallel.declustering import PlacementContext, ProximityIndex
+from repro.perf import kernels
 from repro.rtree.node import LeafEntry
 
 Entry = Union[LeafEntry, "SSNode"]
@@ -52,7 +63,10 @@ class SSNode:
     it holds a :class:`Sphere`.
     """
 
-    __slots__ = ("page_id", "level", "entries", "parent", "mbr", "object_count")
+    __slots__ = ("page_id", "level", "entries", "parent", "mbr",
+                 "object_count", "_bounds")
+
+    region_family = "sphere"
 
     def __init__(self, page_id: int, level: int):
         self.page_id = page_id
@@ -61,6 +75,9 @@ class SSNode:
         self.parent: Optional["SSNode"] = None
         self.mbr: Optional[Sphere] = None
         self.object_count = 0
+        #: Cached :meth:`build_bounds` arrays; dropped when the entry
+        #: list changes or a child's region does (:meth:`refresh`).
+        self._bounds: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -72,29 +89,32 @@ class SSNode:
         if isinstance(entry, SSNode):
             entry.parent = self
         self.entries.append(entry)
+        self._bounds = None
 
     def replace_entries(self, entries: Sequence[Entry]) -> None:
         """Replace the whole entry list, wiring parent pointers.
 
         Same contract as :meth:`repro.rtree.node.Node.replace_entries`:
         bulk rewrites go through here rather than rebinding ``entries``
-        directly, so node classes that cache derived matrices invalidate
-        uniformly (SS-nodes have no such cache, but split code is shared
-        idiom across the tree variants).
+        directly, so the cached region arrays are dropped.
         """
         replacement = list(entries)
         for entry in replacement:
             if isinstance(entry, SSNode):
                 entry.parent = self
         self.entries = replacement
+        self._bounds = None
 
     def refresh(self) -> None:
         """Recompute the bounding sphere and subtree object count.
 
         The centroid is the object-count-weighted mean of the entry
         centroids (so it tracks the true data centroid); the radius is
-        the smallest value covering every entry's sphere around it.
+        the smallest value covering every entry's sphere around it.  The
+        parent's cached arrays hold this node's row, so they are dropped.
         """
+        if self.parent is not None:
+            self.parent._bounds = None
         if not self.entries:
             self.mbr = None
             self.object_count = 0
@@ -125,12 +145,37 @@ class SSNode:
             node.refresh()
             node = node.parent
 
+    def entry_bounds(self) -> Tuple[np.ndarray, ...]:
+        """The cached row-aligned region arrays of this node's entries.
+
+        Row *i* describes ``entries[i]``; the first array is always the
+        ``(n, dims)`` centre matrix, which for a leaf is its point
+        matrix (data points are zero-radius spheres).  Treat the arrays
+        as read-only.
+        """
+        if self._bounds is None:
+            self._bounds = self.build_bounds()
+        return self._bounds
+
+    def build_bounds(self) -> Tuple[np.ndarray, ...]:
+        """Fresh ``(centres, radii)`` arrays, uncached."""
+        centers = np.array(
+            [_entry_centroid(e) for e in self.entries], dtype=np.float64
+        )
+        radii = np.array(
+            [_entry_radius(e) for e in self.entries], dtype=np.float64
+        )
+        return centers, radii
+
     def __len__(self) -> int:
         return len(self.entries)
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"internal(level={self.level})"
-        return f"SSNode(page={self.page_id}, {kind}, entries={len(self.entries)})"
+        return (
+            f"{type(self).__name__}(page={self.page_id}, {kind}, "
+            f"entries={len(self.entries)})"
+        )
 
 
 class SSTree:
@@ -142,6 +187,9 @@ class SSTree:
     :param on_split: hook ``(old_node, new_node)`` after a split.
     :param on_new_root: hook ``(root)`` when the root changes.
     """
+
+    #: The page type; a subclass with another node region sets its own.
+    node_class = SSNode
 
     def __init__(
         self,
@@ -176,7 +224,7 @@ class SSTree:
             self.on_new_root(self.root)
 
     def _new_node(self, level: int) -> SSNode:
-        node = SSNode(self._next_page_id, level)
+        node = self.node_class(self._next_page_id, level)
         self.pages[node.page_id] = node
         self._next_page_id += 1
         return node
@@ -290,12 +338,11 @@ class SSTree:
     # -- reference queries -----------------------------------------------------
 
     def knn(self, point: Sequence[float], k: int) -> List[Tuple[float, Point, int]]:
-        """Exact in-memory k-NN (oracle for WOPTSS and tests)."""
-        import heapq
-        import itertools
+        """Exact in-memory k-NN (oracle for WOPTSS and tests).
 
-        from repro.core.regions import region_minimum_distance_sq
-
+        Best-first; each node's entries are scored in one call of its
+        own kernel (``Dmin`` for branches, point distances for data).
+        """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         query = validate_point(point, self.dims)
@@ -310,19 +357,24 @@ class SSTree:
                     break
                 continue
             node: SSNode = item
+            if not node.entries:
+                continue
             if node.is_leaf:
-                for entry in node.entries:
-                    d = squared_euclidean(query, entry.point)
+                distances = kernels.batch_point_distance_sq(
+                    query, node.entry_bounds()[0]
+                )
+                for entry, d in zip(node.entries, distances.tolist()):
                     heapq.heappush(heap, (d, 1, entry.oid, entry))
             else:
-                for child in node.entries:
-                    if child.mbr is not None:
-                        d = region_minimum_distance_sq(query, child.mbr)
-                        heapq.heappush(heap, (d, 0, next(counter), child))
+                distances = KERNELS[node.region_family, "dmin"](
+                    query, *node.entry_bounds()
+                )
+                for child, d in zip(node.entries, distances.tolist()):
+                    heapq.heappush(heap, (d, 0, next(counter), child))
         return results
 
     def kth_nearest_distance(self, point: Sequence[float], k: int) -> float:
-        """Oracle distance ``D_k`` for WOPTSS over the SS-tree."""
+        """Oracle distance ``D_k`` for WOPTSS."""
         results = self.knn(point, k)
         if not results:
             raise ValueError("k-th nearest distance undefined on empty tree")
@@ -332,17 +384,28 @@ class SSTree:
 def _variance(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
-    mean = sum(values) / len(values)
-    return sum((v - mean) ** 2 for v in values) / len(values)
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / len(values)
+    spread = 0.0
+    for v in values:
+        spread += (v - mean) ** 2
+    return spread / len(values)
 
 
 class ParallelSSTree:
     """An SS-tree declustered over a disk array.
 
     Uses the same declustering policies as the parallel R*-tree; for
-    geometric policies the sphere's bounding rectangle stands in for the
-    MBR.
+    geometric policies the region's ``bounding_rect()`` stands in for
+    the MBR.
     """
+
+    #: The tree type and the salt of its cylinder RNG; subclasses over
+    #: another tree set both.
+    tree_class = SSTree
+    cylinder_salt = 0x51C6E5
 
     def __init__(
         self,
@@ -353,10 +416,6 @@ class ParallelSSTree:
         seed: int = 0,
         **tree_kwargs,
     ):
-        import random
-
-        from repro.parallel.declustering import ProximityIndex
-
         if num_disks < 1:
             raise ValueError(f"num_disks must be positive, got {num_disks}")
         self.num_disks = num_disks
@@ -366,8 +425,8 @@ class ParallelSSTree:
         self._placement: Dict[int, int] = {}
         self._cylinder: Dict[int, int] = {}
         self._nodes_per_disk = [0] * num_disks
-        self._cylinder_rng = random.Random(seed ^ 0x51C6E5)
-        self.tree = SSTree(
+        self._cylinder_rng = random.Random(seed ^ self.cylinder_salt)
+        self.tree = self.tree_class(
             dims,
             on_split=lambda old, new: self._place(new),
             on_new_root=self._on_new_root,
@@ -379,9 +438,6 @@ class ParallelSSTree:
             self._place(root)
 
     def _place(self, node: SSNode) -> None:
-        from repro.geometry.rect import Rect
-        from repro.parallel.declustering import PlacementContext
-
         siblings = []
         if node.parent is not None:
             for sibling in node.parent.entries:

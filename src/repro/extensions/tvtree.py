@@ -20,8 +20,10 @@ a substitution documented in DESIGN.md):
   box, giving valid — just looser — ``Dmin`` / ``Dmax`` bounds, with
   ``Dmm = Dmax`` (no face-touching guarantee survives projection);
 * leaves store full points, so answers stay exact: the search
-  algorithms run unchanged through the region protocol of
-  :mod:`repro.core.regions` and simply prune less aggressively.
+  algorithms run unchanged — an internal view hands the scan the
+  ``[:, :active]`` slices of the wrapped node's corner matrices plus
+  the tail box, which the ``tv`` kernels of :mod:`repro.core.regions`
+  score — and simply prune less aggressively.
 
 The data sets are generated with uniform per-axis importance, so the
 first dimensions here are "active by convention" — matching how the
@@ -32,21 +34,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.core.distances import (
-    maximum_distance_sq,
-    minimum_distance_sq,
-)
+import numpy as np
+
 from repro.geometry.rect import Rect
 from repro.rtree.capacity import capacity_for_page
 
 
 class TVRegion:
     """A directory region with exact bounds on the active dimensions
-    only; the inactive tail is bounded by the global data box.
-
-    Implements the ``dmin_sq`` / ``dmm_sq`` / ``dmax_sq`` protocol of
-    :mod:`repro.core.regions`.
-    """
+    only; the inactive tail is bounded by the global data box."""
 
     __slots__ = ("active_rect", "tail_rect")
 
@@ -59,30 +55,6 @@ class TVRegion:
         """Full dimensionality (active + tail)."""
         tail = self.tail_rect.dims if self.tail_rect is not None else 0
         return self.active_rect.dims + tail
-
-    def _split_query(self, point: Sequence[float]):
-        active = self.active_rect.dims
-        return tuple(point[:active]), tuple(point[active:])
-
-    def dmin_sq(self, point: Sequence[float]) -> float:
-        """Active-dims Dmin plus the global-box Dmin on the tail."""
-        head, tail = self._split_query(point)
-        total = minimum_distance_sq(head, self.active_rect)
-        if self.tail_rect is not None:
-            total += minimum_distance_sq(tail, self.tail_rect)
-        return total
-
-    def dmax_sq(self, point: Sequence[float]) -> float:
-        """Active-dims Dmax plus the global-box Dmax on the tail."""
-        head, tail = self._split_query(point)
-        total = maximum_distance_sq(head, self.active_rect)
-        if self.tail_rect is not None:
-            total += maximum_distance_sq(tail, self.tail_rect)
-        return total
-
-    def dmm_sq(self, point: Sequence[float]) -> float:
-        """No MINMAXDIST guarantee survives the projection: Dmax."""
-        return self.dmax_sq(point)
 
     def __repr__(self) -> str:
         return (
@@ -119,6 +91,12 @@ class TVTreeView:
             self._global_tail = Rect(
                 root_mbr.low[active:], root_mbr.high[active:]
             )
+        tail = self._global_tail
+        #: The tail box's corners as vectors (empty when there is none).
+        self._tail_bounds = (
+            np.array(tail.low if tail is not None else (), dtype=np.float64),
+            np.array(tail.high if tail is not None else (), dtype=np.float64),
+        )
 
     # -- executor interface -------------------------------------------------
 
@@ -200,10 +178,13 @@ class _TVChildView:
 class _TVInternalView:
     """Internal-node wrapper: same level/len, TV-projected children."""
 
-    __slots__ = ("_node", "entries", "page_id", "level")
+    __slots__ = ("_node", "_view", "entries", "page_id", "level")
+
+    region_family = "tv"
 
     def __init__(self, node, view: TVTreeView):
         self._node = node
+        self._view = view
         self.page_id = node.page_id
         self.level = node.level
         # Construction-time projection of an immutable snapshot — views
@@ -216,6 +197,21 @@ class _TVInternalView:
     @property
     def is_leaf(self) -> bool:
         return False
+
+    def entry_bounds(self):
+        """``(lows, highs, tail lows, tail highs)`` over the children.
+
+        The wrapped node's corner matrices cut to the active axes, and
+        the global tail box repeated on every row (a broadcast view).
+        """
+        lows, highs = self._node.entry_bounds()
+        active = self._view.active
+        tail_low, tail_high = self._view._tail_bounds
+        shape = (lows.shape[0], tail_low.shape[0])
+        return (
+            lows[:, :active], highs[:, :active],
+            np.broadcast_to(tail_low, shape), np.broadcast_to(tail_high, shape),
+        )
 
     def __len__(self) -> int:
         return len(self.entries)

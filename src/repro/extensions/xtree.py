@@ -116,45 +116,12 @@ class ParallelXTree(ParallelRStarTree):
     """An X-tree declustered over a disk array.
 
     Identical to :class:`~repro.parallel.tree.ParallelRStarTree` except
-    the underlying index is an :class:`XTree` and the multi-page cost of
-    supernodes is reported to the executors.
+    the underlying index is an :class:`XTree` (``max_overlap`` and
+    ``max_supernode_pages`` go to it with the other tree keywords) and
+    the multi-page cost of supernodes is reported to the executors.
     """
 
-    def __init__(
-        self,
-        dims: int,
-        num_disks: int,
-        max_overlap: float = 0.2,
-        max_supernode_pages: int = 8,
-        policy=None,
-        num_cylinders: int = 1449,
-        seed: int = 0,
-        **tree_kwargs,
-    ):
-        # Reproduce the parent's bookkeeping, but wire in an XTree.
-        import random
-
-        from repro.parallel.declustering import ProximityIndex
-
-        if num_disks < 1:
-            raise ValueError(f"num_disks must be positive, got {num_disks}")
-        self.num_disks = num_disks
-        self.num_cylinders = num_cylinders
-        self._dims = dims
-        self.policy = policy if policy is not None else ProximityIndex()
-        self._placement = {}
-        self._cylinder = {}
-        self._nodes_per_disk = [0] * num_disks
-        self._cylinder_rng = random.Random(seed ^ 0x9E3779B9)
-        self.tree = XTree(
-            dims,
-            max_overlap=max_overlap,
-            max_supernode_pages=max_supernode_pages,
-            on_split=self._on_split,
-            on_new_root=self._on_new_root,
-            on_page_freed=self._on_page_freed,
-            **tree_kwargs,
-        )
+    tree_class = XTree
 
     def pages_spanned(self, page_id: int) -> int:
         """Physical pages the node on *page_id* occupies."""

@@ -43,7 +43,12 @@ def squared_euclidean(a: Sequence[float], b: Sequence[float]) -> float:
     """
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((x - y) * (x - y) for x, y in zip(a, b))
+    # An explicit left fold, not sum(): the batch kernels fold the same
+    # way, and sum() of floats is compensated since Python 3.12.
+    total = 0.0
+    for x, y in zip(a, b):
+        total += (x - y) * (x - y)
+    return total
 
 
 def euclidean(a: Sequence[float], b: Sequence[float]) -> float:

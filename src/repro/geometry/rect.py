@@ -110,7 +110,10 @@ class Rect:
 
     def margin(self) -> float:
         """Sum of side lengths — the R*-tree split criterion's *margin*."""
-        return sum(hi - lo for lo, hi in zip(self.low, self.high))
+        total = 0.0
+        for lo, hi in zip(self.low, self.high):
+            total += hi - lo
+        return total
 
     # -- relations ---------------------------------------------------------
 

@@ -42,9 +42,12 @@ class ParallelRStarTree:
         paper's adopted scheme).
     :param num_cylinders: cylinders per disk, for page→cylinder mapping.
     :param seed: seed for the cylinder assignment (and nothing else).
-    :param tree_kwargs: forwarded to :class:`~repro.rtree.tree.RStarTree`
+    :param tree_kwargs: forwarded to :attr:`tree_class`
         (``max_entries``, ``page_size``, ``split_policy``, ...).
     """
+
+    #: The index type the placement hooks are wired into.
+    tree_class = RStarTree
 
     def __init__(
         self,
@@ -69,7 +72,7 @@ class ParallelRStarTree:
         self._cylinder_rng = random.Random(seed ^ 0x9E3779B9)
         # The RStarTree constructor fires on_new_root for the bootstrap
         # root, so every table above must exist before this line.
-        self.tree = RStarTree(
+        self.tree = self.tree_class(
             dims,
             on_split=self._on_split,
             on_new_root=self._on_new_root,

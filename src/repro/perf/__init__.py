@@ -23,8 +23,9 @@ arithmetic, so the tree that comes out is the same tree bit for bit
 path at run time; the loops live on as the test oracle in
 ``tests/rtree/oracle.py``.
 
-The query path is the same story: every node that carries corner
-matrices is scanned by the kernels, and Lemma 1 and the CRSS candidate
+The query path is the same story: every node of every access method is
+scanned by the kernels (rectangles, and the sphere, SR and TV regions
+of the extension trees), and Lemma 1 and the CRSS candidate
 reduction run as array operations over the scan results.  The loops
 they replaced are the test oracle in ``tests/core/oracle.py``;
 :mod:`repro.core.distances` remains the public per-rectangle API the

@@ -1,10 +1,14 @@
 """Vectorized batch kernels (exact twins of the scalar arithmetic).
 
-Each distance kernel takes a query point and the flat ``(n, dims)``
-low/high corner matrices of *n* MBRs (for point data the two matrices
-coincide) and returns the *n* squared distances as a float64 array.
-The build-path kernels at the bottom score the same corner matrices
-for R* ChooseSubtree and the R* split — twins of
+Each distance kernel takes a query point and the row-aligned arrays of
+*n* branch regions and returns the *n* squared distances as a float64
+array.  For MBRs those are the flat ``(n, dims)`` low/high corner
+matrices (for point data the two coincide); the extension access
+methods' regions take their own arrays — sphere centres and radii, an
+SR region's corners *and* sphere, a TV region's head and tail boxes.
+:mod:`repro.core.regions` maps each region family to its kernels.  The
+build-path kernels at the bottom score the same corner matrices for R*
+ChooseSubtree and the R* split — twins of
 :class:`~repro.geometry.rect.Rect` methods instead of distances.
 
 **Exactness contract.**  The kernels must return bit-identical results
@@ -20,15 +24,15 @@ the order of the scalar loops.  Those loops start from ``0.0``; the
 fold starts from the first column itself, which is the same float
 because every term is a square and a square is never ``-0.0``, so
 ``0.0 + x == x`` bit for bit.  Per-element operations (``+`` ``-``
-``*`` ``abs`` ``min`` ``max``) are correctly rounded in both numpy and
-CPython, so equal operand order implies equal results.
+``*`` ``abs`` ``min`` ``max`` ``sqrt``) are correctly rounded in both
+numpy and CPython, so equal operand order implies equal results.  The
+scalar side folds with explicit ``total += ...`` loops, never the
+builtin ``sum()``, which is compensated since Python 3.12.
 
 The module also owns one piece of global plumbing: an optional
 :class:`~repro.obs.metrics.MetricsRegistry` hook counting kernel
-invocations and entries processed per metric and per path (``vector``
-here, ``scalar`` for the per-region fallback of
-:func:`repro.core.regions.batch_region_distances`), which the bench
-harness snapshots into ``BENCH_*.json``.
+invocations and entries processed per metric, which the bench harness
+snapshots into ``BENCH_*.json``.
 
 This module is a leaf: it imports only numpy and :mod:`repro.obs`, so
 every layer (geometry, rtree, core) may call into it freely.
@@ -49,7 +53,14 @@ __all__ = [
     "batch_minimum_distance_sq",
     "batch_minmax_distance_sq",
     "batch_point_distance_sq",
+    "batch_sphere_maximum_distance_sq",
+    "batch_sphere_minimum_distance_sq",
     "batch_split_scores",
+    "batch_sr_maximum_distance_sq",
+    "batch_sr_minimum_distance_sq",
+    "batch_sr_minmax_distance_sq",
+    "batch_tv_maximum_distance_sq",
+    "batch_tv_minimum_distance_sq",
     "instrument_kernels",
     "record_kernel_use",
 ]
@@ -65,11 +76,10 @@ def instrument_kernels(
 ) -> Optional[MetricsRegistry]:
     """Install *registry* to receive kernel call counts; returns the old one.
 
-    Counters are named ``kernels.<metric>.<path>_batches`` and
-    ``kernels.<metric>.<path>_entries`` with ``<metric>`` one of
+    Counters are named ``kernels.<metric>.vector_batches`` and
+    ``kernels.<metric>.vector_entries`` with ``<metric>`` one of
     ``dmin`` / ``dmm`` / ``dmax`` / ``pointdist`` (queries) or
-    ``enlargement`` / ``overlap`` / ``split`` (the build path, always
-    ``vector``) and ``<path>`` either ``vector`` or ``scalar``.  Pass
+    ``enlargement`` / ``overlap`` / ``split`` (the build path).  Pass
     ``None`` to detach.
     """
     global _registry
@@ -78,17 +88,16 @@ def instrument_kernels(
     return previous
 
 
-def record_kernel_use(metric: str, path: str, entries: int) -> None:
-    """Count one batch of *entries* distance evaluations.
+def record_kernel_use(metric: str, entries: int) -> None:
+    """Count one kernel call over *entries* rows.
 
-    The kernels call this themselves; the per-region fallbacks in
-    :mod:`repro.core` call it explicitly so both are visible in the
-    same registry.  A no-op until :func:`instrument_kernels`.
+    Every kernel calls this itself.  A no-op until
+    :func:`instrument_kernels`.
     """
     if _registry is None or entries == 0:
         return
-    _registry.counter(f"kernels.{metric}.{path}_batches").inc()
-    _registry.counter(f"kernels.{metric}.{path}_entries").inc(entries)
+    _registry.counter(f"kernels.{metric}.vector_batches").inc()
+    _registry.counter(f"kernels.{metric}.vector_entries").inc(entries)
 
 
 # -- kernels ---------------------------------------------------------------
@@ -121,6 +130,30 @@ def _fold(op: np.ufunc, sides: np.ndarray) -> np.ndarray:
     return result
 
 
+def _rect_minimum(query, low_m, high_m) -> np.ndarray:
+    gap = np.where(
+        query < low_m, low_m - query,
+        np.where(query > high_m, query - high_m, 0.0),
+    )
+    return _fold(np.add, (gap * gap).T)
+
+
+def _rect_maximum(query, low_m, high_m) -> np.ndarray:
+    far = np.maximum(np.abs(query - low_m), np.abs(high_m - query))
+    return _fold(np.add, (far * far).T)
+
+
+def _rect_minmax(query, low_m, high_m) -> np.ndarray:
+    mid = (low_m + high_m) / 2.0
+    near_gap = query - np.where(query <= mid, low_m, high_m)
+    far_gap = query - np.where(query >= mid, low_m, high_m)
+    near_sq = near_gap * near_gap
+    far_sq = far_gap * far_gap
+    far_total = _fold(np.add, far_sq.T)
+    candidates = far_total[:, None] - far_sq + near_sq
+    return candidates.min(axis=1)
+
+
 def batch_minimum_distance_sq(point, lows, highs) -> np.ndarray:
     """Squared ``Dmin`` from *point* to each of *n* MBRs, all at once.
 
@@ -128,12 +161,8 @@ def batch_minimum_distance_sq(point, lows, highs) -> np.ndarray:
     :func:`repro.core.distances.minimum_distance_sq`.
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
-    gap = np.where(
-        query < low_m, low_m - query,
-        np.where(query > high_m, query - high_m, 0.0),
-    )
-    record_kernel_use("dmin", "vector", low_m.shape[0])
-    return _fold(np.add, (gap * gap).T)
+    record_kernel_use("dmin", low_m.shape[0])
+    return _rect_minimum(query, low_m, high_m)
 
 
 def batch_maximum_distance_sq(point, lows, highs) -> np.ndarray:
@@ -143,9 +172,8 @@ def batch_maximum_distance_sq(point, lows, highs) -> np.ndarray:
     :func:`repro.core.distances.maximum_distance_sq`.
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
-    far = np.maximum(np.abs(query - low_m), np.abs(high_m - query))
-    record_kernel_use("dmax", "vector", low_m.shape[0])
-    return _fold(np.add, (far * far).T)
+    record_kernel_use("dmax", low_m.shape[0])
+    return _rect_maximum(query, low_m, high_m)
 
 
 def batch_minmax_distance_sq(point, lows, highs) -> np.ndarray:
@@ -159,15 +187,126 @@ def batch_minmax_distance_sq(point, lows, highs) -> np.ndarray:
     order-insensitive, so ``numpy.min`` over the axis is safe).
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
-    mid = (low_m + high_m) / 2.0
-    near_gap = query - np.where(query <= mid, low_m, high_m)
-    far_gap = query - np.where(query >= mid, low_m, high_m)
-    near_sq = near_gap * near_gap
-    far_sq = far_gap * far_gap
-    far_total = _fold(np.add, far_sq.T)
-    candidates = far_total[:, None] - far_sq + near_sq
-    record_kernel_use("dmm", "vector", low_m.shape[0])
-    return candidates.min(axis=1)
+    record_kernel_use("dmm", low_m.shape[0])
+    return _rect_minmax(query, low_m, high_m)
+
+
+# -- sphere, SR and TV regions ---------------------------------------------
+#
+# Twins of the per-region scalar bounds the extension access methods
+# had before; a sphere's are closed forms in ``sqrt(fold(diff²))``.
+
+
+def _as_spheres(point, centers, radii):
+    query = np.asarray(point, dtype=np.float64)
+    center_m = np.asarray(centers, dtype=np.float64)
+    radius_v = np.asarray(radii, dtype=np.float64)
+    if (query.ndim != 1 or center_m.shape[1:] != query.shape
+            or radius_v.shape != center_m.shape[:1]):
+        raise ValueError(
+            f"expected a d-point, (n, d) centres and n radii, got shapes "
+            f"{query.shape}, {center_m.shape}, {radius_v.shape}"
+        )
+    return query, center_m, radius_v
+
+
+def _center_distance(query, center_m) -> np.ndarray:
+    diff = query - center_m
+    return np.sqrt(_fold(np.add, (diff * diff).T))
+
+
+def _sphere_minimum(query, center_m, radius_v) -> np.ndarray:
+    gap = _center_distance(query, center_m) - radius_v
+    return np.where(gap > 0.0, gap * gap, 0.0)
+
+
+def _sphere_maximum(query, center_m, radius_v) -> np.ndarray:
+    reach = _center_distance(query, center_m) + radius_v
+    return reach * reach
+
+
+def batch_sphere_minimum_distance_sq(point, centers, radii) -> np.ndarray:
+    """Squared ``Dmin = max(0, |q - c| - r)²`` to each of *n* spheres."""
+    query, center_m, radius_v = _as_spheres(point, centers, radii)
+    record_kernel_use("dmin", center_m.shape[0])
+    return _sphere_minimum(query, center_m, radius_v)
+
+
+def batch_sphere_maximum_distance_sq(point, centers, radii) -> np.ndarray:
+    """Squared ``Dmax = (|q - c| + r)²`` to each of *n* spheres.
+
+    Also the spheres' ``Dmm``: a sphere has no face an object is
+    guaranteed to touch, so its far side is the only existence bound.
+    """
+    query, center_m, radius_v = _as_spheres(point, centers, radii)
+    record_kernel_use("dmax", center_m.shape[0])
+    return _sphere_maximum(query, center_m, radius_v)
+
+
+def _sr_bound(metric, combine, rect_bound, sphere_bound,
+              point, lows, highs, centers, radii):
+    query, low_m, high_m = _as_matrices(point, lows, highs)
+    _, center_m, radius_v = _as_spheres(query, centers, radii)
+    if center_m.shape != low_m.shape:
+        raise ValueError(
+            f"{low_m.shape[0]} rectangles but {center_m.shape[0]} spheres"
+        )
+    record_kernel_use(metric, low_m.shape[0])
+    return combine(
+        rect_bound(query, low_m, high_m),
+        sphere_bound(query, center_m, radius_v),
+    )
+
+
+def batch_sr_minimum_distance_sq(point, lows, highs, centers, radii):
+    """Squared ``Dmin`` to *n* rect ∩ sphere regions: the larger part's."""
+    return _sr_bound("dmin", np.maximum, _rect_minimum, _sphere_minimum,
+                     point, lows, highs, centers, radii)
+
+
+def batch_sr_minmax_distance_sq(point, lows, highs, centers, radii):
+    """Squared ``Dmm``: the rect's MINMAXDIST or the sphere's far side."""
+    return _sr_bound("dmm", np.minimum, _rect_minmax, _sphere_maximum,
+                     point, lows, highs, centers, radii)
+
+
+def batch_sr_maximum_distance_sq(point, lows, highs, centers, radii):
+    """Squared ``Dmax`` to *n* rect ∩ sphere regions: the smaller part's."""
+    return _sr_bound("dmax", np.minimum, _rect_maximum, _sphere_maximum,
+                     point, lows, highs, centers, radii)
+
+
+def _tv_bound(metric, rect_bound, point, lows, highs, tail_lows, tail_highs):
+    query = np.asarray(point, dtype=np.float64)
+    active = np.shape(lows)[1]
+    head, low_m, high_m = _as_matrices(query[:active], lows, highs)
+    total = rect_bound(head, low_m, high_m)
+    if query.shape[0] > active:
+        tail, tail_low_m, tail_high_m = _as_matrices(
+            query[active:], tail_lows, tail_highs
+        )
+        total = total + rect_bound(tail, tail_low_m, tail_high_m)
+    record_kernel_use(metric, low_m.shape[0])
+    return total
+
+
+def batch_tv_minimum_distance_sq(point, lows, highs, tail_lows, tail_highs):
+    """Squared ``Dmin`` to *n* TV regions: head ``Dmin`` + tail ``Dmin``.
+
+    *lows* / *highs* bound the leading ``active`` axes; *tail_lows* /
+    *tail_highs* bound the rest (zero columns when ``active == dims``).
+    """
+    return _tv_bound("dmin", _rect_minimum, point, lows, highs,
+                     tail_lows, tail_highs)
+
+
+def batch_tv_maximum_distance_sq(point, lows, highs, tail_lows, tail_highs):
+    """Squared ``Dmax`` to *n* TV regions: head ``Dmax`` + tail ``Dmax``.
+
+    Also their ``Dmm``: no face-touching guarantee survives projection.
+    """
+    return _tv_bound("dmax", _rect_maximum, point, lows, highs,
+                     tail_lows, tail_highs)
 
 
 def batch_point_distance_sq(point, points) -> np.ndarray:
@@ -190,7 +329,7 @@ def batch_point_distance_sq(point, points) -> np.ndarray:
             f"dimension mismatch: {query.shape[0]} vs {matrix.shape[1]}"
         )
     diff = query - matrix
-    record_kernel_use("pointdist", "vector", matrix.shape[0])
+    record_kernel_use("pointdist", matrix.shape[0])
     return _fold(np.add, (diff * diff).T)
 
 
@@ -221,7 +360,7 @@ def batch_enlargement(low, high, lows, highs) -> "tuple[np.ndarray, np.ndarray]"
     union_area = _fold(
         np.multiply, (np.maximum(highs, high) - np.minimum(lows, low)).T
     )
-    record_kernel_use("enlargement", "vector", lows.shape[0])
+    record_kernel_use("enlargement", lows.shape[0])
     return union_area - area, area
 
 
@@ -244,7 +383,7 @@ def batch_intersection_area(a_lows, a_highs, b_lows, b_highs) -> np.ndarray:
     sides = np.minimum(a_highs[:, :, None], b_highs[:, None, :])
     sides -= np.maximum(a_lows[:, :, None], b_lows[:, None, :])
     np.maximum(sides, 0.0, out=sides)
-    record_kernel_use("overlap", "vector", sides.shape[1] * sides.shape[2])
+    record_kernel_use("overlap", sides.shape[1] * sides.shape[2])
     return _fold(np.multiply, sides)
 
 
@@ -279,7 +418,7 @@ def batch_split_scores(
     sides2 = high2 - low2
     shared = np.minimum(high1, high2) - np.maximum(low1, low2)
     np.maximum(shared, 0.0, out=shared)
-    record_kernel_use("split", "vector", sorts * (n - 2 * min_fill + 1))
+    record_kernel_use("split", sorts * (n - 2 * min_fill + 1))
     return (
         (_fold(np.add, sides1) + _fold(np.add, sides2)).T,
         _fold(np.multiply, shared).T,

@@ -120,6 +120,8 @@ class FlatNode:
                  "entry_count", "object_count", "_mbr", "_bounds",
                  "_refs", "_entries")
 
+    region_family = "rect"
+
     def __init__(
         self, tree: "FlatTree", level: int, index: int, page_id: int,
         entry_offset: int, entry_count: int, object_count: int,

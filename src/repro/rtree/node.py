@@ -52,6 +52,9 @@ class Node:
     __slots__ = ("page_id", "level", "entries", "parent", "mbr",
                  "object_count", "_bounds")
 
+    #: Key of the branch-bound kernels in :data:`repro.core.regions.KERNELS`.
+    region_family = "rect"
+
     def __init__(self, page_id: int, level: int):
         self.page_id = page_id
         self.level = level
@@ -201,8 +204,8 @@ class Node:
         tree mutates again.
 
         Returns ``None`` when no matrix form exists — an empty node, or
-        an entry without a materialized MBR — in which case callers
-        score the entries one by one.
+        an entry without a materialized MBR — states a consistent tree
+        never hands to a scan.
         """
         # Cache validity is purely "has a mutation invalidated it" — a
         # length comparison against the entry list would mask rebinding

@@ -303,7 +303,10 @@ class RStarTree:
 
         def distance_from_center(entry: Entry) -> float:
             entry_center = _entry_rect(entry).center
-            return sum((a - b) ** 2 for a, b in zip(entry_center, center))
+            total = 0.0
+            for a, b in zip(entry_center, center):
+                total += (a - b) ** 2
+            return total
 
         ordered = sorted(node.entries, key=distance_from_center, reverse=True)
         evicted = ordered[:count]

@@ -17,18 +17,39 @@
   calls.  The round scans must return the concatenation of the
   per-node scans, the broadcast kernels the loops' floats, and the
   filtered block offer the loop's heap.
+* The per-region distance dispatchers of ``repro.core.regions`` and the
+  ``dmin_sq`` / ``dmm_sq`` / ``dmax_sq`` methods of
+  ``repro.extensions.tvtree.TVRegion``, which scored SS-tree spheres,
+  SR-tree rect ∩ sphere pairs and TV regions one region at a time
+  before every region family got batch kernels — moved here verbatim,
+  except that the TV methods became functions taking the region first,
+  the dispatchers reach them by ``isinstance`` instead of ``getattr``,
+  the batch loop counts no kernel use, and the per-node leaf scan's
+  ``offer_many`` call became its loop.  The sphere, SR and TV kernels
+  must return these floats, and a round scan over such nodes the
+  concatenation of the per-node, per-region scans.
 """
+
+import math
 
 import heapq
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.distances import (
+    maximum_distance_sq as rect_maximum_distance_sq,
+    minimum_distance_sq as rect_minimum_distance_sq,
+    minmax_distance_sq as rect_minmax_distance_sq,
+)
 from repro.core.protocol import ChildRef, child_refs, leaf_points
-from repro.core.regions import batch_region_distances
 from repro.core.results import NeighborList
 from repro.core.stack import Candidate
 from repro.core.threshold import Threshold
+from repro.extensions.tvtree import TVRegion
+from repro.geometry.point import squared_euclidean
+from repro.geometry.rect import Rect
+from repro.geometry.sphere import Sphere
 from repro.perf import kernels
 from repro.perf.kernels import _as_matrices, record_kernel_use
 
@@ -107,7 +128,7 @@ def minimum_distance_sq(point, lows, highs) -> np.ndarray:
         hi = high_m[:, axis]
         gap = np.where(p < lo, lo - p, np.where(p > hi, p - hi, 0.0))
         total += gap * gap
-    record_kernel_use("dmin", "vector", low_m.shape[0])
+    record_kernel_use("dmin", low_m.shape[0])
     return total
 
 
@@ -123,7 +144,7 @@ def maximum_distance_sq(point, lows, highs) -> np.ndarray:
         p = query[axis]
         far = np.maximum(np.abs(p - low_m[:, axis]), np.abs(high_m[:, axis] - p))
         total += far * far
-    record_kernel_use("dmax", "vector", low_m.shape[0])
+    record_kernel_use("dmax", low_m.shape[0])
     return total
 
 
@@ -155,7 +176,7 @@ def minmax_distance_sq(point, lows, highs) -> np.ndarray:
         far_sq[:, axis] = far_gap * far_gap
         far_total += far_sq[:, axis]
     candidates = far_total[:, None] - far_sq + near_sq
-    record_kernel_use("dmm", "vector", n)
+    record_kernel_use("dmm", n)
     return candidates.min(axis=1)
 
 
@@ -182,8 +203,136 @@ def point_distance_sq(point, points) -> np.ndarray:
     for axis in range(matrix.shape[1]):
         diff = query[axis] - matrix[:, axis]
         total += diff * diff
-    record_kernel_use("pointdist", "vector", matrix.shape[0])
+    record_kernel_use("pointdist", matrix.shape[0])
     return total
+
+
+# -- per-region dispatchers ------------------------------------------------
+
+
+def tv_minimum_distance_sq(region: TVRegion, point: Sequence[float]) -> float:
+    """Active-dims Dmin plus the global-box Dmin on the tail."""
+    head, tail = _split_query(region, point)
+    total = rect_minimum_distance_sq(head, region.active_rect)
+    if region.tail_rect is not None:
+        total += rect_minimum_distance_sq(tail, region.tail_rect)
+    return total
+
+
+def tv_maximum_distance_sq(region: TVRegion, point: Sequence[float]) -> float:
+    """Active-dims Dmax plus the global-box Dmax on the tail."""
+    head, tail = _split_query(region, point)
+    total = rect_maximum_distance_sq(head, region.active_rect)
+    if region.tail_rect is not None:
+        total += rect_maximum_distance_sq(tail, region.tail_rect)
+    return total
+
+
+def tv_minmax_distance_sq(region: TVRegion, point: Sequence[float]) -> float:
+    """No MINMAXDIST guarantee survives the projection: Dmax."""
+    return tv_maximum_distance_sq(region, point)
+
+
+def _split_query(region: TVRegion, point: Sequence[float]):
+    active = region.active_rect.dims
+    return tuple(point[:active]), tuple(point[active:])
+
+
+def region_minimum_distance_sq(point: Sequence[float], region) -> float:
+    """Squared optimistic bound ``Dmin`` for any region shape.
+
+    Composite regions (the SR-tree's rect ∩ sphere) expose ``rect`` and
+    ``sphere`` attributes; the objects they bound lie in the
+    *intersection*, so the larger of the two ``Dmin`` values is the
+    valid (and tighter) bound.
+    """
+    if isinstance(region, Rect):
+        return rect_minimum_distance_sq(point, region)
+    if isinstance(region, Sphere):
+        gap = (
+            math.sqrt(squared_euclidean(point, region.center)) - region.radius
+        )
+        return gap * gap if gap > 0.0 else 0.0
+    if isinstance(region, TVRegion):
+        return tv_minimum_distance_sq(region, point)
+    return max(
+        region_minimum_distance_sq(point, region.rect),
+        region_minimum_distance_sq(point, region.sphere),
+    )
+
+
+def region_minmax_distance_sq(point: Sequence[float], region) -> float:
+    """Squared pessimistic bound ``Dmm`` for any region shape.
+
+    For a composite region the rectangle part is a true MBR (every face
+    touches an object), so its MINMAXDIST guarantee applies; the sphere
+    contributes ``Dmax`` as its best guarantee, and the smaller of the
+    two existence bounds wins.
+    """
+    if isinstance(region, Rect):
+        return rect_minmax_distance_sq(point, region)
+    if isinstance(region, Sphere):
+        return region_maximum_distance_sq(point, region)
+    if isinstance(region, TVRegion):
+        return tv_minmax_distance_sq(region, point)
+    return min(
+        region_minmax_distance_sq(point, region.rect),
+        region_maximum_distance_sq(point, region.sphere),
+    )
+
+
+def region_maximum_distance_sq(point: Sequence[float], region) -> float:
+    """Squared farthest distance ``Dmax`` for any region shape.
+
+    For a composite region no object can exceed either part's ``Dmax``,
+    so the smaller of the two is the valid bound.
+    """
+    if isinstance(region, Rect):
+        return rect_maximum_distance_sq(point, region)
+    if isinstance(region, Sphere):
+        reach = (
+            math.sqrt(squared_euclidean(point, region.center)) + region.radius
+        )
+        return reach * reach
+    if isinstance(region, TVRegion):
+        return tv_maximum_distance_sq(region, point)
+    return min(
+        region_maximum_distance_sq(point, region.rect),
+        region_maximum_distance_sq(point, region.sphere),
+    )
+
+
+_BATCH_SCALAR = {
+    "dmin": region_minimum_distance_sq,
+    "dmm": region_minmax_distance_sq,
+    "dmax": region_maximum_distance_sq,
+}
+
+
+def batch_region_distances(
+    point: Sequence[float],
+    regions: Sequence,
+    metrics: Sequence[str],
+) -> List[List[float]]:
+    """Evaluate distance *metrics* for every region in one batch.
+
+    Rectangle batches run on the rectangle kernels; any other region
+    shape goes through the per-region dispatchers above.
+    """
+    unknown = [m for m in metrics if m not in _BATCH_SCALAR]
+    if unknown:
+        raise ValueError(f"unknown distance metrics: {unknown}")
+    if regions and all(isinstance(r, Rect) for r in regions):
+        lows = np.array([r.low for r in regions], dtype=np.float64)
+        highs = np.array([r.high for r in regions], dtype=np.float64)
+        return [
+            _VECTOR_KERNELS[m](point, lows, highs).tolist() for m in metrics
+        ]
+    results = []
+    for m in metrics:
+        scalar = _BATCH_SCALAR[m]
+        results.append([scalar(point, region) for region in regions])
+    return results
 
 
 # -- per-node scans --------------------------------------------------------
@@ -207,9 +356,14 @@ class ChildScan(NamedTuple):
 
 
 def _node_bounds(node):
-    """The node's cached corner matrices, or None if unsupported."""
-    getter = getattr(node, "entry_bounds", None)
-    return getter() if getter is not None else None
+    """The cached corner matrices of a rectangle node, else None.
+
+    Sphere, SR and TV nodes are scored region by region, as they were
+    before they had kernels.
+    """
+    if node.region_family != "rect":
+        return None
+    return node.entry_bounds()
 
 
 def scan_children(
@@ -310,9 +464,8 @@ def offer_leaf(
         for entry, dist_sq in zip(node.entries, distances.tolist()):
             neighbors.offer_computed(dist_sq, entry.point, entry.oid)
         return
-    entries = leaf_points(node)
-    neighbors.offer_many(entries)
-    kernels.record_kernel_use("pointdist", "scalar", len(entries))
+    for point, oid in leaf_points(node):
+        neighbors.offer(point, oid)
 
 
 def offer_block(neighbors: NeighborList, dist_sq, oids, points) -> None:

@@ -57,7 +57,8 @@ class TestNeighborList:
 
     def test_as_sorted_returns_neighbors(self):
         nl = NeighborList((0.0, 0.0), k=2)
-        nl.offer_many([((3.0, 4.0), 1), ((0.5, 0.0), 0)])
+        nl.offer((3.0, 4.0), 1)
+        nl.offer((0.5, 0.0), 0)
         result = nl.as_sorted()
         assert result == [
             Neighbor(0.5, (0.5, 0.0), 0),

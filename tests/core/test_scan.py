@@ -5,7 +5,10 @@ metric, and ``NeighborList.offer_block`` compares a block with the k-th
 distance at block start before its per-candidate loop.  Both replaced
 loops live on in ``tests/core/oracle.py``; these tests require the round
 scan to return byte for byte the concatenation of the per-node scans
-and the block offer to leave the heap the loop leaves.
+and the block offer to leave the heap the loop leaves.  Rounds over
+SS-tree, SR-tree and TV-view nodes must give the bytes of the
+per-region dispatchers those nodes were scored with before they had
+kernels, and their leaf rounds the per-entry loop's heap.
 """
 
 import numpy as np
@@ -15,7 +18,10 @@ from hypothesis import strategies as st
 
 from repro.core import scan
 from repro.core.results import NeighborList
-from repro.datasets import uniform
+from repro.datasets import gaussian, uniform
+from repro.extensions.srtree import build_parallel_srtree
+from repro.extensions.sstree import build_parallel_sstree
+from repro.extensions.tvtree import build_tv_view
 from repro.parallel import build_parallel_tree
 from repro.rtree import flatten
 from tests.core import oracle
@@ -118,6 +124,93 @@ def test_leaf_round_leaves_the_per_node_heap(
     assert got._heap == expected._heap
     assert got.kth_distance_sq() == expected.kth_distance_sq()
     assert got.as_sorted() == expected.as_sorted()
+
+
+# -- the extension access methods --------------------------------------------
+
+_data_6d = gaussian(400, 6, seed=22)
+_data_6d = _data_6d + _data_6d[:15]  # duplicate centres
+EXTENSION_TREES = {
+    "sstree": build_parallel_sstree(
+        _data_6d, dims=6, num_disks=3, max_entries=6
+    ),
+    "srtree": build_parallel_srtree(
+        _data_6d, dims=6, num_disks=3, max_entries=6
+    ),
+    "tv": build_tv_view(
+        _data_6d, dims=6, num_disks=3, active=2, page_size=512
+    ),
+    "tv_full": build_tv_view(
+        _data_6d, dims=6, num_disks=3, active=6, page_size=512
+    ),
+}
+
+
+def _pages(name):
+    tree = EXTENSION_TREES[name]
+    inner = getattr(tree, "_tree", tree).tree
+    pages = sorted(inner.pages)
+    return (
+        [p for p in pages if not tree.page(p).is_leaf],
+        [p for p in pages if tree.page(p).is_leaf],
+    )
+
+
+EXTENSION_PAGES = {name: _pages(name) for name in EXTENSION_TREES}
+coordinate_6d = st.tuples(*[coordinate] * 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(EXTENSION_TREES)), st.data(),
+       st.booleans(), st.booleans())
+def test_extension_round_scan_is_the_per_region_oracle(
+    name, data, want_dmm, want_dmax
+):
+    """Sphere, SR and TV rounds: bytes of the per-region dispatchers."""
+    tree = EXTENSION_TREES[name]
+    internal, _ = EXTENSION_PAGES[name]
+    point = data.draw(st.one_of(coordinate_6d, st.sampled_from(_data_6d)))
+    round_pages = data.draw(
+        st.lists(st.sampled_from(internal), unique=True, max_size=8)
+    )
+    nodes = [tree.page(page_id) for page_id in round_pages]
+    got = scan.scan_children(
+        point, nodes, want_dmm=want_dmm, want_dmax=want_dmax
+    )
+    parts = [
+        oracle.scan_children(point, node, want_dmm=want_dmm,
+                             want_dmax=want_dmax)
+        for node in nodes
+    ]
+    assert got.refs == [ref for part in parts for ref in part.refs]
+    for field, wanted in (("dmin_sq", True), ("dmm_sq", want_dmm),
+                          ("dmax_sq", want_dmax)):
+        values = getattr(got, field)
+        if not wanted:
+            assert values is None
+            continue
+        assert _bytes(values) == _bytes(
+            [d for part in parts for d in getattr(part, field)]
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["sstree", "srtree"]), st.data(), st.integers(1, 40))
+def test_extension_leaf_round_is_the_per_entry_loop(name, data, k):
+    tree = EXTENSION_TREES[name]
+    _, leaves = EXTENSION_PAGES[name]
+    point = data.draw(st.one_of(coordinate_6d, st.sampled_from(_data_6d)))
+    nodes = [
+        tree.page(page_id) for page_id in data.draw(
+            st.lists(st.sampled_from(leaves), unique=True, max_size=8)
+        )
+    ]
+    got = NeighborList(point, k)
+    expected = NeighborList(point, k)
+    scan.offer_leaf(point, nodes, got)
+    for node in nodes:
+        oracle.offer_leaf(point, node, expected)
+    assert got._heap == expected._heap
 
 
 def test_empty_round_scans_nothing():

@@ -12,6 +12,7 @@ from repro.core.protocol import ChildRef
 from repro.core.threshold import threshold_distance_sq
 from repro.geometry.point import euclidean
 from repro.geometry.rect import Rect
+from repro.perf import kernels
 from tests.core import oracle
 
 
@@ -19,20 +20,30 @@ def ref(low, high, count, page_id=0):
     return ChildRef(Rect(low, high), count, page_id)
 
 
+def lemma1(query, entries, k, counts=None):
+    """Lemma 1 over *entries* with the kernel ``Dmax`` a scan would pass."""
+    dmax_sq = kernels.batch_maximum_distance_sq(
+        query,
+        np.array([e.rect.low for e in entries]).reshape(-1, len(query)),
+        np.array([e.rect.high for e in entries]).reshape(-1, len(query)),
+    ).tolist()
+    return threshold_distance_sq(entries, k, dmax_sq, counts=counts)
+
+
 class TestThresholdBasics:
     def test_empty_entries(self):
-        result = threshold_distance_sq((0.0, 0.0), [], k=3)
+        result = lemma1((0.0, 0.0), [], k=3)
         assert result.dth_sq == math.inf
         assert result.prefix_length == 0
         assert not result.guaranteed
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            threshold_distance_sq((0.0,), [], k=0)
+            lemma1((0.0,), [], k=0)
 
     def test_single_entry_covers_k(self):
         entries = [ref((1.0, 0.0), (2.0, 1.0), count=10)]
-        result = threshold_distance_sq((0.0, 0.0), entries, k=5)
+        result = lemma1((0.0, 0.0), entries, k=5)
         assert result.guaranteed
         assert result.prefix_length == 1
         assert result.dth_sq == pytest.approx(
@@ -47,7 +58,7 @@ class TestThresholdBasics:
             ref((1.0, 0.0), (2.0, 1.0), count=3),
             ref((6.0, 0.0), (7.0, 1.0), count=3),
         ]
-        result = threshold_distance_sq((0.0, 0.5), entries, k=5)
+        result = lemma1((0.0, 0.5), entries, k=5)
         assert result.guaranteed
         assert result.prefix_length == 2
         # The threshold is the Dmax of the second-nearest (by Dmax) MBR.
@@ -61,7 +72,7 @@ class TestThresholdBasics:
             ref((1.0, 0.0), (2.0, 1.0), count=2),
             ref((3.0, 0.0), (4.0, 1.0), count=2),
         ]
-        result = threshold_distance_sq((0.0, 0.0), entries, k=100)
+        result = lemma1((0.0, 0.0), entries, k=100)
         assert not result.guaranteed
         assert result.prefix_length == 2
         # Falls back to the largest Dmax: everything must be inspected.
@@ -113,7 +124,7 @@ class TestLemma1Property:
         object counts and actual member points inside each MBR.
         """
         entries, points = setup
-        result = threshold_distance_sq(query, entries, k)
+        result = lemma1(query, entries, k)
         if not result.guaranteed:
             return  # fewer than k objects: the lemma does not apply
         dth = math.sqrt(result.dth_sq)
@@ -136,11 +147,11 @@ class TestScalarVectorizedBitIdentity:
 
     @staticmethod
     def both_paths(query, entries, k, counts=None):
-        vec = threshold_distance_sq(query, entries, k, counts=counts)
+        # What the algorithms do: hand over the kernel Dmax of the scan.
+        vec = lemma1(query, entries, k, counts=counts)
         dmax_sq = [maximum_distance_sq(query, ref.rect) for ref in entries]
-        # What the algorithms do: hand over the Dmax they already have.
         assert vec == threshold_distance_sq(
-            query, entries, k, dmax_sq=dmax_sq, counts=counts
+            entries, k, dmax_sq=dmax_sq, counts=counts
         )
         return vec, oracle.threshold_distance_sq(entries, k, dmax_sq)
 
@@ -218,13 +229,13 @@ class TestScalarVectorizedBitIdentity:
         with_counts, scalar = self.both_paths(
             (0.0, 0.5), entries, k, counts=packed
         )
-        without = threshold_distance_sq((0.0, 0.5), entries, k)
+        without = lemma1((0.0, 0.5), entries, k)
         assert with_counts == without == scalar
 
     def test_counts_length_mismatch_rejected(self):
         entries = [ChildRef(Rect((0.0, 0.0), (1.0, 1.0)), 2, 0)]
         with pytest.raises(ValueError, match="counts"):
             threshold_distance_sq(
-                (0.0, 0.0), entries, 1,
+                entries, 1, [2.0],
                 counts=np.asarray([2, 3], dtype=np.int64),
             )

@@ -3,16 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BBSS, CRSS, CountingExecutor, FPSS, WOPTSS
-from repro.core.regions import (
-    region_maximum_distance_sq,
-    region_minimum_distance_sq,
-    region_minmax_distance_sq,
-)
+from repro.core.distances import minimum_distance_sq
+from repro.core.regions import KERNELS
 from repro.datasets import gaussian, uniform
 from repro.extensions.range_search import ParallelRangeSearch
 from repro.extensions.srtree import (
@@ -25,6 +23,20 @@ from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
 from repro.rtree.node import LeafEntry
 from tests.conftest import brute_force_knn
+
+
+def _bound(metric, q, region):
+    """One region's bound through the kernel table of its family."""
+    if isinstance(region, Rect):
+        family, parts = "rect", (region.low, region.high)
+    elif isinstance(region, Sphere):
+        family, parts = "sphere", (region.center, region.radius)
+    else:
+        family = "sr"
+        parts = (region.rect.low, region.rect.high,
+                 region.sphere.center, region.sphere.radius)
+    rows = [np.asarray([part], dtype=np.float64) for part in parts]
+    return KERNELS[family, metric](q, *rows).tolist()[0]
 
 
 class TestSRRegion:
@@ -44,11 +56,8 @@ class TestSRRegion:
         sphere = Sphere((2.5, 0.5), 2.0)  # much looser than the rect
         region = SRRegion(rect, sphere)
         q = (0.0, 0.5)
-        assert region_minimum_distance_sq(q, region) == pytest.approx(
-            max(
-                region_minimum_distance_sq(q, rect),
-                region_minimum_distance_sq(q, sphere),
-            )
+        assert _bound("dmin", q, region) == max(
+            _bound("dmin", q, rect), _bound("dmin", q, sphere)
         )
 
     def test_combined_dmax_is_min_of_parts(self):
@@ -56,11 +65,8 @@ class TestSRRegion:
         sphere = Sphere((2.5, 0.5), 0.3)  # tighter than the rect
         region = SRRegion(rect, sphere)
         q = (0.0, 0.5)
-        assert region_maximum_distance_sq(q, region) == pytest.approx(
-            min(
-                region_maximum_distance_sq(q, rect),
-                region_maximum_distance_sq(q, sphere),
-            )
+        assert _bound("dmax", q, region) == min(
+            _bound("dmax", q, rect), _bound("dmax", q, sphere)
         )
 
     def test_ordering_property(self):
@@ -68,9 +74,9 @@ class TestSRRegion:
             Rect((1.0, 1.0), (2.0, 3.0)), Sphere((1.5, 2.0), 1.2)
         )
         for q in [(0.0, 0.0), (1.5, 2.0), (5.0, 1.0)]:
-            dmin = region_minimum_distance_sq(q, region)
-            dmm = region_minmax_distance_sq(q, region)
-            dmax = region_maximum_distance_sq(q, region)
+            dmin, dmm, dmax = (
+                _bound(m, q, region) for m in ("dmin", "dmm", "dmax")
+            )
             assert dmin <= dmm + 1e-9
             assert dmm <= dmax + 1e-9
 
@@ -227,7 +233,7 @@ class TestParallelSRTree:
             node = srtree.page(page_id)
             if node.mbr is not None:
                 assert (
-                    region_minimum_distance_sq(q, node.mbr.rect)
+                    minimum_distance_sq(q, node.mbr.rect)
                     <= dk * dk * (1 + 1e-9) + 1e-12
                 )
 

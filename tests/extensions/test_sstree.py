@@ -3,12 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BBSS, CRSS, CountingExecutor, FPSS, WOPTSS
 from repro.datasets import gaussian, uniform
+from repro.extensions.srtree import SRNode, SRTree
 from repro.extensions.sstree import (
     ParallelSSTree,
     SSNode,
@@ -177,3 +179,40 @@ class TestParallelSSTree:
             ParallelSSTree(2, num_disks=0)
 
 
+
+
+def _nodes(tree):
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack.extend(node.entries)
+
+
+@pytest.mark.parametrize("tree_class, node_class", [
+    (SSTree, SSNode), (SRTree, SRNode),
+])
+def test_cached_arrays_equal_a_fresh_build_after_every_insert(
+    tree_class, node_class
+):
+    """Every node's cached region arrays stay the arrays its entries
+    give, insert after insert; every cache is warmed again each time so
+    a missed invalidation shows at the next insert."""
+    tree = tree_class(2, max_entries=6)
+    for oid, point in enumerate(uniform(500, 2, seed=33)):
+        tree.insert(point, oid)
+        for node in _nodes(tree):
+            assert type(node) is node_class
+            cached = node.entry_bounds()
+            fresh = node.build_bounds()
+            assert len(cached) == len(fresh)
+            for got, want in zip(cached, fresh):
+                assert got.tobytes() == want.tobytes()
+            # A leaf's first array is its point matrix.
+            if node.is_leaf:
+                assert cached[0].tolist() == [
+                    list(entry.point) for entry in node.entries
+                ]
+    assert tree.height >= 4
+    assert np.asarray(tree.root.entry_bounds()[0]).shape[1] == 2

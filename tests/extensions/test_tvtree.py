@@ -6,11 +6,7 @@ import random
 import pytest
 
 from repro.core import BBSS, CRSS, CountingExecutor, FPSS, WOPTSS
-from repro.core.regions import (
-    region_maximum_distance_sq,
-    region_minimum_distance_sq,
-    region_minmax_distance_sq,
-)
+from repro.core.scan import scan_children
 from repro.datasets import gaussian, uniform
 from repro.extensions.tvtree import (
     TVRegion,
@@ -21,6 +17,14 @@ from repro.extensions.tvtree import (
 from repro.geometry.rect import Rect
 from repro.parallel import build_parallel_tree
 from tests.conftest import brute_force_knn
+from tests.core.oracle import (
+    region_maximum_distance_sq,
+    region_minimum_distance_sq,
+    region_minmax_distance_sq,
+    tv_maximum_distance_sq,
+    tv_minimum_distance_sq,
+    tv_minmax_distance_sq,
+)
 
 
 class TestTVRegion:
@@ -38,20 +42,35 @@ class TestTVRegion:
         )
         q = (2.0, 0.5, 3.0)
         # Dmin: 1.0 (active x) + 0 (active y inside) + 4.0 (tail gap).
-        assert region.dmin_sq(q) == pytest.approx(1.0 + 4.0)
+        assert tv_minimum_distance_sq(region, q) == pytest.approx(1.0 + 4.0)
         # Dmax: farthest corners on every axis.
-        assert region.dmax_sq(q) == pytest.approx(4.0 + 0.25 + 9.0)
-        assert region.dmm_sq(q) == region.dmax_sq(q)
+        assert tv_maximum_distance_sq(region, q) == pytest.approx(
+            4.0 + 0.25 + 9.0
+        )
+        assert tv_minmax_distance_sq(region, q) == tv_maximum_distance_sq(
+            region, q
+        )
 
     def test_region_protocol_dispatch(self):
-        """The generic dispatchers delegate to the region's methods."""
-        region = TVRegion(
-            Rect((0.0, 0.0), (1.0, 1.0)), Rect((0.0,), (1.0,))
+        """A view's round scan gives the oracle's per-region bounds."""
+        data = gaussian(300, 4, seed=90)
+        view = build_tv_view(
+            data, dims=4, num_disks=3, active=2, page_size=512
         )
-        q = (0.5, 0.5, 2.0)
-        assert region_minimum_distance_sq(q, region) == region.dmin_sq(q)
-        assert region_minmax_distance_sq(q, region) == region.dmm_sq(q)
-        assert region_maximum_distance_sq(q, region) == region.dmax_sq(q)
+        internal = [
+            view.page(page_id) for page_id in sorted(view._tree.tree.pages)
+            if not view._tree.page(page_id).is_leaf
+        ]
+        q = (0.5, 0.5, 2.0, -1.0)
+        scan = scan_children(q, internal, want_dmm=True, want_dmax=True)
+        regions = [ref.rect for ref in scan.refs]
+        assert all(isinstance(region, TVRegion) for region in regions)
+        for values, dispatch in (
+            (scan.dmin_sq, region_minimum_distance_sq),
+            (scan.dmm_sq, region_minmax_distance_sq),
+            (scan.dmax_sq, region_maximum_distance_sq),
+        ):
+            assert values == [dispatch(q, region) for region in regions]
 
     def test_bounds_are_valid_relaxations(self):
         """The TV bounds bracket the true full-dimensional bounds."""
@@ -66,8 +85,12 @@ class TestTVRegion:
 
         for _ in range(50):
             q = tuple(rng.uniform(-0.5, 1.5) for _ in range(3))
-            assert region.dmin_sq(q) <= minimum_distance_sq(q, full) + 1e-9
-            assert region.dmax_sq(q) >= maximum_distance_sq(q, full) - 1e-9
+            assert tv_minimum_distance_sq(region, q) <= (
+                minimum_distance_sq(q, full) + 1e-9
+            )
+            assert tv_maximum_distance_sq(region, q) >= (
+                maximum_distance_sq(q, full) - 1e-9
+            )
 
 
 class TestTVTreeView:

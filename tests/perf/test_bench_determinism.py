@@ -90,11 +90,10 @@ def test_document_shape(smoke_docs):
         for row in config["algorithms"].values():
             assert row["pages_fetched"] > 0
             assert row["simulate"]["pages_fetched"] > 0
-            # The suite ran vectorized: the Dmin kernel must have fired
-            # and the scalar fallback must not have.
+            # The Dmin kernel fired, and kernels are the only path.
             counters = row["kernel_counters"]
             assert counters.get("kernels.dmin.vector_entries", 0) > 0
-            assert counters.get("kernels.dmin.scalar_entries", 0) == 0
+            assert not any("scalar" in key for key in counters)
 
 
 def test_write_bench_round_trips(tmp_path, smoke_docs):

@@ -16,16 +16,10 @@ from repro.core.distances import (
     minmax_distance_sq,
 )
 from repro.core.protocol import ChildRef
-from repro.core.regions import (
-    batch_region_distances,
-    region_maximum_distance_sq,
-    region_minimum_distance_sq,
-    region_minmax_distance_sq,
-)
+from repro.core.regions import KERNELS
 from repro.core.threshold import threshold_distance_sq
 from repro.geometry.point import squared_euclidean
 from repro.geometry.rect import Rect
-from repro.geometry.sphere import Sphere
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import kernels
 from tests.core import oracle
@@ -211,18 +205,21 @@ class TestBroadcastKernels:
 
 @pytest.mark.parametrize("dims", [2, 10])
 def test_batch_region_distances_paths_agree(dims):
-    """The rectangle batch equals the per-region dispatchers' lists."""
+    """The rectangle kernel table equals the per-region dispatchers."""
     lows, highs = random_mbrs(dims, 40, seed=600 + dims)
     rects = as_rects(lows, highs)
     query = tuple(np.random.default_rng(700 + dims).uniform(-5, 5, dims))
     metrics = ["dmin", "dmm", "dmax"]
-    vectorized = batch_region_distances(query, rects, metrics)
+    vectorized = [
+        KERNELS["rect", metric](query, lows, highs).tolist()
+        for metric in metrics
+    ]
     scalar = [
         [dispatch(query, rect) for rect in rects]
         for dispatch in (
-            region_minimum_distance_sq,
-            region_minmax_distance_sq,
-            region_maximum_distance_sq,
+            oracle.region_minimum_distance_sq,
+            oracle.region_minmax_distance_sq,
+            oracle.region_maximum_distance_sq,
         )
     ]
     assert vectorized == scalar
@@ -251,7 +248,12 @@ def test_threshold_paths_agree(k):
         for i in (0, 3, 7)
     ]
     query = tuple(rng.uniform(-5, 5, 4))
-    vectorized = threshold_distance_sq(query, entries, k)
+    dmax_sq = kernels.batch_maximum_distance_sq(
+        query,
+        [ref.rect.low for ref in entries],
+        [ref.rect.high for ref in entries],
+    ).tolist()
+    vectorized = threshold_distance_sq(entries, k, dmax_sq)
     scalar = oracle.threshold_distance_sq(
         entries, k, [maximum_distance_sq(query, ref.rect) for ref in entries]
     )
@@ -267,7 +269,7 @@ def test_threshold_rejects_misaligned_dmax():
         ChildRef(rect, 1, i) for i, rect in enumerate(as_rects(lows, highs))
     ]
     with pytest.raises(ValueError, match="dmax_sq has"):
-        threshold_distance_sq((0.0, 0.0), entries, 2, dmax_sq=[1.0])
+        threshold_distance_sq(entries, 2, dmax_sq=[1.0])
 
 
 class TestInstrumentation:
@@ -292,24 +294,45 @@ class TestInstrumentation:
             ).value == 17
 
     def test_scalar_counters(self):
-        """Regions without a matrix form are counted as ``scalar``."""
+        """No access method scores a region outside the kernels.
+
+        All four algorithms over the five trees (R*, SS, SR, TV view,
+        X) leave only ``vector`` counters — for every query metric.
+        """
+        from repro.core import BBSS, CRSS, FPSS, WOPTSS, CountingExecutor
+        from repro.datasets import gaussian, sample_queries
+        from repro.extensions.srtree import build_parallel_srtree
+        from repro.extensions.sstree import build_parallel_sstree
+        from repro.extensions.tvtree import build_tv_view
+        from repro.extensions.xtree import build_parallel_xtree
+        from repro.parallel import build_parallel_tree
+
+        data = gaussian(300, 4, seed=1003)
+        options = dict(dims=4, num_disks=3)
+        trees = [
+            build_parallel_tree(data, max_entries=8, **options),
+            build_parallel_sstree(data, max_entries=8, **options),
+            build_parallel_srtree(data, max_entries=8, **options),
+            build_tv_view(data, active=2, page_size=512, **options),
+            build_parallel_xtree(data, max_entries=8, **options),
+        ]
         registry = MetricsRegistry()
         previous = kernels.instrument_kernels(registry)
         try:
-            lows, _ = random_mbrs(3, 9, seed=1001)
-            query = (0.0, 0.0, 0.0)
-            batch_region_distances(
-                query,
-                [Sphere(tuple(center), 0.5) for center in lows.tolist()],
-                ["dmin", "dmax"],
-            )
+            for tree in trees:
+                executor = CountingExecutor(tree)
+                for q in sample_queries(data, 3, seed=1004):
+                    dk = tree.kth_nearest_distance(q, 5)
+                    for search in (BBSS(q, 5), FPSS(q, 5),
+                                   CRSS(q, 5, num_disks=3),
+                                   WOPTSS(q, 5, oracle_dk=dk)):
+                        executor.execute(search)
         finally:
             kernels.instrument_kernels(previous)
-        for metric in ("dmin", "dmax"):
-            assert registry.counter(
-                f"kernels.{metric}.scalar_entries"
-            ).value == 9
-        assert not any("vector" in counter.name for counter in registry)
+        names = [counter.name for counter in registry]
+        assert not any("scalar" in name for name in names)
+        for metric in ("dmin", "dmm", "dmax", "pointdist"):
+            assert f"kernels.{metric}.vector_entries" in names
 
     def test_detached_registry_sees_nothing(self):
         registry = MetricsRegistry()
