@@ -47,6 +47,7 @@ import math
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.report import fold_mean
 from repro.obs.timeline import sparkline
 
 #: Bumped when the explain artifact layout changes incompatibly.
@@ -225,10 +226,7 @@ class ExplainRecorder:
     @property
     def mean_fanout_ratio(self) -> float:
         """Mean achieved/ideal disk fanout over the query's rounds."""
-        pairs = self.fanout_per_round()
-        if not pairs:
-            return 0.0
-        return sum(a / i for a, i in pairs) / len(pairs)
+        return fold_mean([a / i for a, i in self.fanout_per_round()])
 
     @property
     def threshold_tightness(self) -> Optional[float]:
@@ -582,11 +580,7 @@ class WorkloadExplain:
             if fanout_pairs
             else 0.0
         )
-        mean_ratio = (
-            sum(a / i for a, i in fanout_pairs) / len(fanout_pairs)
-            if fanout_pairs
-            else 0.0
-        )
+        mean_ratio = fold_mean([a / i for a, i in fanout_pairs])
         mode_rounds: Counter = Counter()
         for recorder in recorders:
             transitions = recorder.mode_transitions
@@ -617,11 +611,7 @@ class WorkloadExplain:
             },
             "per_level": per_level,
             "threshold": {
-                "mean_tightness": (
-                    sum(tightnesses) / len(tightnesses)
-                    if tightnesses
-                    else 0.0
-                ),
+                "mean_tightness": fold_mean(tightnesses),
                 "queries_with_threshold": len(tightnesses),
                 # Queries that never saw k finite neighbors (k larger
                 # than the reachable dataset): previously these were

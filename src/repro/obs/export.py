@@ -14,12 +14,20 @@ Two consumers, two formats:
 
 Timestamps: the tracer records simulated **seconds**; Chrome's ``ts``
 and ``dur`` are **microseconds**, so the exporter multiplies by 1e6.
+
+Both writers stream.  Events and lines are produced one at a time and
+encoded :data:`_CHUNK` at a time by the C JSON encoder (``json.dump``
+into a handle always runs the pure-Python one), so a write holds one
+chunk's objects and text, never the whole document, and writes exactly
+the bytes that encoding the whole document, or joining all the lines,
+would.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Union
+from itertools import islice
+from typing import Any, Dict, IO, Iterable, Iterator, List, Union
 
 from repro.obs.trace import (
     AsyncRecord,
@@ -34,20 +42,44 @@ _SECONDS_TO_US = 1e6
 #: The single Chrome "process" all tracks live under.
 _PID = 1
 
+#: Events (Chrome trace) or lines (JSONL) per encoder call and write.
+_CHUNK = 512
+
+#: ``json.dumps(obj, sort_keys=True)`` without building an encoder per
+#: call: the C encoder, same bytes.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _chunks(items: Iterable[Any]) -> Iterator[List[Any]]:
+    """*items* in lists of :data:`_CHUNK` (the last one shorter)."""
+    items = iter(items)
+    chunk = list(islice(items, _CHUNK))
+    while chunk:
+        yield chunk
+        chunk = list(islice(items, _CHUNK))
+
+
+def jsonl_chunks(objects: Iterable[Any]) -> Iterator[str]:
+    """*objects* as JSON lines with sorted keys, one chunk of
+    newline-terminated lines at a time (nothing at all for no
+    objects)."""
+    for chunk in _chunks(objects):
+        yield "\n".join(map(_encode, chunk)) + "\n"
+
 
 def dumps_jsonl(tracer: Tracer) -> str:
     """The trace as JSON-lines text (one record per line, sorted keys)."""
-    lines = [
-        json.dumps(record.as_dict(), sort_keys=True)
-        for record in tracer.records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        jsonl_chunks(record.as_dict() for record in tracer.records)
+    )
 
 
 def write_jsonl(tracer: Tracer, path: str) -> None:
-    """Write the JSONL export to *path*."""
+    """Write the JSONL export to *path*, a chunk of lines at a time."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_jsonl(tracer))
+        handle.writelines(
+            jsonl_chunks(record.as_dict() for record in tracer.records)
+        )
 
 
 def _thread_ids(tracer: Tracer) -> Dict[str, int]:
@@ -55,80 +87,69 @@ def _thread_ids(tracer: Tracer) -> Dict[str, int]:
     return {name: tid for tid, name in enumerate(tracer.tracks, start=1)}
 
 
-def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
-    """The trace as a Chrome trace-event document (a JSON-able dict)."""
+def _chrome_events(tracer: Tracer) -> Iterator[Dict[str, Any]]:
+    """The trace's Chrome events, one at a time, in document order:
+    metadata, then one event per record, then the flow arrows."""
     tids = _thread_ids(tracer)
-    events: List[Dict[str, Any]] = [
-        {
-            "ph": "M",
-            "name": "process_name",
-            "pid": _PID,
-            "tid": 0,
-            "args": {"name": "disk array simulation"},
-        }
-    ]
+    yield {
+        "ph": "M",
+        "name": "process_name",
+        "pid": _PID,
+        "tid": 0,
+        "args": {"name": "disk array simulation"},
+    }
     for name, tid in tids.items():
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_name",
-                "pid": _PID,
-                "tid": tid,
-                "args": {"name": name},
-            }
-        )
-        events.append(
-            {
-                "ph": "M",
-                "name": "thread_sort_index",
-                "pid": _PID,
-                "tid": tid,
-                "args": {"sort_index": tid},
-            }
-        )
+        yield {
+            "ph": "M",
+            "name": "thread_name",
+            "pid": _PID,
+            "tid": tid,
+            "args": {"name": name},
+        }
+        yield {
+            "ph": "M",
+            "name": "thread_sort_index",
+            "pid": _PID,
+            "tid": tid,
+            "args": {"sort_index": tid},
+        }
 
     # Flow arrows: spans sharing a flow id, chained in time order.
     flows: Dict[int, List[SpanRecord]] = {}
     for record in tracer.records:
         if isinstance(record, SpanRecord):
-            events.append(
-                {
-                    "ph": "X",
-                    "name": record.name,
-                    "cat": record.category,
-                    "ts": record.start * _SECONDS_TO_US,
-                    "dur": record.duration * _SECONDS_TO_US,
-                    "pid": _PID,
-                    "tid": tids[record.track],
-                    "args": dict(record.args) if record.args else {},
-                }
-            )
+            yield {
+                "ph": "X",
+                "name": record.name,
+                "cat": record.category,
+                "ts": record.start * _SECONDS_TO_US,
+                "dur": record.duration * _SECONDS_TO_US,
+                "pid": _PID,
+                "tid": tids[record.track],
+                "args": dict(record.args) if record.args else {},
+            }
             if record.flow is not None:
                 flows.setdefault(record.flow, []).append(record)
         elif isinstance(record, InstantRecord):
-            events.append(
-                {
-                    "ph": "i",
-                    "name": record.name,
-                    "cat": record.category,
-                    "ts": record.ts * _SECONDS_TO_US,
-                    "pid": _PID,
-                    "tid": tids[record.track],
-                    "s": "t",
-                    "args": dict(record.args) if record.args else {},
-                }
-            )
+            yield {
+                "ph": "i",
+                "name": record.name,
+                "cat": record.category,
+                "ts": record.ts * _SECONDS_TO_US,
+                "pid": _PID,
+                "tid": tids[record.track],
+                "s": "t",
+                "args": dict(record.args) if record.args else {},
+            }
         elif isinstance(record, CounterRecord):
-            events.append(
-                {
-                    "ph": "C",
-                    "name": f"{record.track} {record.name}",
-                    "ts": record.ts * _SECONDS_TO_US,
-                    "pid": _PID,
-                    "tid": tids[record.track],
-                    "args": {record.name: record.value},
-                }
-            )
+            yield {
+                "ph": "C",
+                "name": f"{record.track} {record.name}",
+                "ts": record.ts * _SECONDS_TO_US,
+                "pid": _PID,
+                "tid": tids[record.track],
+                "args": {record.name: record.value},
+            }
         elif isinstance(record, AsyncRecord):
             event = {
                 "ph": record.phase,
@@ -142,7 +163,7 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
             }
             if record.scope:
                 event["scope"] = record.scope
-            events.append(event)
+            yield event
 
     for flow_id, spans in sorted(flows.items()):
         if len(spans) < 2:
@@ -165,15 +186,33 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
             }
             if phase == "f":
                 event["bp"] = "e"  # bind to the enclosing slice
-            events.append(event)
+            yield event
 
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
+    """The trace as a Chrome trace-event document (a JSON-able dict)."""
+    return {
+        "traceEvents": list(_chrome_events(tracer)),
+        "displayTimeUnit": "ms",
+    }
 
 
 def write_chrome_trace(tracer: Tracer, path: str) -> None:
-    """Write the Chrome trace-event export to *path*."""
+    """Write the Chrome trace-event export to *path*.
+
+    The bytes of :func:`chrome_trace`'s document encoded with sorted
+    keys: its two keys in order, then the events encoded a chunk at a
+    time, each chunk's list brackets dropped and the chunks joined by
+    the encoder's own ``", "`` item separator.
+    """
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(chrome_trace(tracer), handle, sort_keys=True)
+        handle.write('{"displayTimeUnit": "ms", "traceEvents": [')
+        separator = ""
+        for chunk in _chunks(_chrome_events(tracer)):
+            handle.write(separator)
+            handle.write(_encode(chunk)[1:-1])
+            separator = ", "
+        handle.write("]}")
 
 
 #: Formats understood by :func:`write_trace` (and the CLI's --trace-format).

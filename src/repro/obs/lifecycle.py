@@ -38,6 +38,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.obs.export import jsonl_chunks
+
 #: Scope letter stamped on the async span events (pairs b/n/e ids).
 ASYNC_SCOPE = "q"
 
@@ -198,15 +200,13 @@ class LifecycleLog:
     def to_jsonl(self) -> str:
         """One JSON line per query, qid order, sorted keys — byte
         deterministic for a deterministic run."""
-        lines = [
-            json.dumps(record, sort_keys=True) for record in self.records
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(jsonl_chunks(self.records))
 
     def write_jsonl(self, path: str) -> None:
-        """Write :meth:`to_jsonl` to *path* (byte-deterministic)."""
+        """Write :meth:`to_jsonl`'s text to *path*, a chunk of lines at a
+        time (byte-deterministic)."""
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl())
+            handle.writelines(jsonl_chunks(self.records))
 
     def flush_to_tracer(self, tracer, category: str = "lifecycle") -> int:
         """Emit every query's lifecycle as Chrome async span events.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, IO, Iterable, Mapping, Optional, Union
+from typing import Dict, IO, Iterable, Mapping, Optional, Sequence, Union
 
 #: Bumped when the report layout changes incompatibly.
 REPORT_SCHEMA = "repro-run-report/1"
@@ -29,6 +29,19 @@ TIMELINE_BUCKETS = 60
 
 #: Latency percentiles recorded in every report.
 PERCENTILES = (0.50, 0.90, 0.95, 0.99)
+
+
+def fold_mean(values: Sequence[float]) -> float:
+    """Mean of *values* (0.0 for none) by an explicit left fold.
+
+    Not the builtin ``sum()``: from Python 3.12 on it compensates float
+    rounding, which would move the bytes of every report, explain
+    section and bench document that carries a mean.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else 0.0
 
 
 def canonical_report_bytes(doc: Mapping) -> bytes:
@@ -158,11 +171,7 @@ def build_run_report(
                 if result.disk_utilizations
                 else 0.0
             ),
-            "disk_mean": (
-                sum(result.disk_utilizations) / len(result.disk_utilizations)
-                if result.disk_utilizations
-                else 0.0
-            ),
+            "disk_mean": fold_mean(result.disk_utilizations),
             "bus": result.bus_utilization,
             "cpu": result.cpu_utilization,
         },
@@ -301,7 +310,10 @@ def format_report_details(doc: Mapping) -> str:
             lines.append(f"    {key:<26} {rendered}")
     breakdown = doc.get("breakdown")
     if breakdown:
-        total = sum(v for v in breakdown.values() if isinstance(v, float))
+        total = 0.0  # a left fold, as in fold_mean
+        for value in breakdown.values():
+            if isinstance(value, float):
+                total += value
         lines.append("  breakdown : mean per-query seconds")
         for key in sorted(breakdown):
             value = breakdown[key]

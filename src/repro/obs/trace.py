@@ -20,12 +20,24 @@ the Chrome trace-event format for Perfetto / ``chrome://tracing``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
+
+# The records are named tuples: immutable, slotted (``__slots__ = ()``,
+# no per-record ``__dict__``) and built by one ``tuple.__new__`` call,
+# where a frozen dataclass pays an ``object.__setattr__`` per field.  An
+# observed serving run builds, holds and exports tens of thousands.
 
 
-@dataclass(frozen=True)
-class SpanRecord:
+class SpanRecord(NamedTuple):
     """A named interval ``[start, end]`` on a track.
 
     :param flow: optional flow id (the query id) linking spans that
@@ -61,8 +73,7 @@ class SpanRecord:
         return record
 
 
-@dataclass(frozen=True)
-class InstantRecord:
+class InstantRecord(NamedTuple):
     """A point event on a track."""
 
     track: str
@@ -88,8 +99,7 @@ class InstantRecord:
         return record
 
 
-@dataclass(frozen=True)
-class CounterRecord:
+class CounterRecord(NamedTuple):
     """A sampled value on a track (queue depth, holders in use, …)."""
 
     track: str
@@ -108,8 +118,7 @@ class CounterRecord:
         }
 
 
-@dataclass(frozen=True)
-class AsyncRecord:
+class AsyncRecord(NamedTuple):
     """One phase of a Chrome **async** span (``b`` / ``n`` / ``e``).
 
     Async spans model intervals that hop between tracks — a query's

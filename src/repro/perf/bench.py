@@ -43,6 +43,7 @@ from repro.datasets import sample_queries
 from repro.experiments.setup import build_tree, dataset, make_factory
 from repro.geometry.rect import Rect
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.report import fold_mean
 from repro.perf import kernels
 from repro.rtree.flat import flatten
 from repro.simulation import simulate_workload
@@ -156,7 +157,7 @@ def _run_algorithm_suite(
         "simulate": {
             "arrival_rate": _ARRIVAL_RATE,
             "makespan_s": workload.makespan,
-            "response_mean_s": sum(responses) / len(responses),
+            "response_mean_s": fold_mean(responses),
             "response_p95_s": _percentile(responses, 0.95),
             "pages_fetched": sum(r.pages_fetched for r in workload.records),
             "buffer_hits": sum(r.buffer_hits for r in workload.records),

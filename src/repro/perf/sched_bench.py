@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.datasets import sample_queries
 from repro.experiments.setup import build_tree, dataset, make_factory
+from repro.obs.report import fold_mean
 from repro.perf.bench import (
     _percentile,
     canonical_bytes,
@@ -110,7 +111,7 @@ def _run_variant(
         "name": name,
         "scheduler": scheduler,
         "coalesce": coalesce,
-        "response_mean_s": sum(responses) / len(responses),
+        "response_mean_s": fold_mean(responses),
         "response_median_s": _percentile(responses, 0.5),
         "response_p95_s": _percentile(responses, 0.95),
         "makespan_s": result.makespan,

@@ -1,6 +1,7 @@
 """Tests for the JSONL and Chrome trace-event exports."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -107,6 +108,34 @@ class TestChromeTrace:
         write_chrome_trace(tracer, str(path))
         with open(path) as handle:
             assert validate_chrome_trace(handle) > 0
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated while *call* runs (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingWrite:
+    def test_writing_peaks_far_below_building_the_document(self, tmp_path):
+        """The writer streams chunks of events: it never holds the event
+        list, or the text, of the whole document that ``chrome_trace``
+        builds.  (Encoding the document in one piece peaks as high as
+        building it.)"""
+        tracer = Tracer()
+        for i in range(30_000):
+            t = i * 1e-3
+            tracer.span(f"disk{i % 10}", "service", "disk", t, t + 5e-4,
+                        flow=i // 10, args={"page": i})
+            tracer.counter(f"disk{i % 10}", "queue", t, i % 7)
+        path = tmp_path / "trace.json"
+        writing = traced_peak(lambda: write_chrome_trace(tracer, str(path)))
+        building = traced_peak(lambda: chrome_trace(tracer))
+        assert writing < 0.25 * building
 
 
 class TestWriteTrace:

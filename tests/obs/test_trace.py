@@ -33,6 +33,17 @@ class TestTracer:
         assert span.as_dict()["args"] == {"pages": 2}
         assert span.as_dict()["kind"] == "span"
 
+    def test_records_are_slotted_and_immutable(self):
+        tracer = Tracer()
+        tracer.span("t", "x", "c", 0.0, 1.0)
+        tracer.instant("t", "y", "c", 0.5)
+        tracer.counter("t", "z", 0.5, 1)
+        tracer.async_event("t", "w", "c", "b", 0.5, 3)
+        for record in tracer.records:
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(AttributeError):
+                record.track = "other"
+
     def test_backwards_span_rejected(self):
         with pytest.raises(ValueError, match="ends before"):
             Tracer().span("t", "x", "c", 2.0, 1.0)

@@ -10,9 +10,15 @@ module's global ``sum`` for float terms (integer sums, such as subtree
 object counts, stay exact integers, as they do on 3.12) and still
 requires the kernels' bits, which holds only if the scalar code never
 calls ``sum()`` on floats.
+
+The same goes for the means the run reports and bench documents print
+(``disk_mean``, the explain fanout ratios and threshold tightness,
+``response_mean_s``): with ``fsum`` as their modules' ``sum`` the CLI
+and bench goldens of ``tests/test_cli_golden.py`` must still hold.
 """
 
 import builtins
+import json
 import math
 
 import numpy as np
@@ -22,8 +28,11 @@ from repro.core import distances
 from repro.extensions import srtree, sstree
 from repro.geometry import point, rect
 from repro.geometry.rect import Rect
-from repro.perf import kernels
+from repro.obs import explain, report
+from repro.perf import bench, kernels, sched_bench
+from repro.perf.bench import canonical_bytes
 from repro.rtree import tree as rtree_tree
+from tests import test_cli_golden as cli_golden
 from tests.extensions import test_access_method_golden as access_golden
 from tests.rtree import test_structure_golden as structure_golden
 
@@ -40,6 +49,13 @@ def compensated_sum(iterable, start=0):
 def fsum_everywhere(monkeypatch):
     """:func:`compensated_sum` as ``sum`` in every module with a twin."""
     for module in (point, distances, rect, rtree_tree, sstree, srtree):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+
+
+@pytest.fixture
+def fsum_in_reports(monkeypatch):
+    """:func:`compensated_sum` as ``sum`` where reports take means."""
+    for module in (report, explain, bench, sched_bench):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
 
 
@@ -119,3 +135,30 @@ def test_the_data_sets_exercise_the_difference():
     folds = kernels.batch_point_distance_sq(query, lows).tolist()
     exact = [math.fsum((query - p) * (query - p)) for p in lows]
     assert sum(a != b for a, b in zip(folds, exact)) > 100
+
+
+@pytest.mark.parametrize(
+    "case", ["simulate", "serve", "chaos", "serve_faulty", "chaos_control"]
+)
+def test_run_reports_are_unchanged(fsum_in_reports, case):
+    """Every case that writes a RunReport (``disk_mean``), two of them
+    with the explain section (fanout ratio, tightness)."""
+    hashes, stdout = cli_golden.run_case.__wrapped__(case)
+    assert hashes == cli_golden.GOLDEN[case][1]
+    assert stdout == cli_golden.GOLDEN_STDOUT[case]
+
+
+def test_bench_smoke_is_unchanged(fsum_in_reports):
+    doc, run_report = cli_golden.bench_smoke.__wrapped__()
+    assert cli_golden.sha256(canonical_bytes(json.loads(doc))) == (
+        cli_golden.GOLDEN_BENCH_SMOKE
+    )
+    assert cli_golden.sha256(run_report) == (
+        cli_golden.GOLDEN_BENCH_SMOKE_REPORT
+    )
+
+
+def test_scheduler_bench_is_unchanged(fsum_in_reports, tmp_path):
+    cli_golden.test_simulated_time_bench_smoke_is_pinned(
+        "bench-schedulers", tmp_path
+    )
