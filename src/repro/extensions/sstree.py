@@ -38,7 +38,7 @@ from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
 from repro.parallel.declustering import PlacementContext, ProximityIndex
 from repro.perf import kernels
-from repro.rtree.node import LeafEntry
+from repro.rtree.node import LeafEntry, cached_leaf_data
 
 Entry = Union[LeafEntry, "SSNode"]
 
@@ -64,7 +64,7 @@ class SSNode:
     """
 
     __slots__ = ("page_id", "level", "entries", "parent", "mbr",
-                 "object_count", "_bounds")
+                 "object_count", "_bounds", "_leaf")
 
     region_family = "sphere"
 
@@ -78,6 +78,10 @@ class SSNode:
         #: Cached :meth:`build_bounds` arrays; dropped when the entry
         #: list changes or a child's region does (:meth:`refresh`).
         self._bounds: Optional[Tuple[np.ndarray, ...]] = None
+        #: Cached :attr:`leaf_data`, dropped when the entry list changes.
+        self._leaf: Optional[Tuple[np.ndarray, List[Point]]] = None
+
+    leaf_data = property(cached_leaf_data)
 
     @property
     def is_leaf(self) -> bool:
@@ -89,21 +93,21 @@ class SSNode:
         if isinstance(entry, SSNode):
             entry.parent = self
         self.entries.append(entry)
-        self._bounds = None
+        self._bounds = self._leaf = None
 
     def replace_entries(self, entries: Sequence[Entry]) -> None:
         """Replace the whole entry list, wiring parent pointers.
 
         Same contract as :meth:`repro.rtree.node.Node.replace_entries`:
         bulk rewrites go through here rather than rebinding ``entries``
-        directly, so the cached region arrays are dropped.
+        directly, so the cached region arrays and leaf data are dropped.
         """
         replacement = list(entries)
         for entry in replacement:
             if isinstance(entry, SSNode):
                 entry.parent = self
         self.entries = replacement
-        self._bounds = None
+        self._bounds = self._leaf = None
 
     def refresh(self) -> None:
         """Recompute the bounding sphere and subtree object count.

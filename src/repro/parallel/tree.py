@@ -18,6 +18,8 @@ import random
 from collections import Counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.parallel.declustering import (
@@ -26,7 +28,8 @@ from repro.parallel.declustering import (
     ProximityIndex,
 )
 from repro.rtree.node import Node
-from repro.rtree.query import kth_nearest_distance, nodes_intersecting_sphere
+from repro.rtree.flat import kth_nearest_over_leaves
+from repro.rtree.query import nodes_intersecting_sphere
 from repro.rtree.tree import RStarTree
 
 #: Cylinder count of the paper's HP C2240A disk (Table 2).
@@ -217,8 +220,47 @@ class ParallelRStarTree:
         return self.tree.knn(point, k)
 
     def kth_nearest_distance(self, point: Sequence[float], k: int) -> float:
-        """Oracle distance ``D_k`` — what WOPTSS assumes known."""
-        return kth_nearest_distance(self.tree, tuple(point), k)
+        """Oracle distance ``D_k`` — what WOPTSS assumes known.
+
+        :func:`~repro.rtree.flat.kth_nearest_over_leaves` over the
+        leaves' MBR rows and their own point matrices.
+        """
+        leaves, lows, highs = self._leaf_rows()
+        lengths = np.fromiter(
+            (len(leaf.entries) for leaf in leaves), dtype=np.int64,
+            count=len(leaves),
+        )
+
+        def points_of(indices: np.ndarray) -> np.ndarray:
+            return np.concatenate(
+                [leaves[i].entry_bounds()[0] for i in indices.tolist()]
+            )
+
+        return kth_nearest_over_leaves(
+            point, k, len(self.tree), lows, highs, lengths, points_of
+        )
+
+    def _leaf_rows(self) -> Tuple[List[Node], np.ndarray, np.ndarray]:
+        """The leaves in tree order and their MBR corner matrices.
+
+        The rows come from the leaves' parents' cached bounds matrices;
+        a one-page tree's root row is its own MBR.
+        """
+        root = self.tree.root
+        if root.is_leaf:
+            leaves = [root] if root.entries else []
+            shape = (len(leaves), self._dims)
+            lows = np.array([leaf.mbr.low for leaf in leaves], np.float64)
+            highs = np.array([leaf.mbr.high for leaf in leaves], np.float64)
+            return leaves, lows.reshape(shape), highs.reshape(shape)
+        parents = [root]
+        while parents[0].level > 1:
+            parents = [child for node in parents for child in node.entries]
+        lows, highs = (
+            np.concatenate(column)
+            for column in zip(*(node.entry_bounds() for node in parents))
+        )
+        return [leaf for node in parents for leaf in node.entries], lows, highs
 
     def optimal_page_set(self, point: Sequence[float], k: int):
         """Page ids a weak-optimal search would fetch (Definition 6)."""

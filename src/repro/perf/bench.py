@@ -251,11 +251,11 @@ def _layout_microbench_case(
 ) -> Dict[str, float]:
     """Time the whole-tree scan on the pointer tree vs. its flat freeze.
 
-    Both sides run the same vectorized kernels; the difference under
-    measurement is pure storage layout — per-scan ``ChildRef`` list
-    builds and per-entry leaf offers on the pointer side vs. cached
-    reference lists, zero-copy corner slices and block offers on the
-    flat side.  Caches are warmed before timing; best-of-*repeats*.
+    Both sides run the same vectorized kernels and the same block offer
+    for leaves; the difference under measurement is pure storage layout
+    — per-scan ``ChildRef`` list builds on the pointer side vs. cached
+    reference lists and zero-copy corner slices on the flat side.
+    Caches are warmed before timing; best-of-*repeats*.
     """
     data = dataset("gaussian", n, dims, seed=seed)
     pointer = build_tree("gaussian", n, dims, _DISKS, seed=seed)

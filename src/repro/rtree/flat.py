@@ -44,7 +44,9 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -508,6 +510,57 @@ class FlatTree:
         return tree
 
 
+def kth_nearest_over_leaves(
+    point: Sequence[float],
+    k: int,
+    size: int,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    lengths: np.ndarray,
+    points_of: Callable[[np.ndarray], np.ndarray],
+) -> float:
+    """The distance ``D_k`` from *point* to its k-th nearest object.
+
+    The one ``D_k`` body of the frozen and the pointer tree, computed
+    on leaf arrays and bit-identical to the best-first
+    :func:`repro.rtree.query.kth_nearest_distance`: leaves sorted
+    (stably) by ``Dmin``, the k-th smallest point distance over the
+    shortest prefix holding ``min(k, size)`` objects bounds the answer,
+    and the k-th smallest over that prefix plus every leaf with ``Dmin``
+    below the bound is ``D_k``².  Exact because a leaf's MBR row bounds
+    its points and IEEE rounding is monotone, so a leaf's ``Dmin``
+    never exceeds any of its point distances, bit for bit.  With fewer
+    than *k* objects stored, the farthest one's distance is returned.
+
+    :param size: objects in the tree.
+    :param lows: ``(leaves, dims)`` low corners of the leaf MBRs.
+    :param highs: the high corners, row-aligned with *lows*.
+    :param lengths: int64 object count of each leaf, row-aligned.
+    :param points_of: maps an index vector of leaves to the row
+        concatenation of their point matrices, in that order.
+    :raises ValueError: if the tree is empty, *k* is not positive or
+        *point* has the wrong dimensionality.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if not size:
+        raise ValueError(
+            "k-th nearest distance is undefined on an empty tree"
+        )
+    dmin = kernels.batch_minimum_distance_sq(point, lows, highs)
+    order = np.argsort(dmin, kind="stable")
+    rank = min(k, size) - 1
+    prefix = int(np.searchsorted(np.cumsum(lengths[order]), rank + 1)) + 1
+    dist = kernels.batch_point_distance_sq(point, points_of(order[:prefix]))
+    bound = np.partition(dist, rank)[rank]
+    stop = int(np.searchsorted(dmin[order], bound, side="left"))
+    if stop > prefix:
+        dist = np.concatenate((dist, kernels.batch_point_distance_sq(
+            point, points_of(order[prefix:stop])
+        )))
+    return math.sqrt(float(np.partition(dist, rank)[rank]))
+
+
 class FrozenParallelTree:
     """A :class:`FlatTree` plus the disk/cylinder placement tables.
 
@@ -573,50 +626,24 @@ class FrozenParallelTree:
     def kth_nearest_distance(self, point: Sequence[float], k: int) -> float:
         """Oracle distance ``D_k`` — what WOPTSS assumes known.
 
-        Computed on the leaf level's arrays, bit-identical to
-        :func:`repro.rtree.query.kth_nearest_distance`: leaves sorted
-        (stably) by ``Dmin``, the k-th smallest point distance over the
-        shortest prefix holding ``min(k, size)`` objects bounds the
-        answer, and the k-th smallest over that prefix plus every leaf
-        with ``Dmin`` below the bound is ``D_k``².  Exact because a leaf
-        row is the bounding box of its points and IEEE rounding is
-        monotone, so a leaf's ``Dmin`` never exceeds any of its point
-        distances, bit for bit.
-
-        :raises ValueError: if the tree is empty, *k* is not positive or
-            *point* has the wrong dimensionality.
+        :func:`kth_nearest_over_leaves` on the leaf level's arrays.
         """
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
         flat = self.tree
-        if not flat.size:
-            raise ValueError(
-                "k-th nearest distance is undefined on an empty tree"
-            )
-        dmin = kernels.batch_minimum_distance_sq(
-            point, flat.level_lows[0], flat.level_highs[0]
-        )
-        order = np.argsort(dmin, kind="stable")
-        starts = flat.level_entry_offsets[0][order]
-        lengths = flat.level_entry_counts[0][order]
-        rank = min(k, flat.size) - 1
-        prefix = int(np.searchsorted(np.cumsum(lengths), rank + 1)) + 1
+        starts = flat.level_entry_offsets[0]
+        lengths = flat.level_entry_counts[0]
 
-        def distances(begin: int, stop: int) -> np.ndarray:
-            """Squared point distances of sorted leaves ``begin:stop``."""
-            counts = lengths[begin:stop]
+        def points_of(leaves: np.ndarray) -> np.ndarray:
+            counts = lengths[leaves]
             ends = np.cumsum(counts)
             rows = np.arange(ends[-1]) + np.repeat(
-                starts[begin:stop] - ends + counts, counts
+                starts[leaves] - ends + counts, counts
             )
-            return kernels.batch_point_distance_sq(point, flat.points[rows])
+            return flat.points[rows]
 
-        dist = distances(0, prefix)
-        bound = np.partition(dist, rank)[rank]
-        stop = int(np.searchsorted(dmin[order], bound, side="left"))
-        if stop > prefix:
-            dist = np.concatenate((dist, distances(prefix, stop)))
-        return math.sqrt(float(np.partition(dist, rank)[rank]))
+        return kth_nearest_over_leaves(
+            point, k, flat.size, flat.level_lows[0], flat.level_highs[0],
+            lengths, points_of,
+        )
 
     def optimal_page_set(self, point: Sequence[float], k: int):
         """Page ids a weak-optimal search would fetch (Definition 6)."""

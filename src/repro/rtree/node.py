@@ -39,6 +39,35 @@ class LeafEntry:
         return f"LeafEntry(oid={self.oid}, point={self.point})"
 
 
+def build_leaf_data(
+    entries: Sequence[LeafEntry],
+) -> Tuple[np.ndarray, List[Point]]:
+    """Fresh ``(oids, points)`` of data *entries*: an int64 oid vector
+    and the entries' own point tuples — what :func:`cached_leaf_data`
+    caches and :func:`repro.rtree.validate.check_invariants` audits."""
+    oids = np.fromiter(
+        (entry.oid for entry in entries), dtype=np.int64, count=len(entries)
+    )
+    return oids, [entry.point for entry in entries]
+
+
+def cached_leaf_data(node) -> Optional[Tuple[np.ndarray, List[Point]]]:
+    """``(oids, points)`` of a leaf's data entries; ``None`` above level 0.
+
+    The ``leaf_data`` property of pointer and SS-tree nodes, which
+    :func:`repro.core.scan.offer_leaf` hands the block offer, so answers
+    keep the entries' own point tuples.  Built on the first read and
+    dropped with the bounds arrays when the entry list changes; nothing
+    runs on insert, split or build.
+    """
+    if node.level != 0:
+        return None
+    data = node._leaf
+    if data is None:
+        data = node._leaf = build_leaf_data(node.entries)
+    return data
+
+
 class Node:
     """One R*-tree node (= one disk page).
 
@@ -50,7 +79,7 @@ class Node:
     """
 
     __slots__ = ("page_id", "level", "entries", "parent", "mbr",
-                 "object_count", "_bounds")
+                 "object_count", "_bounds", "_leaf")
 
     #: Key of the branch-bound kernels in :data:`repro.core.regions.KERNELS`.
     region_family = "rect"
@@ -69,6 +98,10 @@ class Node:
         #: :meth:`replace_entries`); a child whose MBR changes rewrites
         #: its own row in place (:meth:`refresh`, :meth:`extend_path`).
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Cached :attr:`leaf_data`, dropped with :attr:`_bounds`.
+        self._leaf: Optional[Tuple[np.ndarray, List[Point]]] = None
+
+    leaf_data = property(cached_leaf_data)
 
     @property
     def is_leaf(self) -> bool:
@@ -161,20 +194,20 @@ class Node:
         if isinstance(entry, Node):
             entry.parent = self
         self.entries.append(entry)
-        self._bounds = None
+        self._bounds = self._leaf = None
 
     def discard(self, index: int) -> None:
-        """Remove the entry at *index*, invalidating the bounds cache.
+        """Remove the entry at *index*, invalidating the entry caches.
 
         Like :meth:`add`, does not refresh the MBR/count caches.
         """
         del self.entries[index]
-        self._bounds = None
+        self._bounds = self._leaf = None
 
     def replace_entries(
         self, entries: Sequence[Union[LeafEntry, "Node"]]
     ) -> None:
-        """Replace the whole entry list, invalidating the bounds cache.
+        """Replace the whole entry list, invalidating the entry caches.
 
         Rebinding ``node.entries`` directly bypasses invalidation: a
         same-length replacement would keep serving the old corner
@@ -188,7 +221,7 @@ class Node:
             if isinstance(entry, Node):
                 entry.parent = self
         self.entries = replacement
-        self._bounds = None
+        self._bounds = self._leaf = None
 
     def entry_bounds(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Flat ``(lows, highs)`` corner matrices over this node's entries.

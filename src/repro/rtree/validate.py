@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, List
 import numpy as np
 
 from repro.geometry.rect import Rect
-from repro.rtree.node import LeafEntry, Node
+from repro.rtree.node import LeafEntry, Node, build_leaf_data
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.rtree.tree import RStarTree
@@ -39,6 +39,9 @@ def check_invariants(tree: "RStarTree") -> int:
       fresh rebuild from the entries in values, shape and dtype — the
       caches are patched in place on the insert path, so a missed
       invalidation or a row written to the wrong slot shows up here;
+      likewise every cached leaf oid vector and point list
+      (:attr:`Node.leaf_data`), which must also hold the entries' own
+      point tuples;
     * every live node is registered in the page table under its page id;
     * the total object count equals ``len(tree)``.
 
@@ -117,6 +120,7 @@ def _check_node(tree: "RStarTree", node: Node, expected_parent) -> int:
         expected_mbr = Rect.union_of(child_mbrs) if child_mbrs else None
 
     _check_bounds_cache(node)
+    _check_leaf_cache(node)
     if node.mbr != expected_mbr:
         raise InvariantViolation(
             f"page {node.page_id}: cached MBR {node.mbr} differs from "
@@ -150,3 +154,21 @@ def _check_bounds_cache(node: Node) -> None:
                 f"page {node.page_id}: cached {name} matrix differs from a "
                 f"rebuild from the entries"
             )
+
+
+def _check_leaf_cache(node: Node) -> None:
+    cached = node._leaf
+    if cached is None:
+        return
+    oids, points = cached
+    fresh_oids, fresh_points = build_leaf_data(node.entries)
+    if (
+        oids.dtype != fresh_oids.dtype
+        or not np.array_equal(oids, fresh_oids)
+        or len(points) != len(fresh_points)
+        or any(have is not want for have, want in zip(points, fresh_points))
+    ):
+        raise InvariantViolation(
+            f"page {node.page_id}: cached leaf oids or points differ from "
+            f"the entries'"
+        )

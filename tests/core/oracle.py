@@ -17,6 +17,11 @@
   calls.  The round scans must return the concatenation of the
   per-node scans, the broadcast kernels the loops' floats, and the
   filtered block offer the loop's heap.
+* ``NeighborList.offer_computed``, the per-entry offer pointer leaves
+  took before every leaf went through the block offer — moved here
+  verbatim, except that the method became a function taking the
+  neighbor list.  The block offer must leave the items this loop
+  leaves, with the same answer-point objects.
 * The per-region distance dispatchers of ``repro.core.regions`` and the
   ``dmin_sq`` / ``dmm_sq`` / ``dmax_sq`` methods of
   ``repro.extensions.tvtree.TVRegion``, which scored SS-tree spheres,
@@ -52,6 +57,7 @@ from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
 from repro.perf import kernels
 from repro.perf.kernels import _as_matrices, record_kernel_use
+from repro.rtree.flat import FlatNode
 
 
 def threshold_distance_sq(
@@ -446,7 +452,7 @@ def offer_leaf(
     All squared distances come from one kernel call over the leaf's
     cached point matrix (the low corners of its degenerate MBRs).  Flat
     leaves then feed the packed oid/point slices straight to the
-    neighbor list's block offer; pointer leaves offer entry by entry.
+    unfiltered block-offer loop; pointer leaves offer entry by entry.
     Leaves without a point matrix (the extension access methods) take
     the neighbor list's own per-entry distance loop.  All three admit
     exactly the same objects.
@@ -456,16 +462,29 @@ def offer_leaf(
     bounds = _node_bounds(node)
     if bounds is not None:
         distances = kernels.batch_point_distance_sq(query, bounds[0])
-        leaf_data = getattr(node, "leaf_data", None)
-        if leaf_data is not None:
-            oids, points = leaf_data
+        if isinstance(node, FlatNode):
+            oids, points = node.leaf_data
             offer_block(neighbors, distances, oids, points)
             return
         for entry, dist_sq in zip(node.entries, distances.tolist()):
-            neighbors.offer_computed(dist_sq, entry.point, entry.oid)
+            offer_computed(neighbors, dist_sq, entry.point, entry.oid)
         return
     for point, oid in leaf_points(node):
         neighbors.offer(point, oid)
+
+
+def offer_computed(
+    neighbors: NeighborList, dist_sq: float, point: Sequence[float], oid: int
+) -> float:
+    """Consider a data object whose squared distance is already known."""
+    item = (-dist_sq, -oid, tuple(point))
+    if not neighbors.full:
+        heapq.heappush(neighbors._heap, item)
+    elif item > neighbors._heap[0]:
+        # Better than the current k-th (smaller distance, or equal
+        # distance with smaller oid) — replace the worst.
+        heapq.heapreplace(neighbors._heap, item)
+    return dist_sq
 
 
 def offer_block(neighbors: NeighborList, dist_sq, oids, points) -> None:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.results import Neighbor, NeighborList
+from tests.core import oracle
 
 
 class TestNeighborList:
@@ -97,7 +98,7 @@ class TestNeighborList:
 
 
 class TestOfferBlock:
-    """offer_block (the flat-leaf bulk path) vs per-entry offers."""
+    """offer_block (every leaf's bulk path) vs per-entry offers."""
 
     @given(
         st.lists(
@@ -124,7 +125,7 @@ class TestOfferBlock:
 
         loop = NeighborList(query, k)
         for i, point in enumerate(raw_points):
-            loop.offer_computed(float(dist_sq[i]), tuple(point), i)
+            oracle.offer_computed(loop, float(dist_sq[i]), tuple(point), i)
 
         assert block.as_sorted() == loop.as_sorted()
         assert block.kth_distance_sq() == loop.kth_distance_sq()

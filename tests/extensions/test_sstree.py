@@ -216,3 +216,21 @@ def test_cached_arrays_equal_a_fresh_build_after_every_insert(
                 ]
     assert tree.height >= 4
     assert np.asarray(tree.root.entry_bounds()[0]).shape[1] == 2
+
+
+@pytest.mark.parametrize("tree_class", [SSTree, SRTree])
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(
+    st.tuples(st.floats(0, 1, width=32), st.floats(0, 1, width=32)),
+    max_size=80,
+))
+def test_leaf_data_equals_a_fresh_build_after_every_insert(tree_class,
+                                                           points):
+    """Splits rewrite entry lists; every leaf's cached oids and point
+    tuples follow, insert after insert, warmed again each time."""
+    from tests.rtree.test_bounds_cache import assert_leaf_data_is_fresh
+
+    tree = tree_class(2, max_entries=4)
+    for oid, point in enumerate(points):
+        tree.insert(point, oid)
+        assert_leaf_data_is_fresh(_nodes(tree))

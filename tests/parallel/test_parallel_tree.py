@@ -13,6 +13,7 @@ from repro.parallel import (
     build_parallel_tree,
 )
 from repro.rtree import check_invariants
+from repro.rtree.query import kth_nearest_distance
 
 
 class TestConstruction:
@@ -109,6 +110,55 @@ class TestOracles:
         q = (0.4, 0.4)
         dk = parallel_tree.kth_nearest_distance(q, 9)
         assert dk == pytest.approx(parallel_tree.knn(q, 9)[-1].distance)
+
+    def test_kth_nearest_distance_is_the_best_first_oracle(self):
+        """Leaf-array ``D_k`` == best-first, through deletes down to a
+        one-page tree."""
+        rng = random.Random(8)
+        data = uniform(300, 2, seed=9)
+        data += data[:30]
+        tree = build_parallel_tree(data, dims=2, num_disks=3, max_entries=5)
+        live = dict(enumerate(data))
+        queries = [data[0], (0.5, 0.5), (-1.0, 2.0), (0.0, 0.0)]
+        for step in range(6):
+            for query in queries:
+                for k in (1, 2, 7, len(live), len(live) + 3):
+                    assert tree.kth_nearest_distance(query, k) == (
+                        kth_nearest_distance(tree.tree, query, k)
+                    ), (step, query, k)
+            for oid in rng.sample(sorted(live), 50):
+                assert tree.delete(live.pop(oid), oid)
+        while live:
+            oid, point = live.popitem()
+            assert tree.delete(point, oid)
+            if tree.height == 1 and live:
+                query = (0.3, 0.7)
+                assert tree.kth_nearest_distance(query, 2) == (
+                    kth_nearest_distance(tree.tree, query, 2)
+                )
+
+    def test_kth_nearest_distance_bad_input(self, parallel_tree):
+        empty = ParallelRStarTree(2, num_disks=2)
+        with pytest.raises(ValueError, match="empty tree"):
+            empty.kth_nearest_distance((0.5, 0.5), 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            parallel_tree.kth_nearest_distance((0.5, 0.5, 0.5), 3)
+        with pytest.raises(ValueError, match="k must be positive"):
+            parallel_tree.kth_nearest_distance((0.5, 0.5), 0)
+
+    def test_kth_nearest_distance_runs_no_best_first_search(
+        self, monkeypatch, parallel_tree
+    ):
+        from repro.rtree import query as pointer_queries
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("D_k ran the best-first oracle")
+
+        monkeypatch.setattr(pointer_queries, "knn", unreachable)
+        monkeypatch.setattr(
+            pointer_queries, "kth_nearest_distance", unreachable
+        )
+        assert parallel_tree.kth_nearest_distance((0.4, 0.4), 9) > 0.0
 
     def test_optimal_page_set_contains_root(self, parallel_tree):
         pages = parallel_tree.optimal_page_set((0.5, 0.5), 5)

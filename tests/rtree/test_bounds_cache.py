@@ -1,17 +1,21 @@
 """The in-place bounds cache and the audits that keep it honest.
 
 A node's corner matrices follow its entry *list*; a child whose MBR
-changes rewrites its own row.  ``check_invariants`` compares every
-cached matrix with a fresh rebuild, so each of these rules is audited
-wherever the suite (and the wall ledger) checks a tree.
+changes rewrites its own row.  A leaf's cached oid vector and point
+list (``leaf_data``) follow the entry list too.  ``check_invariants``
+compares every cached matrix and leaf cache with a fresh rebuild, so
+each of these rules is audited wherever the suite (and the wall ledger)
+checks a tree.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.rect import Rect
 from repro.rtree import RStarTree, check_invariants
-from repro.rtree.node import LeafEntry, Node
+from repro.rtree.node import LeafEntry, Node, build_leaf_data
 from repro.rtree.validate import InvariantViolation
 from tests.rtree.test_structure_golden import structure_digest
 
@@ -135,6 +139,81 @@ class TestCoherenceClause:
             check_invariants(tree)
         leaf._bounds = (lows, highs[:-1])
         with pytest.raises(InvariantViolation, match="highs matrix"):
+            check_invariants(tree)
+
+
+def assert_leaf_data_is_fresh(nodes):
+    """Every leaf's ``leaf_data`` equals a fresh build, point objects
+    included; reading it warms every cache for the next operation."""
+    for node in nodes:
+        if not node.is_leaf:
+            assert node.leaf_data is None
+            continue
+        oids, points = node.leaf_data
+        fresh_oids, fresh_points = build_leaf_data(node.entries)
+        assert oids.dtype == np.int64
+        assert oids.tolist() == fresh_oids.tolist()
+        assert len(points) == len(fresh_points)
+        assert all(a is b for a, b in zip(points, fresh_points))
+
+
+class TestLeafDataCache:
+    def test_the_entry_list_mutators_drop_it(self):
+        node = Node(0, 0)
+        for oid in range(3):
+            node.add(LeafEntry((float(oid), 0.0), oid))
+        assert node.leaf_data[0].tolist() == [0, 1, 2]
+        node.add(LeafEntry((3.0, 0.0), 3))
+        assert node._leaf is None and node.leaf_data[0].tolist() == [0, 1, 2, 3]
+        node.discard(0)
+        assert node._leaf is None and node.leaf_data[0].tolist() == [1, 2, 3]
+        node.replace_entries(node.entries[::-1])
+        assert node._leaf is None and node.leaf_data[0].tolist() == [3, 2, 1]
+        assert Node(1, 1).leaf_data is None
+
+    def test_refresh_keeps_it(self):
+        node = Node(0, 0)
+        node.add(LeafEntry((1.0, 2.0), 4))
+        data = node.leaf_data
+        node.refresh()
+        assert node.leaf_data is data
+
+    def test_a_stale_leaf_cache_is_caught(self):
+        tree = warm_tree()
+        leaf = next(n for n in tree.pages.values() if n.is_leaf)
+        leaf.leaf_data
+        leaf.entries.reverse()  # bypasses the mutators
+        leaf._bounds = None
+        with pytest.raises(InvariantViolation, match="leaf oids"):
+            check_invariants(tree)
+
+    def test_copied_point_tuples_are_caught(self):
+        tree = warm_tree()
+        leaf = next(n for n in tree.pages.values() if n.is_leaf)
+        oids, points = leaf.leaf_data
+        leaf._leaf = (oids, [tuple(list(p)) for p in points])
+        with pytest.raises(InvariantViolation, match="leaf oids or points"):
+            check_invariants(tree)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.tuples(st.booleans(), st.integers(0, 10**6),
+                  st.floats(0, 1, width=32), st.floats(0, 1, width=32)),
+        max_size=120,
+    ))
+    def test_churn_keeps_it_a_fresh_build(self, operations):
+        """Inserts and deletes in any order: after every one, each
+        leaf's cache is what its entries give (and is warm again)."""
+        tree = RStarTree(2, max_entries=4)
+        live = {}
+        for oid, (insert, pick, x, y) in enumerate(operations):
+            if insert or not live:
+                tree.insert((x, y), oid)
+                live[oid] = (x, y)
+            else:
+                victim = sorted(live)[pick % len(live)]
+                assert tree.delete(live.pop(victim), victim)
+            assert_leaf_data_is_fresh(tree.pages.values())
             check_invariants(tree)
 
 
