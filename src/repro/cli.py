@@ -1276,32 +1276,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-#: (verb, module, runner, default --out, help).  Every module exposes
-#: the same ``write_bench`` / ``format_summary`` / ``to_run_report``.
+#: (verb, module, runner, default --out, help).  The default --out is
+#: the one place a bench's artifact name is written down; every module
+#: exposes the same ``write_bench`` / ``format_summary`` /
+#: ``to_run_report``.
 _BENCH_VERBS = (
-    (
-        "bench", "repro.perf.bench", "run_bench", "BENCH_PR9.json",
-        "run the reproducible benchmark suite and write BENCH_*.json "
-        "('bench index' lists the existing artifacts instead)",
-    ),
-    (
-        "bench-schedulers", "repro.perf.sched_bench", "run_sched_bench",
-        "BENCH_PR4.json",
-        "compare queue disciplines on the multi-user workload and "
-        "write BENCH_PR4.json",
-    ),
-    (
-        "bench-serving", "repro.serving.bench", "run_serving_bench",
-        "BENCH_PR7.json",
-        "sweep serving policies over offered load and write the "
-        "p99-vs-throughput frontier to BENCH_PR7.json",
-    ),
-    (
-        "bench-chaos-serving", "repro.serving.chaos_bench",
-        "run_chaos_serving_bench", "BENCH_PR8.json",
-        "sweep fault-aware serving under fail-slow + crash chaos and "
-        "write the tail-tolerance comparison to BENCH_PR8.json",
-    ),
+    ("bench", "repro.perf.bench", "run_bench", "BENCH_PR9.json",
+     "run the reproducible benchmark suite ('bench index' lists the "
+     "existing artifacts instead)"),
+    ("bench-schedulers", "repro.perf.sched_bench", "run_sched_bench",
+     "BENCH_PR4.json",
+     "compare queue disciplines on the multi-user workload"),
+    ("bench-serving", "repro.serving.bench", "run_serving_bench",
+     "BENCH_PR7.json",
+     "sweep serving policies over offered load (p99-vs-load frontier)"),
+    ("bench-chaos-serving", "repro.serving.chaos_bench",
+     "run_chaos_serving_bench", "BENCH_PR8.json",
+     "sweep fault-aware serving under fail-slow + crash chaos"),
 )
 
 

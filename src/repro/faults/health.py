@@ -46,6 +46,8 @@ from dataclasses import dataclass
 from random import Random
 from typing import Deque, Dict, List, Optional, Sequence
 
+from repro.obs.report import percentile
+
 #: Breaker states, indexed by their track value (0/1/2 step function).
 BREAKER_STATES = ("closed", "open", "half_open")
 CLOSED, OPEN, HALF_OPEN = 0, 1, 2
@@ -150,9 +152,7 @@ class LatencyWindow:
         """Nearest-rank quantile of the current window (window non-empty)."""
         if not self._samples:
             raise ValueError("no latency samples recorded")
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(fraction * len(ordered)))
-        return ordered[rank - 1]
+        return percentile(self._samples, fraction)
 
 
 @dataclass(frozen=True)

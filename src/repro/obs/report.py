@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Dict, IO, Iterable, Mapping, Optional, Sequence, Union
 
 #: Bumped when the report layout changes incompatibly.
@@ -42,6 +43,16 @@ def fold_mean(values: Sequence[float]) -> float:
     for value in values:
         total += value
     return total / len(values) if values else 0.0
+
+
+def percentile(values: Iterable[float], fraction: float) -> float:
+    """Nearest-rank percentile of *values*, which must not be empty.
+
+    Every quantile the repo reports or acts on (latency percentiles,
+    SLO objectives, hedge delays) is this one; callers check inputs.
+    """
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
 
 
 def canonical_report_bytes(doc: Mapping) -> bytes:
@@ -206,10 +217,9 @@ def bench_run_report(
 ) -> Dict[str, object]:
     """Wrap a benchmark document's deterministic scalars as a RunReport.
 
-    The bench harnesses (:mod:`repro.perf.bench`,
-    :mod:`repro.perf.sched_bench`) have their own document shapes; for
-    ``repro diff`` they flatten their seed-reproducible numeric leaves
-    into the ``"metrics"`` mapping of a RunReport envelope.
+    Each bench module has its own document shape; for ``repro diff``
+    :func:`repro.perf.sweep.run_report_envelope` flattens its
+    seed-reproducible numeric leaves into *metrics* and calls this.
     """
     return {
         "schema": REPORT_SCHEMA,

@@ -39,10 +39,10 @@ margin down-bad.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.report import percentile
 from repro.obs.timeline import TimelineSampler
 
 #: Default trailing windows (simulated seconds) for burn-rate
@@ -198,13 +198,6 @@ def slo_from_policy(
     return SLOPolicy(objectives=objectives, windows=windows)
 
 
-def _quantile(values: List[float], fraction: float) -> float:
-    """Nearest-rank quantile (mirrors the serving layer's)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
-
-
 class SLOTracker:
     """Event-driven SLO bookkeeping over one serving run.
 
@@ -328,7 +321,7 @@ class SLOTracker:
             goodput_achieved = served / total if total else 0.0
             latencies = self._latencies[klass]
             achieved_quantile = (
-                _quantile(latencies, objective.quantile) if latencies else 0.0
+                percentile(latencies, objective.quantile) if latencies else 0.0
             )
             burn_rates = {
                 f"w{window:g}": self.burn_rate(klass, window, end)

@@ -31,9 +31,11 @@ they replaced are the test oracle in ``tests/core/oracle.py``;
 :mod:`repro.core.distances` remains the public per-rectangle API the
 kernels are tested against.  There is no switch.
 
-The benchmark harness lives in :mod:`repro.perf.bench` (imported
-lazily — it pulls in the whole algorithm stack) and is exposed on the
-command line as ``repro bench``.
+The bench modules (``repro bench*``) are :mod:`repro.perf.bench`,
+:mod:`repro.perf.sched_bench`, :mod:`repro.serving.bench` and
+:mod:`repro.serving.chaos_bench`, on the shared sweep-and-gate harness
+:mod:`repro.perf.sweep`.  None is imported here: they pull in the whole
+algorithm stack.
 """
 
 from repro.perf.kernels import (

@@ -4,30 +4,21 @@ One invocation builds fixed seeded trees, runs a fixed query suite and a
 fixed simulated workload per algorithm, microbenchmarks the vectorized
 node scan against the scalar reference and the flat struct-of-arrays
 layout against the pointer tree, and writes everything to a JSON file
-(default ``BENCH_PR9.json``).  The point is a *trajectory*: every
-future PR re-runs the harness and appends its own ``BENCH_<PR>.json``,
-so regressions and wins are visible across the repository's history.
+(``BENCH_PR9.json``).  The point is a *trajectory*: every future PR
+re-runs the harness and appends its own ``BENCH_<PR>.json``, so
+regressions and wins are visible across the repository's history.
 
-Determinism contract
---------------------
-
-Everything in the document is reproducible from the seed — answer
-digests, page counts, kernel call counters, simulated response times —
-**except** wall-clock measurements.  The nondeterministic key names are
-listed explicitly under ``nondeterministic_keys`` in the document
-itself, and :func:`canonical_bytes` strips exactly those before
-serializing, so two runs with the same seed compare byte-identical (the
-regression test in ``tests/perf/test_bench_determinism.py`` enforces
-this).
+Everything in the document but its wall-clock measurements is
+reproducible from the seed; the document lists their key names under
+``nondeterministic_keys``, and :func:`~repro.perf.sweep.canonical_bytes`
+strips exactly those (see :mod:`repro.perf.sweep`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import time
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -40,32 +31,24 @@ from repro.core.distances import (
 from repro.core.results import NeighborList
 from repro.core.scan import offer_leaf, scan_children
 from repro.datasets import sample_queries
-from repro.experiments.setup import build_tree, dataset, make_factory
+from repro.experiments.setup import make_factory
 from repro.geometry.rect import Rect
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import fold_mean
+from repro.obs.report import fold_mean, percentile
 from repro.perf import kernels
+from repro.perf.sweep import (  # canonical_bytes, write_bench: re-exported
+    NONDETERMINISTIC_KEYS,
+    answer_digest,
+    canonical_bytes,
+    run_report_envelope,
+    setup,
+    write_bench,
+)
 from repro.rtree.flat import flatten
 from repro.simulation import simulate_workload
 
 #: Bumped when the document layout changes incompatibly.
 BENCH_SCHEMA = "repro-bench/1"
-
-#: Default output file for this PR's trajectory point.
-DEFAULT_OUT = "BENCH_PR9.json"
-
-#: Key names whose values are wall-clock measurements and therefore
-#: nondeterministic.  They are recorded in the document and excluded by
-#: :func:`canonical_bytes`; every other value is seed-reproducible.
-NONDETERMINISTIC_KEYS = (
-    "wall_time_s",
-    "wall_time_per_query_s",
-    "scalar_s",
-    "vectorized_s",
-    "pointer_s",
-    "flat_s",
-    "speedup",
-)
 
 #: The query/simulate suite configurations: low- and high-dimensional.
 #: ``smoke`` shrinks populations so the harness fits in a CI minute.
@@ -96,23 +79,6 @@ _LAYOUT_CONFIGS = {
         dict(n=2_000, dims=2),
     ],
 }
-
-
-def _answer_digest(answer_sets) -> str:
-    """A stable hash over every query's (oid, distance) answer list."""
-    digest = hashlib.sha256()
-    for answers in answer_sets:
-        for neighbor in answers:
-            digest.update(f"{neighbor.oid}:{neighbor.distance!r};".encode())
-        digest.update(b"|")
-    return digest.hexdigest()
-
-
-def _percentile(values: Sequence[float], fraction: float) -> float:
-    """Exact rank percentile over a small sample (nearest-rank method)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
 
 
 def _run_algorithm_suite(
@@ -150,7 +116,7 @@ def _run_algorithm_suite(
         "rounds": rounds,
         "critical_path": critical_path,
         "mean_parallelism": pages / rounds if rounds else 0.0,
-        "answer_digest": _answer_digest(answer_sets),
+        "answer_digest": answer_digest(answer_sets),
         "kernel_counters": kernel_counters,
         "wall_time_s": wall,
         "wall_time_per_query_s": wall / len(queries),
@@ -158,11 +124,25 @@ def _run_algorithm_suite(
             "arrival_rate": _ARRIVAL_RATE,
             "makespan_s": workload.makespan,
             "response_mean_s": fold_mean(responses),
-            "response_p95_s": _percentile(responses, 0.95),
+            "response_p95_s": percentile(responses, 0.95),
             "pages_fetched": sum(r.pages_fetched for r in workload.records),
             "buffer_hits": sum(r.buffer_hits for r in workload.records),
         },
     }
+
+
+def _best_of(
+    fn: Callable[[], None], repeats: int, inner_loops: int = 1
+) -> float:
+    """Best-of-*repeats* wall time of one call, each repeat averaged over
+    *inner_loops* calls."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(inner_loops):
+            fn()
+        best = min(best, (time.perf_counter() - start) / inner_loops)
+    return best
 
 
 def _microbench_case(
@@ -174,7 +154,6 @@ def _microbench_case(
     matrices — exactly what a node scan costs once
     :meth:`~repro.rtree.node.Node.entry_bounds` is cached.  The scalar
     side is the per-entry reference loop the algorithms used to run.
-    Best-of-*repeats* wall times are reported.
     """
     rng = np.random.default_rng(seed)
     centers = rng.random((entries, dims))
@@ -198,17 +177,8 @@ def _microbench_case(
         kernels.batch_minmax_distance_sq(query, lows, highs)
         kernels.batch_maximum_distance_sq(query, lows, highs)
 
-    def best_of(fn: Callable[[], None], inner_loops: int) -> float:
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(inner_loops):
-                fn()
-            best = min(best, (time.perf_counter() - start) / inner_loops)
-        return best
-
-    scalar_s = best_of(scalar_scan, 1)
-    vectorized_s = best_of(vectorized_scan, 10)
+    scalar_s = _best_of(scalar_scan, repeats)
+    vectorized_s = _best_of(vectorized_scan, repeats, inner_loops=10)
     return {
         "dims": dims,
         "entries": entries,
@@ -255,34 +225,25 @@ def _layout_microbench_case(
     for leaves; the difference under measurement is pure storage layout
     — per-scan ``ChildRef`` list builds on the pointer side vs. cached
     reference lists and zero-copy corner slices on the flat side.
-    Caches are warmed before timing; best-of-*repeats*.
+    Caches are warmed before timing.
     """
-    data = dataset("gaussian", n, dims, seed=seed)
-    pointer = build_tree("gaussian", n, dims, _DISKS, seed=seed)
+    data, pointer = setup(
+        dict(dataset="gaussian", n=n, dims=dims, disks=_DISKS), seed
+    )
     frozen = flatten(pointer)
     query = tuple(sample_queries(data, 1, seed=seed + 1)[0])
-    pointer_nodes = [
-        pointer.tree.pages[pid] for pid in sorted(pointer.tree.pages)
-    ]
-    flat_nodes = [
-        frozen.tree.pages[pid] for pid in sorted(frozen.tree.pages)
-    ]
 
-    def best_of(nodes) -> float:
+    def scan_time(tree) -> float:
+        nodes = [tree.tree.pages[pid] for pid in sorted(tree.tree.pages)]
         _whole_tree_scan(query, nodes)  # warm bounds/ref caches
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            _whole_tree_scan(query, nodes)
-            best = min(best, time.perf_counter() - start)
-        return best
+        return _best_of(lambda: _whole_tree_scan(query, nodes), repeats)
 
-    pointer_s = best_of(pointer_nodes)
-    flat_s = best_of(flat_nodes)
+    pointer_s = scan_time(pointer)
+    flat_s = scan_time(frozen)
     return {
         "n": n,
         "dims": dims,
-        "nodes": len(flat_nodes),
+        "nodes": len(frozen.tree.pages),
         "pointer_s": pointer_s,
         "flat_s": flat_s,
         "speedup": pointer_s / flat_s if flat_s else math.inf,
@@ -308,23 +269,15 @@ def run_bench(smoke: bool = False, seed: int = 0) -> Dict[str, object]:
     """
     configs = []
     for base in _SUITE_CONFIGS[smoke]:
-        data = dataset(base["dataset"], base["n"], base["dims"], seed=seed)
-        tree = flatten(build_tree(
-            base["dataset"], base["n"], base["dims"], _DISKS, seed=seed
-        ))
-        queries = sample_queries(data, base["queries"], seed=seed + 1)
-        algorithms = {
+        config = {**base, "disks": _DISKS, "k": _K}
+        data, tree = setup(config, seed)
+        tree = flatten(tree)
+        queries = sample_queries(data, config["queries"], seed=seed + 1)
+        config["algorithms"] = {
             name: _run_algorithm_suite(name, tree, queries, seed)
             for name in sorted(ALGORITHMS)
         }
-        configs.append(
-            {
-                **base,
-                "disks": _DISKS,
-                "k": _K,
-                "algorithms": algorithms,
-            }
-        )
+        configs.append(config)
     return {
         "schema": BENCH_SCHEMA,
         "label": "PR9",
@@ -335,56 +288,6 @@ def run_bench(smoke: bool = False, seed: int = 0) -> Dict[str, object]:
         "microbench": run_microbench(smoke, seed),
         "microbench_layout": run_layout_microbench(smoke, seed),
     }
-
-
-def strip_nondeterministic(doc: object) -> object:
-    """A deep copy of *doc* without any wall-clock-valued keys."""
-    if isinstance(doc, dict):
-        return {
-            key: strip_nondeterministic(value)
-            for key, value in doc.items()
-            if key not in NONDETERMINISTIC_KEYS
-        }
-    if isinstance(doc, list):
-        return [strip_nondeterministic(item) for item in doc]
-    return doc
-
-
-def canonical_bytes(doc: Dict[str, object]) -> bytes:
-    """The document's deterministic serialization.
-
-    Strips the keys named by ``nondeterministic_keys`` (wall-clock
-    measurements) and dumps the rest sorted and minified — two runs of
-    :func:`run_bench` with the same seed produce identical bytes.
-    """
-    return json.dumps(
-        strip_nondeterministic(doc), sort_keys=True, separators=(",", ":")
-    ).encode()
-
-
-def run_report_envelope(
-    kind: str, doc: Dict[str, object], keys: Sequence[str] = (), **config
-) -> Dict[str, object]:
-    """A bench document as a RunReport envelope for ``repro diff``.
-
-    Every seed-reproducible numeric leaf of the document (wall-clock
-    keys stripped) flattens to a dotted-path metric, so two bench runs
-    compare metric-by-metric exactly like two workload RunReports.
-    What keys the comparison — the envelope's config — is the
-    document's ``schema`` / ``smoke`` / ``seed``, the further top-level
-    *keys* named, the document's own ``config`` (where it has one) as
-    ``workload``, and whatever *config* adds.  The one implementation
-    behind every bench module's ``to_run_report``.
-    """
-    from repro.obs.diff import flatten_numeric
-    from repro.obs.report import bench_run_report
-
-    stripped = strip_nondeterministic(doc)
-    for key in ("schema", "smoke", "seed", *keys):
-        config[key] = stripped.get(key)
-    if "config" in stripped:
-        config["workload"] = dict(stripped["config"])
-    return bench_run_report(kind, doc, flatten_numeric(stripped), config)
 
 
 def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
@@ -398,13 +301,6 @@ def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
         for entry in doc.get("configs", [])
     ]
     return run_report_envelope("bench", doc, suite=suite)
-
-
-def write_bench(doc: Dict[str, object], path: str) -> None:
-    """Write the bench document as stable, diff-friendly JSON."""
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(doc: Dict[str, object]) -> str:

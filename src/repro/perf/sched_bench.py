@@ -3,7 +3,7 @@
 Runs the paper's multi-user workload (Poisson arrivals, CRSS) once per
 queue discipline — FCFS, SSTF, SCAN, C-LOOK, and SSTF with same-disk
 request coalescing — on the same seeded tree and query stream, and
-writes a JSON document (default ``BENCH_PR4.json``) comparing
+writes a JSON document (``BENCH_PR4.json``) comparing
 
 * response-time statistics (mean / median / p95) and makespan,
 * mean seek distance per disk request (cylinders),
@@ -11,27 +11,24 @@ writes a JSON document (default ``BENCH_PR4.json``) comparing
 * an answer digest per variant.
 
 The answer digest must be identical across variants: scheduling only
-reorders *service*, never *results*.  The harness raises if any variant
-disagrees, so a scheduling bug can't silently ship a benchmark.
-
-Everything in the document is simulated time, reproducible from the
-seed — there are no wall-clock values, so two runs with the same seed
-produce byte-identical files (enforced by
-``tests/perf/test_sched_bench.py``).
+reorders *service*, never *results*, so the run raises if any variant
+disagrees.  Every value is simulated time, reproducible from the seed.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.datasets import sample_queries
-from repro.experiments.setup import build_tree, dataset, make_factory
-from repro.obs.report import fold_mean
-from repro.perf.bench import (
-    _percentile,
+from repro.experiments.setup import make_factory
+from repro.obs.report import fold_mean, percentile
+from repro.perf.sweep import (  # canonical_bytes, write_bench: re-exported
+    agree,
+    answer_digest,
     canonical_bytes,
+    json_config,
     run_report_envelope,
+    setup,
     write_bench,
 )
 from repro.simulation import simulate_workload
@@ -40,9 +37,6 @@ from repro.simulation.scheduling import SCHEDULERS
 
 #: Bumped when the document layout changes incompatibly.
 SCHED_BENCH_SCHEMA = "repro-sched-bench/1"
-
-#: Default output file for this PR's trajectory point.
-DEFAULT_OUT = "BENCH_PR4.json"
 
 #: The benchmark variants: every queue discipline plus coalescing on
 #: top of the best seek-aware one.  FCFS first — it is the baseline the
@@ -74,20 +68,6 @@ _CONFIGS = {
 _ALGORITHM = "CRSS"
 
 
-def _answer_digest(result) -> str:
-    """A stable hash over per-query answers, in arrival order.
-
-    Records append in *completion* order, which legitimately differs
-    across schedulers; arrival order is scheduler-invariant.
-    """
-    digest = hashlib.sha256()
-    for record in sorted(result.records, key=lambda r: r.arrival):
-        for neighbor in record.answers:
-            digest.update(f"{neighbor.oid}:{neighbor.distance!r};".encode())
-        digest.update(b"|")
-    return digest.hexdigest()
-
-
 def _run_variant(
     name: str,
     scheduler: str,
@@ -112,41 +92,32 @@ def _run_variant(
         "scheduler": scheduler,
         "coalesce": coalesce,
         "response_mean_s": fold_mean(responses),
-        "response_median_s": _percentile(responses, 0.5),
-        "response_p95_s": _percentile(responses, 0.95),
+        "response_median_s": percentile(responses, 0.5),
+        "response_p95_s": percentile(responses, 0.95),
         "makespan_s": result.makespan,
         "mean_seek_distance": result.mean_seek_distance,
         "seek_distance_total": sum(result.seek_distances),
         "disk_requests": sum(result.disk_requests),
         "coalesced_fetches": result.coalesced_fetches,
         "pages_fetched": sum(r.pages_fetched for r in result.records),
-        "answer_digest": _answer_digest(result),
+        # Arrival order: records append in completion order, which
+        # legitimately differs across schedulers.
+        "answer_digest": answer_digest(
+            r.answers for r in sorted(result.records, key=lambda r: r.arrival)
+        ),
     }
 
 
 def run_sched_bench(smoke: bool = False, seed: int = 0) -> Dict[str, object]:
     """Run every scheduler variant; returns the JSON-ready document."""
-    config = dict(_CONFIGS[smoke])
-    data = dataset(
-        config["dataset"], config["n"], config["dims"], seed=seed
-    )
-    tree = build_tree(
-        config["dataset"], config["n"], config["dims"],
-        config["disks"], seed=seed,
-    )
+    config = json_config(_CONFIGS[smoke])
+    data, tree = setup(config, seed)
     queries = sample_queries(data, config["queries"], seed=seed + 1)
-
-    variants: List[Dict[str, object]] = [
+    variants = [
         _run_variant(name, scheduler, coalesce, tree, queries, config, seed)
         for name, scheduler, coalesce in VARIANTS
     ]
-
-    digests = {v["answer_digest"] for v in variants}
-    if len(digests) != 1:
-        raise RuntimeError(
-            "scheduler variants disagree on query answers: "
-            + ", ".join(f"{v['name']}={v['answer_digest'][:12]}" for v in variants)
-        )
+    agree(variants, "answer_digest", "scheduling never changes answers")
 
     baseline = variants[0]
     improvement = {
@@ -175,13 +146,7 @@ def run_sched_bench(smoke: bool = False, seed: int = 0) -> Dict[str, object]:
 
 
 def to_run_report(doc: Dict[str, object]) -> Dict[str, object]:
-    """The scheduler-bench document as a RunReport envelope.
-
-    Every numeric leaf is already seed-reproducible (the document has
-    no wall-clock values — :func:`~repro.perf.bench.canonical_bytes`
-    strips nothing from it), so the whole document flattens into the
-    envelope's metrics for ``repro diff``.
-    """
+    """The scheduler-bench document as a RunReport envelope for ``diff``."""
     return run_report_envelope("bench-schedulers", doc, ("algorithm",))
 
 
@@ -212,14 +177,3 @@ def format_summary(doc: Dict[str, object]) -> str:
         )
     return "\n".join(lines)
 
-
-__all__ = [
-    "DEFAULT_OUT",
-    "SCHED_BENCH_SCHEMA",
-    "VARIANTS",
-    "canonical_bytes",
-    "format_summary",
-    "run_sched_bench",
-    "to_run_report",
-    "write_bench",
-]

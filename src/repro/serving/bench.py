@@ -11,27 +11,33 @@ stream and arrivals:
   concurrency, the cross-query fetch broker, and deadline shedding
   with certified-radius degraded answers.
 
-The document (default ``BENCH_PR7.json``) records the **p99-vs-offered-
-load frontier** per policy plus goodput, outcome counts and the
-transactions-per-page batching headline.  Two invariants are enforced
-at build time:
+The document (``BENCH_PR7.json``) records the **p99-vs-offered-load
+frontier** per policy plus goodput, outcome counts and the
+transactions-per-page batching headline.  At the highest load the full
+stack must *strictly dominate* no-admission on p99 **and** on
+transactions per delivered page, or the run raises.  Every value is
+simulated time derived from the seed.
 
-* at the highest load, the full stack must *strictly dominate*
-  no-admission on p99 **and** on transactions per delivered page —
-  a serving-layer regression cannot silently ship a benchmark;
-* every value is simulated time derived from the seed, so same-seed
-  runs are byte-identical (``canonical_bytes``; asserted in
-  ``tests/serving/test_serving_bench.py`` and by the serving-smoke CI
-  job).
+:func:`serving_policy`, :func:`bursty_scenario` and :func:`serving_point`
+are shared with the fault-aware sweep in :mod:`repro.serving.chaos_bench`.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List
+from typing import Dict
 
-from repro.experiments.setup import build_tree, dataset, make_factory
-from repro.perf.bench import canonical_bytes, run_report_envelope, write_bench
+from repro.experiments.setup import make_factory
+from repro.perf.sweep import (  # canonical_bytes, write_bench: re-exported
+    at_load,
+    canonical_bytes,
+    frontier,
+    json_config,
+    run_report_envelope,
+    served_digest,
+    setup,
+    strictly_below,
+    write_bench,
+)
 from repro.serving.admission import (
     ServingPolicy,
     admission_only_policy,
@@ -45,9 +51,6 @@ from repro.simulation.parameters import SystemParameters
 #: Bumped when the document layout changes incompatibly.
 SERVING_BENCH_SCHEMA = "repro-serving-bench/1"
 
-#: Default output file for this PR's trajectory point.
-DEFAULT_OUT = "BENCH_PR7.json"
-
 #: Policy names, baseline first (the dominance check runs against it).
 POLICY_NAMES = (
     "no-admission",
@@ -59,7 +62,7 @@ POLICY_NAMES = (
 #: well past the array's service capacity so the frontier actually
 #: bends; ``smoke`` shrinks it to CI size while keeping the top point
 #: overloaded.
-_CONFIGS = {
+CONFIGS = {
     False: dict(
         dataset="gaussian", n=4_000, dims=2, disks=5,
         k=10, horizon=2.0, loads=(50.0, 150.0, 400.0),
@@ -77,73 +80,81 @@ _CONFIGS = {
 _ALGORITHM = "CRSS"
 
 
-def _policy_for(name: str, config: Dict[str, object]) -> ServingPolicy:
+def serving_policy(name: str, config: Dict[str, object]) -> ServingPolicy:
+    """The serving policy *name*, sized by the sweep's *config*."""
+    bounds = dict(
+        max_in_flight=config["max_in_flight"],
+        max_queued=config["max_queued"],
+        deadline=config["deadline"],
+    )
     if name == "no-admission":
         return no_admission_policy()
     if name == "admission-only":
-        return admission_only_policy(
-            max_in_flight=config["max_in_flight"],
-            max_queued=config["max_queued"],
-            deadline=config["deadline"],
-        )
+        return admission_only_policy(**bounds)
     if name == "admission+batching+shedding":
         return full_serving_policy(
-            max_in_flight=config["max_in_flight"],
-            max_queued=config["max_queued"],
-            deadline=config["deadline"],
+            **bounds,
             batch_window=config["batch_window"],
             max_group_pages=config["max_group_pages"],
         )
     raise ValueError(f"unknown policy {name!r}")
 
 
-def _served_digest(serving: ServingResult) -> str:
-    """Stable hash over every offered query's outcome and answers."""
-    digest = hashlib.sha256()
-    for query in serving.queries:
-        digest.update(f"{query.qid}:{query.outcome}:".encode())
-        for neighbor in query.answers:
-            digest.update(f"{neighbor.oid}:{neighbor.distance!r};".encode())
-        digest.update(b"|")
-    return digest.hexdigest()
+def bursty_scenario(data, load: float, config: Dict[str, object], seed: int):
+    """The sweep's MMPP traffic at offered load *load*."""
+    return make_scenario(
+        "bursty",
+        data,
+        rate=load,
+        horizon=config["horizon"],
+        seed=seed + 1,
+        burst_factor=config["burst_factor"],
+    )
+
+
+def serving_point(serving: ServingResult) -> Dict[str, object]:
+    """The row fields every serving sweep records for one run."""
+    section = serving.serving_section()
+    latency = section["latency"]
+    return {
+        "offered": len(serving.queries),
+        **serving.outcome_counts(),
+        "latency_mean_s": latency["mean"],
+        "latency_p50_s": latency["p50"],
+        "latency_p95_s": latency["p95"],
+        "latency_p99_s": latency["p99"],
+        "latency_max_s": latency["max"],
+        "goodput_qps": serving.goodput,
+        "makespan_s": serving.result.makespan,
+        "certificates": section["certificates"]["count"],
+        "served_digest": served_digest(serving),
+    }
 
 
 def _run_point(
     policy_name: str, load: float, tree, scenario, config, seed: int
 ) -> Dict[str, object]:
-    params = SystemParameters(coalesce=True)
     serving = serve_scenario(
         tree,
         make_factory(_ALGORITHM, tree, config["k"]),
         scenario,
-        policy=_policy_for(policy_name, config),
-        params=params,
+        policy=serving_policy(policy_name, config),
+        params=SystemParameters(coalesce=True),
         seed=seed,
     )
-    section = serving.serving_section()
-    counts = serving.outcome_counts()
+    wait = serving.serving_section()["admission_wait"]
     return {
         "policy": policy_name,
         "offered_load": load,
-        "offered": len(serving.queries),
-        **counts,
-        "latency_mean_s": section["latency"]["mean"],
-        "latency_p50_s": section["latency"]["p50"],
-        "latency_p95_s": section["latency"]["p95"],
-        "latency_p99_s": section["latency"]["p99"],
-        "latency_max_s": section["latency"]["max"],
-        "admission_wait_mean_s": section["admission_wait"]["mean"],
-        "admission_wait_max_s": section["admission_wait"]["max"],
-        "goodput_qps": serving.goodput,
-        "makespan_s": serving.result.makespan,
+        **serving_point(serving),
+        "admission_wait_mean_s": wait["mean"],
+        "admission_wait_max_s": wait["max"],
         "transactions": sum(serving.result.disk_requests),
         "logical_pages": serving.logical_pages,
         "physical_pages": serving.physical_pages,
         "transactions_per_page": serving.transactions_per_page,
         "peak_in_flight": serving.peak_in_flight,
         "peak_queued": serving.peak_queued,
-        "certificates": section["certificates"]["count"],
-        "served_digest": _served_digest(serving),
     }
 
 
@@ -151,70 +162,29 @@ def run_serving_bench(
     smoke: bool = False, seed: int = 0
 ) -> Dict[str, object]:
     """Run the full policy × load sweep; returns the JSON document."""
-    config = dict(_CONFIGS[smoke])
-    config["loads"] = list(config["loads"])  # JSON-native document
-    data = dataset(config["dataset"], config["n"], config["dims"], seed=seed)
-    tree = build_tree(
-        config["dataset"], config["n"], config["dims"],
-        config["disks"], seed=seed,
-    )
-
-    points: List[Dict[str, object]] = []
+    config = json_config(CONFIGS[smoke])
+    data, tree = setup(config, seed)
+    points = []
     for load in config["loads"]:
-        scenario = make_scenario(
-            "bursty",
-            data,
-            rate=load,
-            horizon=config["horizon"],
-            seed=seed + 1,
-            burst_factor=config["burst_factor"],
-        )
-        for policy_name in POLICY_NAMES:
-            points.append(
-                _run_point(policy_name, load, tree, scenario, config, seed)
-            )
-
-    frontier = {
-        policy_name: [
-            [point["offered_load"], point["latency_p99_s"]]
-            for point in points
-            if point["policy"] == policy_name
+        scenario = bursty_scenario(data, load, config, seed)
+        points += [
+            _run_point(name, load, tree, scenario, config, seed)
+            for name in POLICY_NAMES
         ]
-        for policy_name in POLICY_NAMES
-    }
-
     top_load = max(config["loads"])
-
-    def _at_top(policy_name: str) -> Dict[str, object]:
-        return next(
-            p
-            for p in points
-            if p["policy"] == policy_name and p["offered_load"] == top_load
-        )
-
-    baseline = _at_top(POLICY_NAMES[0])
-    full = _at_top(POLICY_NAMES[2])
+    baseline = at_load(points, "policy", POLICY_NAMES[0], top_load)
+    full = at_load(points, "policy", POLICY_NAMES[2], top_load)
     dominance = {
         "offered_load": top_load,
-        "p99_ratio": full["latency_p99_s"] / baseline["latency_p99_s"],
-        "transactions_per_page_ratio": (
-            full["transactions_per_page"]
-            / baseline["transactions_per_page"]
+        "p99_ratio": strictly_below(
+            full, baseline, "latency_p99_s",
+            f"admission+batching+shedding beats no-admission at λ={top_load}",
+        ),
+        "transactions_per_page_ratio": strictly_below(
+            full, baseline, "transactions_per_page",
+            f"cross-query batching saves transactions at λ={top_load}",
         ),
     }
-    if full["latency_p99_s"] >= baseline["latency_p99_s"]:
-        raise RuntimeError(
-            f"admission+batching+shedding does not dominate no-admission "
-            f"at λ={top_load}: p99 {full['latency_p99_s']:.4f} >= "
-            f"{baseline['latency_p99_s']:.4f}"
-        )
-    if full["transactions_per_page"] >= baseline["transactions_per_page"]:
-        raise RuntimeError(
-            f"cross-query batching does not reduce transactions per page "
-            f"at λ={top_load}: {full['transactions_per_page']:.4f} >= "
-            f"{baseline['transactions_per_page']:.4f}"
-        )
-
     return {
         "schema": SERVING_BENCH_SCHEMA,
         "label": "PR7",
@@ -225,7 +195,7 @@ def run_serving_bench(
         "config": config,
         "policies": list(POLICY_NAMES),
         "points": points,
-        "frontier_p99_vs_load": frontier,
+        "frontier_p99_vs_load": frontier(points, "policy", POLICY_NAMES),
         "dominance_at_top_load": dominance,
     }
 
@@ -265,14 +235,3 @@ def format_summary(doc: Dict[str, object]) -> str:
     )
     return "\n".join(lines)
 
-
-__all__ = [
-    "DEFAULT_OUT",
-    "POLICY_NAMES",
-    "SERVING_BENCH_SCHEMA",
-    "canonical_bytes",
-    "format_summary",
-    "run_serving_bench",
-    "to_run_report",
-    "write_bench",
-]

@@ -16,46 +16,47 @@ A second pair of arms runs at the top load point with one drive
 crashing mid-run: ``rebuild`` streams the dead drive's pages back
 online (through the same simulated disk + bus resources as foreground
 traffic) after a finite repair instant, while ``no-repair`` never gets
-the drive back.  The document (default ``BENCH_PR8.json``) records the
+the drive back.  The document (``BENCH_PR8.json``) records the
 p99-vs-load frontier per stack, hedge/breaker counters, and the
 rebuild arms' time-to-healthy and foreground-p99 inflation.
 
-Two invariants are enforced at build time:
-
-* at the highest load, ``hedged+breakers`` must *strictly dominate*
-  ``full-serving`` on p99 — a tail-tolerance regression cannot
-  silently ship a benchmark;
-* the ``rebuild`` arm's time-to-healthy must be *strictly shorter*
-  than the ``no-repair`` arm's (which, never becoming healthy, is
-  capped at its makespan).
-
-Every value is simulated time derived from the seed, so same-seed runs
-are byte-identical (``canonical_bytes``; asserted in
-``tests/serving/test_chaos_bench.py`` and the chaos-serving-smoke CI
-job).
+The run raises unless, at the highest load, ``hedged+breakers`` is
+*strictly below* ``full-serving`` on p99, and unless the ``rebuild``
+arm's time-to-healthy is strictly below the ``no-repair`` arm's (which,
+never becoming healthy, is capped at its makespan).  Every value is
+simulated time derived from the seed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.experiments.setup import build_tree, dataset, make_factory
+from repro.experiments.setup import make_factory
 from repro.faults.health import HealthPolicy, HedgePolicy, RebuildPolicy
 from repro.faults.plan import CrashWindow, FaultPlan, SlowWindow
 from repro.faults.policy import RetryPolicy
-from repro.perf.bench import canonical_bytes, run_report_envelope, write_bench
-from repro.serving.admission import full_serving_policy
-from repro.serving.bench import _served_digest
+from repro.perf.sweep import (  # canonical_bytes, write_bench: re-exported
+    at_load,
+    canonical_bytes,
+    frontier,
+    json_config,
+    run_report_envelope,
+    setup,
+    strictly_below,
+    write_bench,
+)
+from repro.serving.bench import (
+    CONFIGS as SERVING_CONFIGS,
+    bursty_scenario,
+    serving_point,
+    serving_policy,
+)
 from repro.serving.frontend import ServingResult, serve_scenario
-from repro.serving.traffic import make_scenario
 from repro.simulation.parameters import SystemParameters
 
 #: Bumped when the document layout changes incompatibly.
 CHAOS_SERVING_BENCH_SCHEMA = "repro-chaos-serving-bench/1"
-
-#: Default output file for this PR's trajectory point.
-DEFAULT_OUT = "BENCH_PR8.json"
 
 #: Stack names, baseline first (the dominance check runs against it).
 STACK_NAMES = ("full-serving", "hedged+breakers")
@@ -63,91 +64,66 @@ STACK_NAMES = ("full-serving", "hedged+breakers")
 #: Rebuild-arm names, baseline (no repair) first.
 REBUILD_ARMS = ("no-repair", "rebuild")
 
-#: Sweep configurations.  The fail-slow factor and the breaker's
-#: latency threshold are calibrated together: healthy replicas sit
-#: around 20–40 ms per page under load while an 8× drive climbs past
-#: 200 ms, so a 100 ms EWMA threshold trips only the sick drives.
-#: ``smoke`` shrinks the sweep to CI size while keeping the top point
+#: The fault plan and tail-tolerance keys both sweep sizes share.
+_FAULT_KEYS = dict(
+    slow_factor=8.0, transient_prob=0.01,
+    max_attempts=3, attempt_timeout=0.05,
+    latency_threshold=0.1, hedge_quantile=0.95, hedge_min_delay=0.002,
+    crash_start=0.1, rebuild_rate=400.0, rebuild_batch=8,
+)
+
+#: Sweep configurations: the serving bench's, plus the fault keys.  The
+#: fail-slow factor and the breaker's latency threshold are calibrated
+#: together: healthy replicas sit around 20–40 ms per page under load
+#: while an 8× drive climbs past 200 ms, so a 100 ms EWMA threshold
+#: trips only the sick drives.  ``smoke`` keeps the top point
 #: overloaded and the slow drives genuinely slow.
 _CONFIGS = {
     False: dict(
-        dataset="gaussian", n=4_000, dims=2, disks=5,
-        k=10, horizon=2.0, loads=(50.0, 150.0, 400.0),
-        burst_factor=4.0, max_in_flight=10, max_queued=400,
-        deadline=0.4, batch_window=0.0005, max_group_pages=32,
-        slow_drives=(2, 6), slow_factor=8.0, transient_prob=0.01,
-        max_attempts=3, attempt_timeout=0.05,
-        latency_threshold=0.1, hedge_quantile=0.95, hedge_min_delay=0.002,
-        crash_drive=4, crash_start=0.1, crash_repair=0.4,
-        rebuild_rate=400.0, rebuild_batch=8,
+        SERVING_CONFIGS[False], **_FAULT_KEYS,
+        slow_drives=(2, 6), crash_drive=4, crash_repair=0.4,
     ),
     True: dict(
-        dataset="gaussian", n=800, dims=2, disks=4,
-        k=8, horizon=1.0, loads=(40.0, 200.0),
-        burst_factor=4.0, max_in_flight=6, max_queued=200,
-        deadline=0.25, batch_window=0.0005, max_group_pages=32,
-        slow_drives=(2, 5), slow_factor=8.0, transient_prob=0.01,
-        max_attempts=3, attempt_timeout=0.05,
-        latency_threshold=0.1, hedge_quantile=0.95, hedge_min_delay=0.002,
-        crash_drive=6, crash_start=0.1, crash_repair=0.3,
-        rebuild_rate=400.0, rebuild_batch=8,
+        SERVING_CONFIGS[True], **_FAULT_KEYS,
+        slow_drives=(2, 5), crash_drive=6, crash_repair=0.3,
     ),
 }
 
 _ALGORITHM = "CRSS"
 
 
-def _fault_plan(config: Dict[str, object], crash_repair=None) -> FaultPlan:
-    """The sweep's plan; a crash window is added for the rebuild arms."""
+def _serve(
+    tree, scenario, config: Dict[str, object], seed: int, arm: str
+) -> ServingResult:
+    """One arm: the full serving stack on RAID-1 under the fault plan.
+
+    Every arm but ``full-serving`` adds the breakers and hedged reads.
+    The rebuild arms add a crash of ``crash_drive`` at ``crash_start``:
+    ``rebuild`` repairs it at ``crash_repair`` and streams the pages
+    back online, ``no-repair`` never gets the drive back.
+    """
+    tail = arm != "full-serving"
     crashes = ()
-    if crash_repair is not None:
+    if arm in REBUILD_ARMS:
+        repair = config["crash_repair"] if arm == "rebuild" else math.inf
         crashes = (
-            CrashWindow(
-                config["crash_drive"], config["crash_start"], crash_repair
-            ),
+            CrashWindow(config["crash_drive"], config["crash_start"], repair),
         )
-    horizon_slack = config["horizon"] * 5.0
-    return FaultPlan(
+    plan = FaultPlan(
         seed=0,
         default_transient_prob=config["transient_prob"],
         crashes=crashes,
         slow_windows=tuple(
-            SlowWindow(drive, 0.0, horizon_slack, config["slow_factor"])
+            SlowWindow(drive, 0.0, config["horizon"] * 5.0,
+                       config["slow_factor"])
             for drive in config["slow_drives"]
         ),
     )
-
-
-def _tail_policies(config: Dict[str, object]):
-    health = HealthPolicy(latency_threshold=config["latency_threshold"])
-    hedge = HedgePolicy(
-        quantile=config["hedge_quantile"],
-        min_delay=config["hedge_min_delay"],
-    )
-    return health, hedge
-
-
-def _serve(
-    tree,
-    scenario,
-    config: Dict[str, object],
-    seed: int,
-    plan: FaultPlan,
-    health: Optional[HealthPolicy],
-    hedge: Optional[HedgePolicy],
-    rebuild: Optional[RebuildPolicy] = None,
-) -> ServingResult:
     return serve_scenario(
         tree,
         make_factory(_ALGORITHM, tree, config["k"]),
         scenario,
-        policy=full_serving_policy(
-            max_in_flight=config["max_in_flight"],
-            max_queued=config["max_queued"],
-            deadline=config["deadline"],
-            batch_window=config["batch_window"],
-            max_group_pages=config["max_group_pages"],
-        ),
+        policy=serving_policy("admission+batching+shedding", config),
         params=SystemParameters(coalesce=True),
         seed=seed,
         fault_plan=plan,
@@ -156,29 +132,33 @@ def _serve(
             attempt_timeout=config["attempt_timeout"],
         ),
         raid="raid1",
-        health=health,
-        hedge=hedge,
-        rebuild=rebuild,
+        health=(
+            HealthPolicy(latency_threshold=config["latency_threshold"])
+            if tail else None
+        ),
+        hedge=(
+            HedgePolicy(
+                quantile=config["hedge_quantile"],
+                min_delay=config["hedge_min_delay"],
+            )
+            if tail else None
+        ),
+        rebuild=(
+            RebuildPolicy(
+                rate=config["rebuild_rate"],
+                batch_pages=config["rebuild_batch"],
+            )
+            if arm == "rebuild" else None
+        ),
     )
 
 
 def _point(stack: str, load: float, serving: ServingResult) -> Dict[str, object]:
-    section = serving.serving_section()
     point: Dict[str, object] = {
         "stack": stack,
         "offered_load": load,
-        "offered": len(serving.queries),
-        **serving.outcome_counts(),
-        "latency_mean_s": section["latency"]["mean"],
-        "latency_p50_s": section["latency"]["p50"],
-        "latency_p95_s": section["latency"]["p95"],
-        "latency_p99_s": section["latency"]["p99"],
-        "latency_max_s": section["latency"]["max"],
-        "goodput_qps": serving.goodput,
-        "makespan_s": serving.result.makespan,
+        **serving_point(serving),
         "failovers": serving.result.total_failovers,
-        "certificates": section["certificates"]["count"],
-        "served_digest": _served_digest(serving),
     }
     if serving.health is not None:
         point["breaker_opens"] = serving.health["opens"]
@@ -196,102 +176,28 @@ def run_chaos_serving_bench(
     smoke: bool = False, seed: int = 0
 ) -> Dict[str, object]:
     """Run the stack × load sweep + rebuild arms; returns the document."""
-    config = dict(_CONFIGS[smoke])
-    config["loads"] = list(config["loads"])  # JSON-native document
-    config["slow_drives"] = list(config["slow_drives"])
-    data = dataset(config["dataset"], config["n"], config["dims"], seed=seed)
-    tree = build_tree(
-        config["dataset"], config["n"], config["dims"],
-        config["disks"], seed=seed,
-    )
-    plan = _fault_plan(config)
-    health, hedge = _tail_policies(config)
-
-    points: List[Dict[str, object]] = []
+    config = json_config(_CONFIGS[smoke])
+    data, tree = setup(config, seed)
+    points = []
     for load in config["loads"]:
-        scenario = make_scenario(
-            "bursty",
-            data,
-            rate=load,
-            horizon=config["horizon"],
-            seed=seed + 1,
-            burst_factor=config["burst_factor"],
-        )
-        points.append(
-            _point(
-                "full-serving",
-                load,
-                _serve(tree, scenario, config, seed, plan, None, None),
-            )
-        )
-        points.append(
-            _point(
-                "hedged+breakers",
-                load,
-                _serve(tree, scenario, config, seed, plan, health, hedge),
-            )
-        )
-
-    frontier = {
-        stack: [
-            [point["offered_load"], point["latency_p99_s"]]
-            for point in points
-            if point["stack"] == stack
+        scenario = bursty_scenario(data, load, config, seed)
+        points += [
+            _point(stack, load, _serve(tree, scenario, config, seed, stack))
+            for stack in STACK_NAMES
         ]
-        for stack in STACK_NAMES
-    }
-
     top_load = max(config["loads"])
-
-    def _at_top(stack: str) -> Dict[str, object]:
-        return next(
-            p
-            for p in points
-            if p["stack"] == stack and p["offered_load"] == top_load
-        )
-
-    baseline = _at_top(STACK_NAMES[0])
-    hedged = _at_top(STACK_NAMES[1])
-    if hedged["latency_p99_s"] >= baseline["latency_p99_s"]:
-        raise RuntimeError(
-            f"hedged+breakers does not dominate full-serving at "
-            f"λ={top_load}: p99 {hedged['latency_p99_s']:.4f} >= "
-            f"{baseline['latency_p99_s']:.4f}"
-        )
-
-    # Rebuild arms: same top-load traffic, plus one drive crashing at
-    # crash_start.  ``no-repair`` never gets it back (repair=inf), so
-    # its time-to-healthy is capped at the run's makespan; ``rebuild``
-    # repairs at crash_repair and streams the pages back online.
-    top_scenario = make_scenario(
-        "bursty",
-        data,
-        rate=top_load,
-        horizon=config["horizon"],
-        seed=seed + 1,
-        burst_factor=config["burst_factor"],
+    baseline = at_load(points, "stack", STACK_NAMES[0], top_load)
+    hedged = at_load(points, "stack", STACK_NAMES[1], top_load)
+    p99_ratio = strictly_below(
+        hedged, baseline, "latency_p99_s",
+        f"hedged+breakers beats full-serving at λ={top_load}",
     )
+
+    # Rebuild arms: the top-load traffic with one drive crashing.
+    top_scenario = bursty_scenario(data, top_load, config, seed)
     rebuild_points: Dict[str, Dict[str, object]] = {}
     for arm in REBUILD_ARMS:
-        repairs = math.inf if arm == "no-repair" else config["crash_repair"]
-        policy = (
-            None
-            if arm == "no-repair"
-            else RebuildPolicy(
-                rate=config["rebuild_rate"],
-                batch_pages=config["rebuild_batch"],
-            )
-        )
-        serving = _serve(
-            tree,
-            top_scenario,
-            config,
-            seed,
-            _fault_plan(config, crash_repair=repairs),
-            health,
-            hedge,
-            rebuild=policy,
-        )
+        serving = _serve(tree, top_scenario, config, seed, arm)
         point = _point(arm, top_load, serving)
         if serving.rebuild is not None:
             point["rebuild_completed"] = serving.rebuild["completed"]
@@ -300,34 +206,25 @@ def run_chaos_serving_bench(
             point["time_to_healthy_s"] = serving.rebuild["time_to_healthy"]
         else:
             # The drive never recovers: unavailable from the crash to
-            # the end of the run.
+            # the end of the run, so time-to-healthy is capped there.
             point["time_to_healthy_s"] = (
                 serving.result.makespan - config["crash_start"]
             )
         point["shed_during_rebuild"] = serving.rebuild_shed
         rebuild_points[arm] = point
-
-    if (
-        rebuild_points["rebuild"]["time_to_healthy_s"]
-        >= rebuild_points["no-repair"]["time_to_healthy_s"]
-    ):
-        raise RuntimeError(
-            f"online rebuild does not beat no-repair on time-to-healthy: "
-            f"{rebuild_points['rebuild']['time_to_healthy_s']:.4f} >= "
-            f"{rebuild_points['no-repair']['time_to_healthy_s']:.4f}"
-        )
+    repaired = rebuild_points["rebuild"]
+    unrepaired = rebuild_points["no-repair"]
 
     dominance = {
         "offered_load": top_load,
-        "p99_ratio": hedged["latency_p99_s"] / baseline["latency_p99_s"],
+        "p99_ratio": p99_ratio,
         "goodput_ratio": hedged["goodput_qps"] / baseline["goodput_qps"],
-        "time_to_healthy_ratio": (
-            rebuild_points["rebuild"]["time_to_healthy_s"]
-            / rebuild_points["no-repair"]["time_to_healthy_s"]
+        "time_to_healthy_ratio": strictly_below(
+            repaired, unrepaired, "time_to_healthy_s",
+            "online rebuild beats no-repair",
         ),
         "foreground_p99_inflation": (
-            rebuild_points["rebuild"]["latency_p99_s"]
-            / rebuild_points["no-repair"]["latency_p99_s"]
+            repaired["latency_p99_s"] / unrepaired["latency_p99_s"]
         ),
     }
 
@@ -341,7 +238,7 @@ def run_chaos_serving_bench(
         "config": config,
         "stacks": list(STACK_NAMES),
         "points": points,
-        "frontier_p99_vs_load": frontier,
+        "frontier_p99_vs_load": frontier(points, "stack", STACK_NAMES),
         "rebuild_arms": rebuild_points,
         "dominance_at_top_load": dominance,
     }
@@ -394,15 +291,3 @@ def format_summary(doc: Dict[str, object]) -> str:
     )
     return "\n".join(lines)
 
-
-__all__ = [
-    "CHAOS_SERVING_BENCH_SCHEMA",
-    "DEFAULT_OUT",
-    "REBUILD_ARMS",
-    "STACK_NAMES",
-    "canonical_bytes",
-    "format_summary",
-    "run_chaos_serving_bench",
-    "to_run_report",
-    "write_bench",
-]

@@ -43,6 +43,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.core.results import Neighbor
 from repro.faults.health import HealthPolicy, HedgePolicy, RebuildPolicy
+from repro.obs.report import percentile
 from repro.obs.trace import NULL_TRACER
 from repro.serving.admission import (
     AdmissionController,
@@ -139,13 +140,6 @@ class ServedQuery:
     def served(self) -> bool:
         """True when the query got an answer (complete or degraded)."""
         return self.outcome in ("complete", "degraded")
-
-
-def _percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile (mirrors ``WorkloadResult.percentile``)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return ordered[rank - 1]
 
 
 @dataclass
@@ -251,9 +245,9 @@ class ServingResult:
                 "mean": (
                     math.fsum(latencies) / len(latencies) if latencies else 0.0
                 ),
-                "p50": _percentile(latencies, 0.50) if latencies else 0.0,
-                "p95": _percentile(latencies, 0.95) if latencies else 0.0,
-                "p99": _percentile(latencies, 0.99) if latencies else 0.0,
+                "p50": percentile(latencies, 0.50) if latencies else 0.0,
+                "p95": percentile(latencies, 0.95) if latencies else 0.0,
+                "p99": percentile(latencies, 0.99) if latencies else 0.0,
                 "max": max(latencies) if latencies else 0.0,
             },
             "admission_wait": {

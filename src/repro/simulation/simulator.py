@@ -56,6 +56,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.geometry.point import Point
 from repro.obs.breakdown import Breakdown
+from repro.obs.report import percentile
 from repro.obs.trace import NULL_TRACER
 from repro.simulation.engine import Environment
 from repro.simulation.parameters import SystemParameters
@@ -240,9 +241,9 @@ class WorkloadResult:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
         if not self.records:
             raise ValueError("no queries recorded")
-        ordered = sorted(r.response_time for r in self.records)
-        rank = max(1, math.ceil(fraction * len(ordered)))
-        return ordered[rank - 1]
+        return percentile(
+            (r.response_time for r in self.records), fraction
+        )
 
 
 class RoundIO(NamedTuple):

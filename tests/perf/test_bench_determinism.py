@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.perf import bench
+from repro.perf import bench, sweep
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ def test_nondeterministic_keys_are_listed_and_stripped(smoke_docs):
     # The raw document does contain wall-clock fields ...
     assert set(bench.NONDETERMINISTIC_KEYS) <= set(keys_of(doc))
     # ... and the canonical form contains none of them.
-    stripped = bench.strip_nondeterministic(doc)
+    stripped = sweep.strip_nondeterministic(doc)
     assert not set(bench.NONDETERMINISTIC_KEYS) & set(keys_of(stripped))
 
 

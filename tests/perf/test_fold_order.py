@@ -29,7 +29,7 @@ from repro.extensions import srtree, sstree
 from repro.geometry import point, rect
 from repro.geometry.rect import Rect
 from repro.obs import explain, report
-from repro.perf import bench, kernels, sched_bench
+from repro.perf import bench, kernels, sched_bench, sweep
 from repro.perf.bench import canonical_bytes
 from repro.rtree import tree as rtree_tree
 from tests import test_cli_golden as cli_golden
@@ -55,7 +55,7 @@ def fsum_everywhere(monkeypatch):
 @pytest.fixture
 def fsum_in_reports(monkeypatch):
     """:func:`compensated_sum` as ``sum`` where reports take means."""
-    for module in (report, explain, bench, sched_bench):
+    for module in (report, explain, bench, sched_bench, sweep):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
 
 

@@ -76,3 +76,24 @@ def test_write_round_trips(tmp_path, smoke_docs):
     path = tmp_path / "sched.json"
     sched_bench.write_bench(doc, str(path))
     assert json.loads(path.read_text()) == json.loads(json.dumps(doc))
+
+
+def test_disagreeing_answers_raise(monkeypatch):
+    """The answers-agree gate names the claim, the metric and every
+    variant's digest when one variant's answers differ."""
+    run_variant = sched_bench._run_variant
+
+    def wrong_sstf(name, *args):
+        row = run_variant(name, *args)
+        if name == "sstf":
+            row["answer_digest"] = "f" * 64
+        return row
+
+    monkeypatch.setattr(sched_bench, "_run_variant", wrong_sstf)
+    with pytest.raises(RuntimeError) as raised:
+        sched_bench.run_sched_bench(smoke=True, seed=0)
+    message = str(raised.value)
+    assert "scheduling never changes answers" in message
+    assert "answer_digest" in message
+    assert "sstf=ffffffffffff" in message
+    assert "fcfs=" in message and "fcfs=ffffffffffff" not in message

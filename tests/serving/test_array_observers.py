@@ -17,7 +17,7 @@ from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.timeline import TimelineSampler
 from repro.obs.trace import InstantRecord, SpanRecord
 from repro.serving.admission import PriorityClass, ServingPolicy
-from repro.serving.bench import _served_digest
+from repro.perf.sweep import served_digest
 from repro.serving.frontend import serve_scenario
 from repro.serving.traffic import make_scenario
 from repro.simulation.parameters import SystemParameters
@@ -125,7 +125,7 @@ def test_observers_are_write_only(raid, serving_tree, crss_factory, scenario):
             for r in serving.result.records
         ]
         outcomes = [(q.qid, q.outcome) for q in serving.queries]
-        return records, outcomes, _served_digest(serving)
+        return records, outcomes, served_digest(serving)
 
     observed = run(
         tracer=Tracer(), metrics=MetricsRegistry(),

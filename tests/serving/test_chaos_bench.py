@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.diff import diff_reports
 from repro.obs.report import load_report
+from repro.serving import chaos_bench
 from repro.serving.chaos_bench import (
     CHAOS_SERVING_BENCH_SCHEMA,
     REBUILD_ARMS,
@@ -101,3 +102,41 @@ class TestCommittedBench:
         dom = doc["dominance_at_top_load"]
         assert dom["p99_ratio"] < 1.0
         assert dom["time_to_healthy_ratio"] < 1.0
+
+
+
+class TestGates:
+    """Each gate refuses an arm that only ties its baseline, naming the
+    claim, the metric and both values."""
+
+    @pytest.mark.parametrize(
+        "arm, stand_in, metric, claim",
+        [
+            ("hedged+breakers", "full-serving", "latency_p99_s",
+             "hedged+breakers beats full-serving"),
+            ("rebuild", "no-repair", "time_to_healthy_s",
+             "online rebuild beats no-repair"),
+        ],
+    )
+    def test_a_tie_raises(self, monkeypatch, arm, stand_in, metric, claim):
+        """The candidate arm runs as its baseline, so the two tie."""
+        serve, gate = chaos_bench._serve, chaos_bench.strictly_below
+        compared = []
+
+        def tied_serve(tree, scenario, config, seed, name):
+            name = stand_in if name == arm else name
+            return serve(tree, scenario, config, seed, name)
+
+        def watched_gate(candidate, baseline, gated, text):
+            compared.append((gated, candidate[gated], baseline[gated]))
+            return gate(candidate, baseline, gated, text)
+
+        monkeypatch.setattr(chaos_bench, "_serve", tied_serve)
+        monkeypatch.setattr(chaos_bench, "strictly_below", watched_gate)
+        with pytest.raises(RuntimeError) as raised:
+            run_chaos_serving_bench(smoke=True, seed=0)
+        gated, value, base = compared[-1]
+        assert gated == metric and value == base
+        message = str(raised.value)
+        assert claim in message
+        assert f"{metric} {value:.4f} >= {base:.4f}" in message

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.serving import bench as serving_bench
 from repro.serving.bench import (
     POLICY_NAMES,
     SERVING_BENCH_SCHEMA,
@@ -78,3 +79,38 @@ class TestReportGlue:
         for name in POLICY_NAMES:
             assert name in text
         assert "p99" in text
+
+
+class TestGates:
+    """Each dominance gate refuses a candidate that only ties its
+    baseline, naming the claim, the metric and both values."""
+
+    @pytest.mark.parametrize(
+        "metric, claim",
+        [
+            ("latency_p99_s",
+             "admission+batching+shedding beats no-admission"),
+            ("transactions_per_page",
+             "cross-query batching saves transactions"),
+        ],
+    )
+    def test_a_tie_raises(self, monkeypatch, metric, claim):
+        original = serving_bench._run_point
+        tied = {}
+
+        def run_point(name, load, tree, scenario, config, seed):
+            row = original(name, load, tree, scenario, config, seed)
+            if name == POLICY_NAMES[2]:
+                baseline = original(
+                    POLICY_NAMES[0], load, tree, scenario, config, seed
+                )
+                row[metric] = tied[load] = baseline[metric]
+            return row
+
+        monkeypatch.setattr(serving_bench, "_run_point", run_point)
+        with pytest.raises(RuntimeError) as raised:
+            run_serving_bench(smoke=True, seed=0)
+        value = tied[max(tied)]
+        message = str(raised.value)
+        assert claim in message
+        assert f"{metric} {value:.4f} >= {value:.4f}" in message
