@@ -10,7 +10,9 @@ change, what a caller can observe may not.
   ``(oid, repr(distance), repr(point))`` — so the answer points' values
   and the signs of their ``-0.0`` coordinates are pinned too.
 * one ``simulate_mixed_workload`` run with inserts and deletes, plus the
-  answers of counted probes on the tree the updates left behind.
+  answers of counted probes on the tree the updates left behind; and a
+  second one through a buffer pool, with deletes whose object is
+  missing (``applied`` is pinned, as are the buffer's hits and misses).
 * ``ParallelRStarTree.kth_nearest_distance`` as ``float.hex`` on a
   lattice of tripled sites, for k = 1, k = n and k > n, over a deep tree
   and over a height-1 tree.
@@ -25,6 +27,7 @@ from repro.core import CountingExecutor
 from repro.datasets import sample_queries, uniform
 from repro.experiments.setup import make_factory
 from repro.parallel import build_parallel_tree
+from repro.simulation.parameters import SystemParameters
 from repro.simulation.simulator import simulate_workload
 from repro.simulation.updates import simulate_mixed_workload
 
@@ -83,6 +86,10 @@ SIMULATE_GOLDEN = {
 
 MIXED_GOLDEN = (
     "be838594e6c052ea4128bd247dec2ecd2180401420a5e5838815777173b224b6"
+)
+
+MIXED_BUFFERED_GOLDEN = (
+    "3c6b47c05610a1e19369d90867bf55ae4960ef2e183de6308e8447f4cd1d9999"
 )
 
 #: (height of the tree, k) -> float.hex(D_k) per lattice query.
@@ -215,6 +222,44 @@ def test_mixed_workload_is_pinned():
         ],
     }
     assert _digest(rows) == MIXED_GOLDEN
+
+
+def test_buffered_mixed_workload_with_missing_deletes_is_pinned():
+    data = _points()
+    tree = build_parallel_tree(
+        data, dims=2, num_disks=4, max_entries=6, seed=2
+    )
+    queries = sample_queries(data, 30, seed=6)
+    inserts = uniform(40, 2, seed=7)
+    # Every third oid twice over (the second delete finds nothing), and
+    # two objects that never existed.
+    deletes = [(data[oid], oid) for oid in range(0, 90, 3)] * 2
+    deletes += [((2.0, 2.0), 7), (data[5], len(data) + 100)]
+    result = simulate_mixed_workload(
+        tree, make_factory("CRSS", tree, 6), queries, inserts,
+        query_rate=15.0, insert_rate=25.0, seed=4,
+        params=SystemParameters(buffer_pages=12),
+        deletes=deletes, delete_rate=20.0,
+    )
+    assert len(result.updates) == len(inserts) + len(deletes)
+    assert any(not update.applied for update in result.updates)
+    records = result.queries.records
+    assert sum(record.buffer_hits for record in records) > 0
+    rows = {
+        "queries": [
+            _record(record) + [record.buffer_hits, record.page_requests]
+            for record in records
+        ],
+        "updates": [
+            [repr(update.point), repr(update.arrival),
+             repr(update.completion), update.pages_read,
+             update.pages_written, update.pages_created, update.kind,
+             update.applied]
+            for update in result.updates
+        ],
+        "locks": [result.reads_granted, result.writes_granted],
+    }
+    assert _digest(rows) == MIXED_BUFFERED_GOLDEN
 
 
 LATTICE_QUERIES = [
