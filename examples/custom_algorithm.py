@@ -51,8 +51,8 @@ class BestFirstSearch(SearchAlgorithm):
                 offer_leaf(self.query, [node], neighbors)
             else:
                 scan = scan_children(self.query, [node])
-                for ref, d in zip(scan.refs, scan.dmin_sq):
-                    heapq.heappush(frontier, (d, next(counter), ref.page_id))
+                for child, d in zip(scan.pages, scan.dmin_sq):
+                    heapq.heappush(frontier, (d, next(counter), child))
         return neighbors.as_sorted()
 
 

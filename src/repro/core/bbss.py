@@ -58,10 +58,7 @@ class BBSS(SearchAlgorithm):
         # node is scored as a round of one, in one batch over its
         # cached bounds.
         scan = scan_children(self.query, [node], want_dmm=True)
-        branches = sorted(
-            (dmin_sq, dmm_sq, ref.page_id)
-            for dmin_sq, dmm_sq, ref in zip(scan.dmin_sq, scan.dmm_sq, scan.refs)
-        )
+        branches = sorted(zip(scan.dmin_sq, scan.dmm_sq, scan.pages))
 
         # Rule 1 (downward pruning, k = 1 only): an MBR whose Dmin exceeds
         # the smallest Dmm of any sibling cannot hold the nearest object.

@@ -29,7 +29,6 @@ from typing import List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.core.protocol import (
-    ChildRef,
     FetchRequest,
     SearchAlgorithm,
     SearchCoroutine,
@@ -96,7 +95,7 @@ class CRSS(SearchAlgorithm):
                 self.query, internal,
                 want_dmm=True, want_dmax=not reached_leaves,
             )
-            frontier = scan.refs
+            frontier = scan.pages
 
             if not reached_leaves:
                 # ADAPTIVE mode: tighten D_th from Lemma 1.  Only safe to
@@ -104,7 +103,7 @@ class CRSS(SearchAlgorithm):
                 # otherwise answers may hide in stacked candidates beyond
                 # the frontier's reach.
                 threshold = threshold_distance_sq(
-                    frontier, self.k, scan.dmax_sq, counts=scan.counts
+                    scan.dmax_sq, scan.counts, self.k
                 )
                 lower_bound = 1
                 if threshold.guaranteed:
@@ -148,7 +147,7 @@ class CRSS(SearchAlgorithm):
                     # The guard cut: once one candidate of a run misses
                     # the sphere, the rest of the run is rejected at once.
                     for candidate in run[len(survivors):]:
-                        explain.prune(candidate.ref.page_id, "guard")
+                        explain.prune(candidate.page_id, "guard")
                 if not survivors:
                     continue
                 active = survivors[: self.max_active]
@@ -157,15 +156,15 @@ class CRSS(SearchAlgorithm):
                     stack.push_run(leftover)
 
             # TERMINATE mode: nothing active and nothing stacked.
-            batch = [candidate.ref.page_id for candidate in active]
-            pending = {c.ref.page_id: c.dmin_sq for c in active}
+            batch = [candidate.page_id for candidate in active]
+            pending = {c.page_id: c.dmin_sq for c in active}
         if explain is not None:
             explain.mode("TERMINATE")
         return neighbors.as_sorted()
 
     def _reduce(
         self,
-        frontier: List[ChildRef],
+        frontier: List[int],
         dmin_sq: List[float],
         dmm_sq: List[float],
         radius_sq: float,
@@ -174,10 +173,11 @@ class CRSS(SearchAlgorithm):
     ) -> Tuple[List[Candidate], List[Candidate]]:
         """Apply the candidate reduction criterion plus the l..u bound.
 
-        *dmin_sq* / *dmm_sq* are the frontier's batch-computed distances,
-        aligned with *frontier*.  Returns ``(active, saved)``; rejected
-        branches are dropped (and recorded under *prune_reason* when an
-        explain recorder is attached).
+        *frontier* holds the branches' child page ids; *dmin_sq* /
+        *dmm_sq* are their batch-computed distances, aligned with it.
+        Returns ``(active, saved)``; rejected branches are dropped (and
+        recorded under *prune_reason* when an explain recorder is
+        attached).
 
         The whole criterion runs as numpy mask/argsort operations over
         the frontier arrays.  Every sort is stable: within equal
@@ -193,7 +193,7 @@ class CRSS(SearchAlgorithm):
         keep = dmin <= radius_sq
         if explain is not None:
             for i in np.flatnonzero(~keep).tolist():
-                explain.prune(frontier[i].page_id, prune_reason)
+                explain.prune(frontier[i], prune_reason)
         # Criterion (ii): Dmm inside the sphere surely holds answers —
         # activate; criterion (iii): the rest is saved.
         preferred_idx = np.flatnonzero(keep & (dmm < radius_sq))

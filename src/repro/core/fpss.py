@@ -61,12 +61,10 @@ class FPSS(SearchAlgorithm):
         the surviving pages with their Dmin lower bounds (used as the
         degraded-mode certificate should a page never arrive).
         """
-        frontier, dmin_sq = scan.refs, scan.dmin_sq
+        frontier, dmin_sq = scan.pages, scan.dmin_sq
         if not frontier:
             return {}
-        dth_sq = threshold_distance_sq(
-            frontier, self.k, scan.dmax_sq, counts=scan.counts
-        ).dth_sq
+        dth_sq = threshold_distance_sq(scan.dmax_sq, scan.counts, self.k).dth_sq
         kth_sq = neighbors.kth_distance_sq()
         radius_sq = min(dth_sq, kth_sq)
         explain = self.explain
@@ -74,11 +72,11 @@ class FPSS(SearchAlgorithm):
             explain.threshold(dth_sq, kth_sq)
             # The tighter bound takes the credit for each rejection.
             reason = "lemma1" if dth_sq <= kth_sq else "kth"
-            for ref, d in zip(frontier, dmin_sq):
+            for page_id, d in zip(frontier, dmin_sq):
                 if d > radius_sq:
-                    explain.prune(ref.page_id, reason)
+                    explain.prune(page_id, reason)
         return {
-            ref.page_id: d
-            for ref, d in zip(frontier, dmin_sq)
+            page_id: d
+            for page_id, d in zip(frontier, dmin_sq)
             if d <= radius_sq
         }

@@ -31,10 +31,9 @@ tests verify against brute force.
 from __future__ import annotations
 
 import math
-from typing import Generator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Generator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.geometry.point import Point, validate_point
-from repro.geometry.rect import Rect
 from repro.rtree.node import Node
 
 
@@ -59,36 +58,6 @@ class FetchRequest:
 #: What an algorithm coroutine looks like to an executor.  In degraded
 #: mode the mapping's values may be ``None`` for unreachable pages.
 SearchCoroutine = Generator[FetchRequest, Mapping[int, Optional[Node]], "list"]
-
-
-class ChildRef(NamedTuple):
-    """The on-page data describing one branch of an internal node.
-
-    This corresponds to the paper's modified internal entry
-    ``(R, count, child_ptr)`` — the subtree object count is the §2.1
-    structural addition that Lemma 1 relies on.
-    """
-
-    rect: Rect
-    count: int
-    page_id: int
-
-
-def child_refs(node: Node) -> List[ChildRef]:
-    """The branch entries stored in an internal *node*'s page."""
-    if node.is_leaf:
-        raise ValueError(f"page {node.page_id} is a leaf; it has no child entries")
-    return [
-        ChildRef(child.mbr, child.object_count, child.page_id)
-        for child in node.entries
-    ]
-
-
-def leaf_points(node: Node) -> List[Tuple[Point, int]]:
-    """The ``(point, oid)`` data entries stored in a leaf *node*'s page."""
-    if not node.is_leaf:
-        raise ValueError(f"page {node.page_id} is not a leaf")
-    return [(entry.point, entry.oid) for entry in node.entries]
 
 
 class SearchAlgorithm:

@@ -19,10 +19,17 @@ one kernel call, and the round's leaves are offered through one
 ``leaf_data`` — gathered oid/point slices for flat nodes
 (:class:`repro.rtree.flat.FlatNode`), and for pointer and SS-tree leaves
 a cached oid vector plus the entries' own point tuples — so no leaf is
-offered entry by entry.  Flat internal nodes also cache their
-child-reference lists across scans, and their corner matrices are
-zero-copy slices of the frozen per-level arrays (a round's children are
-a gather of contiguous level slices).
+offered entry by entry.
+
+**Branches are rows.**  A directory page stores one row per branch,
+``(R, count, child_ptr)`` (paper §2.1), and a scan reads it as such:
+every node it can be handed answers ``len()``, ``entry_bounds()`` (the
+``R`` column as region arrays), ``child_pages()`` (the child page ids as
+ints, in entry order) and ``child_counts()`` (the subtree object counts
+as int64), all aligned row for row.  No per-branch object is built.  A
+frozen node's rows are zero-copy slices of the per-level arrays (its
+page list is one ``tolist()`` of its slice, cached), so a round's
+children are a gather of contiguous level slices.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.protocol import ChildRef, child_refs
 from repro.core.regions import KERNELS
 from repro.core.results import NeighborList
 from repro.perf import kernels
@@ -41,17 +47,16 @@ from repro.perf import kernels
 class ChildScan(NamedTuple):
     """Per-entry distances for the branches of one round's internal nodes.
 
-    :attr:`refs` holds every branch of the scanned nodes, node after
-    node in round order, and each distance field is a list aligned with
-    it, or ``None`` when the metric was not requested.  :attr:`counts`
-    carries the subtree object counts as an int64 array (aligned with
-    :attr:`refs`) whenever ``Dmax`` was requested — the Lemma 1
-    consumers feed it to
-    :func:`~repro.core.threshold.threshold_distance_sq`, saving the
-    per-entry count gather there.
+    :attr:`pages` holds the child page id of every branch of the scanned
+    nodes, node after node in round order, and each distance field is a
+    list aligned with it, or ``None`` when the metric was not requested.
+    :attr:`counts` carries the subtree object counts as an int64 array
+    (aligned with :attr:`pages`) whenever ``Dmax`` was requested — what
+    the Lemma 1 consumers feed to
+    :func:`~repro.core.threshold.threshold_distance_sq`.
     """
 
-    refs: List[ChildRef]
+    pages: List[int]
     dmin_sq: Optional[List[float]]
     dmm_sq: Optional[List[float]] = None
     dmax_sq: Optional[List[float]] = None
@@ -59,8 +64,8 @@ class ChildScan(NamedTuple):
 
 
 def _gather(chunks: List) -> Sequence:
-    """Row-concatenate per-node arrays (or point lists); a lone chunk is
-    passed through."""
+    """Row-concatenate per-node arrays (or point / page lists); a lone
+    chunk is passed through."""
     if len(chunks) == 1:
         return chunks[0]
     if isinstance(chunks[0], np.ndarray):
@@ -84,13 +89,9 @@ def scan_children(
     lists contain plain Python floats, identical to scanning the nodes
     one by one and concatenating.
     """
-    nodes = [node for node in nodes if node.entries]
-    refs: List[ChildRef] = []
-    for node in nodes:
-        getter = getattr(node, "child_refs", None)
-        refs.extend(getter() if getter is not None else child_refs(node))
-    if not refs:
-        return ChildScan(refs, [], [] if want_dmm else None,
+    nodes = [node for node in nodes if len(node)]
+    if not nodes:
+        return ChildScan([], [], [] if want_dmm else None,
                          [] if want_dmax else None,
                          np.empty(0, dtype=np.int64) if want_dmax else None)
     metrics = ["dmin"]
@@ -104,21 +105,14 @@ def scan_children(
     results = [
         KERNELS[family, metric](query, *arrays).tolist() for metric in metrics
     ]
-    counts: Optional[np.ndarray] = None
-    if want_dmax:
-        if all(hasattr(node, "child_counts") for node in nodes):
-            counts = _gather([node.child_counts() for node in nodes])
-        else:
-            counts = np.fromiter(
-                (ref.count for ref in refs), dtype=np.int64, count=len(refs)
-            )
     by_metric = dict(zip(metrics, results))
     return ChildScan(
-        refs,
+        _gather([node.child_pages() for node in nodes]),
         by_metric["dmin"],
         by_metric.get("dmm"),
         by_metric.get("dmax"),
-        counts,
+        _gather([node.child_counts() for node in nodes]) if want_dmax
+        else None,
     )
 
 
@@ -137,7 +131,7 @@ def offer_leaf(
     order of offers within a round does not change what it holds
     afterwards.
     """
-    leaves = [node for node in nodes if node.entries]
+    leaves = [node for node in nodes if len(node)]
     if not leaves:
         return
     data = [node.leaf_data for node in leaves]

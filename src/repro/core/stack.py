@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.core.protocol import ChildRef
-
 
 class Candidate(NamedTuple):
-    """A saved branch: its squared ``Dmin`` plus the on-page entry data."""
+    """A saved branch: its squared ``Dmin`` and its child page id."""
 
     dmin_sq: float
-    ref: ChildRef
+    page_id: int
 
 
 class CandidateStack:

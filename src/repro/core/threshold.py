@@ -15,11 +15,9 @@ been seen; CRSS additionally uses the prefix length as the lower bound
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from repro.core.protocol import ChildRef
 
 
 class Threshold(NamedTuple):
@@ -28,60 +26,49 @@ class Threshold(NamedTuple):
     #: Squared threshold distance D_th (``inf`` if there are no MBRs).
     dth_sq: float
     #: Number of prefix MBRs needed to guarantee k objects — CRSS's
-    #: activation lower bound ``l``.  Equals ``len(entries)`` when the
-    #: entries hold fewer than k objects in total.
+    #: activation lower bound ``l``.  Equals the number of branches when
+    #: they hold fewer than k objects in total.
     prefix_length: int
-    #: True when the entries collectively hold at least k objects, i.e.
+    #: True when the branches collectively hold at least k objects, i.e.
     #: the Lemma 1 guarantee actually applies.  When False the threshold
-    #: only bounds the objects *inside these entries* — a caller whose
+    #: only bounds the objects *inside these branches* — a caller whose
     #: candidate set extends beyond them (CRSS with a non-empty stack)
     #: must not prune with it.
     guaranteed: bool = True
 
 
 def threshold_distance_sq(
-    entries: Sequence[ChildRef],
-    k: int,
-    dmax_sq: Sequence[float],
-    counts: Optional[np.ndarray] = None,
+    dmax_sq: Sequence[float], counts: Sequence[int], k: int
 ) -> Threshold:
-    """Compute Lemma 1's threshold over *entries* for a k-NN query.
+    """Compute Lemma 1's threshold over a frontier of branches.
 
-    :param entries: candidate branches with their object counts.
-    :param k: number of neighbors requested.
     :param dmax_sq: squared ``Dmax`` from the query point ``P_q`` to
-        each entry's region, aligned with *entries* — the round scan's
+        each branch's region — the round scan's
         :attr:`~repro.core.scan.ChildScan.dmax_sq`.
-    :param counts: optional int64 subtree object counts aligned with
-        *entries* (the scan layer's :attr:`~repro.core.scan.ChildScan
-        .counts`); saves the per-entry gather.  For frozen trees this
-        is a zero-copy slice of the packed count array.
+    :param counts: the branches' subtree object counts, aligned with
+        *dmax_sq* — the round scan's
+        :attr:`~repro.core.scan.ChildScan.counts` (for frozen trees a
+        zero-copy slice of the packed count array).
+    :param k: number of neighbors requested.
     :returns: squared ``D_th`` and the qualifying prefix length.
 
-    If the entries together hold fewer than k objects, every entry is
+    If the branches together hold fewer than k objects, every branch is
     needed and ``D_th`` is the largest ``Dmax`` (the k best answers may
     use any object available).
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if not entries:
+    if not len(counts):
         return Threshold(math.inf, 0, guaranteed=False)
-    if len(dmax_sq) != len(entries):
+    if len(dmax_sq) != len(counts):
         raise ValueError(
-            f"dmax_sq has {len(dmax_sq)} values for {len(entries)} entries"
-        )
-    if counts is not None and len(counts) != len(entries):
-        raise ValueError(
-            f"counts has {len(counts)} values for {len(entries)} entries"
+            f"dmax_sq has {len(dmax_sq)} values for {len(counts)} counts"
         )
 
     # Sort by (Dmax, count) — ties on Dmax go to the smaller count —
     # then find the shortest prefix whose counts cover k.
     values = np.asarray(dmax_sq, dtype=np.float64)
-    if counts is None:
-        counts = np.asarray([ref.count for ref in entries], dtype=np.int64)
-    else:
-        counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
     order = np.lexsort((counts, values))
     covered = np.cumsum(counts[order])
     if covered[-1] >= k:
@@ -89,6 +76,6 @@ def threshold_distance_sq(
         return Threshold(
             float(values[order[prefix]]), prefix + 1, guaranteed=True
         )
-    # Fewer than k objects in total: all entries qualify and the bound
-    # only covers what these entries themselves contain.
-    return Threshold(float(values[order[-1]]), len(entries), guaranteed=False)
+    # Fewer than k objects in total: all branches qualify and the bound
+    # only covers what these branches themselves contain.
+    return Threshold(float(values[order[-1]]), len(counts), guaranteed=False)

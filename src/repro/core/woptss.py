@@ -71,12 +71,12 @@ class WOPTSS(SearchAlgorithm):
             offer_leaf(self.query, leaves, neighbors)
             scan = scan_children(self.query, internal)
             if explain is not None:
-                for ref, d in zip(scan.refs, scan.dmin_sq):
+                for page_id, d in zip(scan.pages, scan.dmin_sq):
                     if d > radius_sq:
-                        explain.prune(ref.page_id, "oracle")
+                        explain.prune(page_id, "oracle")
             pending = {
-                ref.page_id: d
-                for ref, d in zip(scan.refs, scan.dmin_sq)
+                page_id: d
+                for page_id, d in zip(scan.pages, scan.dmin_sq)
                 if d <= radius_sq
             }
             if explain is not None:

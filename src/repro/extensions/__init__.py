@@ -49,7 +49,6 @@ from repro.extensions.sstree import (
     build_parallel_sstree,
 )
 from repro.extensions.tvtree import (
-    TVRegion,
     TVTreeView,
     build_tv_view,
     tv_directory_capacity,
@@ -74,7 +73,6 @@ __all__ = [
     "ParallelSSTree",
     "ParallelSphereSearch",
     "SSTree",
-    "TVRegion",
     "TVTreeView",
     "build_tv_view",
     "tv_directory_capacity",

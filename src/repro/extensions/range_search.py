@@ -22,14 +22,11 @@ from repro.core.protocol import (
     FetchRequest,
     SearchAlgorithm,
     SearchCoroutine,
-    child_refs,
-    leaf_points,
 )
 from repro.core.results import Neighbor
 from repro.core.scan import scan_children
 from repro.geometry.point import squared_euclidean
 from repro.geometry.rect import Rect
-from repro.geometry.sphere import Sphere
 
 
 class ParallelSphereSearch(SearchAlgorithm):
@@ -60,19 +57,19 @@ class ParallelSphereSearch(SearchAlgorithm):
             nodes = [fetched[page_id] for page_id in batch]
             for node in nodes:
                 if node.is_leaf:
-                    for point, oid in leaf_points(node):
-                        dist_sq = squared_euclidean(self.query, point)
+                    for entry in node.entries:
+                        dist_sq = squared_euclidean(self.query, entry.point)
                         if dist_sq <= radius_sq:
-                            answers.append(
-                                Neighbor(math.sqrt(dist_sq), point, oid)
-                            )
+                            answers.append(Neighbor(
+                                math.sqrt(dist_sq), entry.point, entry.oid
+                            ))
             # Every branch of the round's internal nodes in one scan.
             scan = scan_children(
                 self.query, [node for node in nodes if not node.is_leaf]
             )
             batch = [
-                ref.page_id
-                for ref, dmin_sq in zip(scan.refs, scan.dmin_sq)
+                page_id
+                for page_id, dmin_sq in zip(scan.pages, scan.dmin_sq)
                 if dmin_sq <= radius_sq
             ]
         answers.sort(key=lambda n: (n.distance, n.oid))
@@ -103,34 +100,38 @@ class ParallelRangeSearch(SearchAlgorithm):
             for page_id in batch:
                 node = fetched[page_id]
                 if node.is_leaf:
-                    for point, oid in leaf_points(node):
+                    for entry in node.entries:
+                        point = entry.point
                         if self.window.contains_point(point):
-                            answers.append(
-                                Neighbor(
-                                    math.sqrt(
-                                        squared_euclidean(self.query, point)
-                                    ),
-                                    point,
-                                    oid,
-                                )
-                            )
-                else:
-                    for ref in child_refs(node):
-                        if self._region_intersects_window(ref.rect):
-                            next_batch.append(ref.page_id)
+                            answers.append(Neighbor(
+                                math.sqrt(squared_euclidean(self.query, point)),
+                                point,
+                                entry.oid,
+                            ))
+                    continue
+                reaches = _WINDOW_TESTS.get(node.region_family)
+                if reaches is None:
+                    raise TypeError(
+                        f"unsupported region type: {node.region_family}"
+                    )
+                for child in node.entries:
+                    if reaches(self.window, child.mbr):
+                        next_batch.append(child.page_id)
             batch = next_batch
         answers.sort(key=lambda n: (n.distance, n.oid))
         return answers
 
-    def _region_intersects_window(self, region) -> bool:
-        if isinstance(region, Rect):
-            return self.window.intersects(region)
-        if isinstance(region, Sphere):
-            return region.intersects_rect(self.window)
-        # Composite (SR-tree) region: objects live in the intersection,
-        # so both parts must reach the window.
-        if hasattr(region, "rect") and hasattr(region, "sphere"):
-            return self.window.intersects(region.rect) and (
-                region.sphere.intersects_rect(self.window)
-            )
-        raise TypeError(f"unsupported region type: {type(region).__name__}")
+
+#: Whether a child's region reaches the query window, per region family.
+#: A TV projection is not in the table: a window cannot be tested
+#: against a region that bounds only some dimensions exactly.
+_WINDOW_TESTS = {
+    "rect": lambda window, rect: window.intersects(rect),
+    "sphere": lambda window, sphere: sphere.intersects_rect(window),
+    # Composite (SR-tree) region: objects live in the intersection, so
+    # both parts must reach the window.
+    "sr": lambda window, region: (
+        window.intersects(region.rect)
+        and region.sphere.intersects_rect(window)
+    ),
+}

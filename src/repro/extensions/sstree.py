@@ -38,7 +38,7 @@ from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
 from repro.parallel.declustering import PlacementContext, ProximityIndex
 from repro.perf import kernels
-from repro.rtree.node import LeafEntry, cached_leaf_data
+from repro.rtree.node import LeafEntry, Node, cached_leaf_data
 
 Entry = Union[LeafEntry, "SSNode"]
 
@@ -58,9 +58,9 @@ def _entry_radius(entry: Entry) -> float:
 class SSNode:
     """One SS-tree node (= one disk page), bounded by a sphere.
 
-    The attribute holding the bounding region is called ``mbr`` for
-    protocol compatibility with :func:`repro.core.protocol.child_refs`;
-    it holds a :class:`Sphere`.
+    The attribute holding the bounding region is called ``mbr``, as on
+    an R*-tree node; it holds a :class:`Sphere`.  A scan reads the
+    branches as rows, through the same accessors as an R*-tree node.
     """
 
     __slots__ = ("page_id", "level", "entries", "parent", "mbr",
@@ -82,6 +82,8 @@ class SSNode:
         self._leaf: Optional[Tuple[np.ndarray, List[Point]]] = None
 
     leaf_data = property(cached_leaf_data)
+    child_pages = Node.child_pages
+    child_counts = Node.child_counts
 
     @property
     def is_leaf(self) -> bool:

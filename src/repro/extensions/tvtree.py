@@ -23,7 +23,8 @@ a substitution documented in DESIGN.md):
   algorithms run unchanged — an internal view hands the scan the
   ``[:, :active]`` slices of the wrapped node's corner matrices plus
   the tail box, which the ``tv`` kernels of :mod:`repro.core.regions`
-  score — and simply prune less aggressively.
+  score, and the wrapped node's own page and count rows — and simply
+  prune less aggressively.
 
 The data sets are generated with uniform per-axis importance, so the
 first dimensions here are "active by convention" — matching how the
@@ -32,34 +33,11 @@ TV-tree is used after a variance-ordering transform.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.geometry.rect import Rect
 from repro.rtree.capacity import capacity_for_page
-
-
-class TVRegion:
-    """A directory region with exact bounds on the active dimensions
-    only; the inactive tail is bounded by the global data box."""
-
-    __slots__ = ("active_rect", "tail_rect")
-
-    def __init__(self, active_rect: Rect, tail_rect: Optional[Rect]):
-        self.active_rect = active_rect
-        self.tail_rect = tail_rect
-
-    @property
-    def dims(self) -> int:
-        """Full dimensionality (active + tail)."""
-        tail = self.tail_rect.dims if self.tail_rect is not None else 0
-        return self.active_rect.dims + tail
-
-    def __repr__(self) -> str:
-        return (
-            f"TVRegion(active={self.active_rect}, tail={self.tail_rect})"
-        )
 
 
 class TVTreeView:
@@ -68,9 +46,11 @@ class TVTreeView:
     The underlying index is a full R*-tree (exact maintenance, exact
     reference queries); this view is what the executors and algorithms
     see: each internal entry's region is the TV projection of the true
-    MBR.  Fan-out economics are modeled by construction — the wrapped
-    tree is built with the *active*-dimensional page capacity, i.e. the
-    fan-out a real TV directory page of the same byte size would hold.
+    MBR — exact bounds on the active dimensions, the global data box on
+    the inactive tail.  Fan-out economics are modeled by construction —
+    the wrapped tree is built with the *active*-dimensional page
+    capacity, i.e. the fan-out a real TV directory page of the same
+    byte size would hold.
 
     :param parallel_tree: a placed tree over the full-dimensional data.
     :param active: number of leading active dimensions in the directory.
@@ -84,18 +64,16 @@ class TVTreeView:
             )
         self._tree = parallel_tree
         self.active = active
-        self._views: Dict[int, object] = {}
         root_mbr = parallel_tree.tree.root.mbr
-        self._global_tail: Optional[Rect] = None
+        tail_low = tail_high = ()
         if root_mbr is not None and active < dims:
-            self._global_tail = Rect(
-                root_mbr.low[active:], root_mbr.high[active:]
-            )
-        tail = self._global_tail
-        #: The tail box's corners as vectors (empty when there is none).
+            tail_low = root_mbr.low[active:]
+            tail_high = root_mbr.high[active:]
+        #: The corners of the global data box on the inactive tail, as
+        #: vectors (empty when there is no tail).
         self._tail_bounds = (
-            np.array(tail.low if tail is not None else (), dtype=np.float64),
-            np.array(tail.high if tail is not None else (), dtype=np.float64),
+            np.array(tail_low, dtype=np.float64),
+            np.array(tail_high, dtype=np.float64),
         )
 
     # -- executor interface -------------------------------------------------
@@ -135,23 +113,10 @@ class TVTreeView:
         """The TV view of the node on *page_id*.
 
         Leaves are returned as-is (full points).  Internal nodes are
-        wrapped so each child's ``mbr`` reads as its TV region.
+        wrapped so their region rows read as TV regions.
         """
         node = self._tree.page(page_id)
-        if node.is_leaf:
-            return node
-        view = self._views.get(page_id)
-        if view is None or view._node is not node:
-            view = _TVInternalView(node, self)
-            self._views[page_id] = view
-        return view
-
-    def project(self, rect: Rect) -> TVRegion:
-        """The TV region of a full-dimensional MBR."""
-        active_rect = Rect(
-            rect.low[: self.active], rect.high[: self.active]
-        )
-        return TVRegion(active_rect, self._global_tail)
+        return node if node.is_leaf else _TVInternalView(node, self)
 
     # -- oracles (delegated to the exact underlying tree) --------------------
 
@@ -164,39 +129,24 @@ class TVTreeView:
         return self._tree.kth_nearest_distance(point, k)
 
 
-class _TVChildView:
-    """Child wrapper exposing the TV region as ``mbr``."""
-
-    __slots__ = ("mbr", "object_count", "page_id")
-
-    def __init__(self, child, view: TVTreeView):
-        self.mbr = view.project(child.mbr)
-        self.object_count = child.object_count
-        self.page_id = child.page_id
-
-
 class _TVInternalView:
-    """Internal-node wrapper: same level/len, TV-projected children."""
+    """Internal-node wrapper: the wrapped node's rows, with TV regions.
 
-    __slots__ = ("_node", "_view", "entries", "page_id", "level")
+    Page and count rows are the wrapped node's own; only the region
+    arrays are projected.
+    """
+
+    __slots__ = ("_node", "_view", "page_id", "level")
 
     region_family = "tv"
+    is_leaf = False
+    leaf_data = None
 
     def __init__(self, node, view: TVTreeView):
         self._node = node
         self._view = view
         self.page_id = node.page_id
         self.level = node.level
-        # Construction-time projection of an immutable snapshot — views
-        # are built per query, never mutated, and carry no bounds cache,
-        # so this is not a ``replace_entries`` invalidation site.
-        self.entries = [
-            _TVChildView(child, view) for child in node.entries
-        ]
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
     def entry_bounds(self):
         """``(lows, highs, tail lows, tail highs)`` over the children.
@@ -213,8 +163,16 @@ class _TVInternalView:
             np.broadcast_to(tail_low, shape), np.broadcast_to(tail_high, shape),
         )
 
+    def child_pages(self):
+        """The wrapped node's child page ids."""
+        return self._node.child_pages()
+
+    def child_counts(self):
+        """The wrapped node's subtree object counts."""
+        return self._node.child_counts()
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._node)
 
 
 def tv_directory_capacity(page_size: int, active: int) -> int:

@@ -223,9 +223,9 @@ def _layout_microbench_case(
 
     Both sides run the same vectorized kernels and the same block offer
     for leaves; the difference under measurement is pure storage layout
-    — per-scan ``ChildRef`` list builds on the pointer side vs. cached
-    reference lists and zero-copy corner slices on the flat side.
-    Caches are warmed before timing.
+    — per-scan page-id lists and count gathers over the child objects
+    on the pointer side vs. cached page-id lists and zero-copy corner
+    and count slices on the flat side.  Caches are warmed before timing.
     """
     data, pointer = setup(
         dict(dataset="gaussian", n=n, dims=dims, disks=_DISKS), seed
@@ -235,7 +235,7 @@ def _layout_microbench_case(
 
     def scan_time(tree) -> float:
         nodes = [tree.tree.pages[pid] for pid in sorted(tree.tree.pages)]
-        _whole_tree_scan(query, nodes)  # warm bounds/ref caches
+        _whole_tree_scan(query, nodes)  # warm bounds/page-list caches
         return _best_of(lambda: _whole_tree_scan(query, nodes), repeats)
 
     pointer_s = scan_time(pointer)

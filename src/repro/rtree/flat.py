@@ -13,11 +13,13 @@ index-arithmetic layout of Wald's stack-free BVH traversal
 * leaf data is packed into one ``(total_objects, dims)`` point matrix
   and an aligned oid vector.
 
-Searches run unchanged: a :class:`FlatNode` view satisfies the same
-duck-typed surface the fetch protocol and :mod:`repro.core.scan` use
-(``is_leaf`` / ``entries`` / ``entry_bounds`` / ``mbr``), but serves the
-batch kernels zero-copy array slices and a child-reference list built
-once per freeze instead of once per scan.  Answer digests are
+Searches run unchanged: a :class:`FlatNode` view answers the row
+contract :mod:`repro.core.scan` reads (``len()`` / ``entry_bounds()`` /
+``leaf_data`` / ``child_pages()`` / ``child_counts()``) with zero-copy
+slices of the level arrays — only the page-id list is a copy, one
+``tolist()`` per node, cached — and builds no per-entry object on the
+search path (``entries`` is built on first use, for the callers that
+walk a tree).  Answer digests are
 bit-identical to the pointer tree: the arrays hold the exact float64
 values of the pointer nodes' cached MBRs, and every kernel consumes
 them through the same code path.
@@ -44,9 +46,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,9 +54,6 @@ from repro.geometry.rect import Rect
 from repro.perf import kernels
 from repro.rtree.node import LeafEntry, Node
 from repro.rtree.tree import RStarTree
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.protocol import ChildRef
 
 _MAGIC = b"RPFL"
 _VERSION = 1
@@ -71,56 +68,18 @@ class FlatFormatError(ValueError):
     """Raised when a flat-tree file is truncated, foreign or inconsistent."""
 
 
-class _FlatEntries:
-    """Lazy ``entries`` sequence of a :class:`FlatNode`.
-
-    ``len()`` and truthiness come straight from the packed entry count;
-    the element objects (child :class:`FlatNode` views or materialized
-    :class:`~repro.rtree.node.LeafEntry` records) are built on first
-    iteration/indexing only — the executors' CPU accounting reads
-    ``len(node.entries)`` on every fetched page and must not force leaf
-    materialization.
-    """
-
-    __slots__ = ("_node", "_items")
-
-    def __init__(self, node: "FlatNode"):
-        self._node = node
-        self._items: Optional[list] = None
-
-    def _materialize(self) -> list:
-        items = self._items
-        if items is None:
-            items = self._node._build_entries()
-            self._items = items
-        return items
-
-    def __len__(self) -> int:
-        return self._node.entry_count
-
-    def __bool__(self) -> bool:
-        return self._node.entry_count > 0
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-
 class FlatNode:
     """Read-only view of one node inside a :class:`FlatTree`.
 
     Satisfies the node surface the protocol, the scan layer and the
-    executors consume, plus three flat-only fast-path accessors:
-    :meth:`child_refs` (cached branch list), :meth:`child_counts`
-    (zero-copy subtree-count slice) and :attr:`leaf_data` (zero-copy
-    oid/point slices).
+    executors consume: its rows are slices of the level arrays —
+    :meth:`entry_bounds`, :meth:`child_counts` and :attr:`leaf_data`
+    zero-copy, :meth:`child_pages` one cached list.
     """
 
     __slots__ = ("tree", "level", "index", "page_id", "entry_offset",
                  "entry_count", "object_count", "_mbr", "_bounds",
-                 "_refs", "_entries")
+                 "_pages", "_entries")
 
     region_family = "rect"
 
@@ -137,8 +96,8 @@ class FlatNode:
         self.object_count = object_count
         self._mbr: Optional[Rect] = None
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._refs: Optional[List[ChildRef]] = None
-        self._entries: Optional[_FlatEntries] = None
+        self._pages: Optional[List[int]] = None
+        self._entries: Optional[list] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -161,26 +120,28 @@ class FlatNode:
         return rect
 
     @property
-    def entries(self) -> _FlatEntries:
-        """Lazy entry sequence (children above level 0, data at level 0)."""
+    def entries(self) -> list:
+        """Child views above level 0, data entries at level 0.
+
+        Built on first use: the scan path reads rows instead, so a
+        search over a frozen tree never builds it.
+        """
         entries = self._entries
         if entries is None:
-            entries = _FlatEntries(self)
+            tree = self.tree
+            if self.level == 0:
+                start = self.entry_offset
+                stop = start + self.entry_count
+                entries = [
+                    LeafEntry(point, oid) for point, oid in zip(
+                        tree.points[start:stop].tolist(),
+                        tree.oids[start:stop].tolist(),
+                    )
+                ]
+            else:
+                entries = [tree.pages[page] for page in self.child_pages()]
             self._entries = entries
         return entries
-
-    def _build_entries(self) -> list:
-        tree = self.tree
-        start, stop = self.entry_offset, self.entry_offset + self.entry_count
-        if self.level == 0:
-            oids = tree.oids[start:stop].tolist()
-            points = tree.points[start:stop].tolist()
-            return [
-                LeafEntry(point, oid) for point, oid in zip(points, oids)
-            ]
-        pages = tree.pages
-        child_ids = tree.level_page_ids[self.level - 1][start:stop].tolist()
-        return [pages[page_id] for page_id in child_ids]
 
     def entry_bounds(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """Zero-copy ``(lows, highs)`` slices over this node's entries.
@@ -209,35 +170,15 @@ class FlatNode:
             self._bounds = bounds
         return bounds
 
-    def child_refs(self) -> List[ChildRef]:
-        """The branch entries of this internal node, built once ever.
-
-        The pointer path rebuilds its :class:`ChildRef` list on every
-        scan; the frozen layout amortizes it over the tree's lifetime.
-        """
-        refs = self._refs
-        if refs is None:
-            if self.level == 0:
-                raise ValueError(
-                    f"page {self.page_id} is a leaf; it has no child entries"
-                )
-            # Imported here, not at module top: the protocol module
-            # imports the rtree package, whose __init__ imports this
-            # module — a cycle at import time, gone by first use.
-            from repro.core.protocol import ChildRef
-
-            tree = self.tree
-            start, stop = self.entry_offset, self.entry_offset + self.entry_count
-            below = self.level - 1
-            child_ids = tree.level_page_ids[below][start:stop].tolist()
-            counts = tree.level_object_counts[below][start:stop].tolist()
-            pages = tree.pages
-            refs = [
-                ChildRef(pages[page_id].mbr, count, page_id)
-                for page_id, count in zip(child_ids, counts)
-            ]
-            self._refs = refs
-        return refs
+    def child_pages(self) -> List[int]:
+        """The children's page ids in entry order, listed once per node."""
+        pages = self._pages
+        if pages is None:
+            start = self.entry_offset
+            pages = self._pages = self.tree.level_page_ids[self.level - 1][
+                start:start + self.entry_count
+            ].tolist()
+        return pages
 
     def child_counts(self) -> np.ndarray:
         """Zero-copy int64 slice of the children's subtree object counts."""
@@ -253,11 +194,6 @@ class FlatNode:
         start, stop = self.entry_offset, self.entry_offset + self.entry_count
         tree = self.tree
         return tree.oids[start:stop], tree.points[start:stop]
-
-    def entry_rect(self, index: int) -> Rect:
-        """MBR of the entry at *index*, uniform over leaf/internal nodes."""
-        entry = self.entries[index]
-        return entry.rect if isinstance(entry, LeafEntry) else entry.mbr
 
     def __len__(self) -> int:
         return self.entry_count

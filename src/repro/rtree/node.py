@@ -2,7 +2,9 @@
 
 A node corresponds to exactly one disk page (paper §2.1).  Internal nodes
 hold child nodes directly; the child's cached MBR and subtree object count
-play the role of the on-disk ``(R, count, child_ptr)`` entry.  Leaf nodes
+play the role of the on-disk ``(R, count, child_ptr)`` entry, and a scan
+reads those rows as arrays: :meth:`Node.entry_bounds`,
+:meth:`Node.child_pages` and :meth:`Node.child_counts`.  Leaf nodes
 hold :class:`LeafEntry` records ``(R, object_ptr)`` — for point data the
 MBR is degenerate and the raw point is kept alongside for fast distance
 computation.
@@ -266,10 +268,16 @@ class Node:
         highs = np.array([rect.high for rect in rects], dtype=np.float64)
         return lows, highs
 
-    def entry_rect(self, index: int) -> Rect:
-        """MBR of the entry at *index*, uniform over leaf/internal nodes."""
-        entry = self.entries[index]
-        return entry.rect if isinstance(entry, LeafEntry) else entry.mbr
+    def child_pages(self) -> List[int]:
+        """The children's page ids, in entry order (internal nodes)."""
+        return [child.page_id for child in self.entries]
+
+    def child_counts(self) -> np.ndarray:
+        """The children's subtree object counts as int64, in entry order."""
+        return np.fromiter(
+            (child.object_count for child in self.entries),
+            dtype=np.int64, count=len(self.entries),
+        )
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -77,12 +77,10 @@ class RoundTicket:
         the shared timing record against the last appended one suffices
         (a ticket never interleaves two transactions' resolutions).
         """
-        if timing is not None and (
-            not self.timings or self.timings[-1] is not timing
-        ):
+        if not self.timings or self.timings[-1] is not timing:
             self.timings.append(timing)
             self.retries += max(0, timing.attempts - 1)
-            self.failovers += getattr(timing, "failovers", 0)
+            self.failovers += timing.failovers
             if not timing.ok:
                 self.fetch_failures += 1
         if ok:
@@ -91,7 +89,7 @@ class RoundTicket:
             self.failed_pages.add(page_id)
         self.pending -= 1
         if self.pending == 0:
-            self.event.succeed(self)
+            self.event.succeed()
 
 
 class _Flight:
@@ -283,8 +281,8 @@ class FetchBroker:
                     flow=None,
                 )
             )
-        ok = timing is None or timing.ok
-        buffer = getattr(self.system, "buffer", None)
+        ok = timing.ok
+        buffer = self.system.buffer
         for page_id in group:
             flight = self._flights.pop(page_id)
             if ok and buffer is not None:

@@ -422,7 +422,7 @@ class ServingFrontend:
         if (
             self.policy.rebuild_shed_priority is not None
             and klass.priority >= self.policy.rebuild_shed_priority
-            and getattr(self.system, "rebuild_active", False)
+            and self.system.rebuild_active
         ):
             # Rebuild-aware admission: while a drive is streaming its
             # pages back, low-priority arrivals are shed at the door so

@@ -314,7 +314,7 @@ class SimulatedExecutor:
         self.env = env
         self.system = system
         self.tree = tree
-        buffer = getattr(system, "buffer", None)
+        buffer = system.buffer
         total_pages = len(getattr(getattr(tree, "tree", None), "pages", ()))
         if buffer is not None and total_pages and buffer.capacity >= total_pages:
             raise ValueError(
@@ -389,8 +389,8 @@ class SimulatedExecutor:
         ``failed_pages``, admit exactly the arrived pages to the buffer,
         and return a :class:`RoundIO`.
         """
-        buffer = getattr(self.system, "buffer", None)
-        coalesce = getattr(self.system, "coalesce", False)
+        buffer = self.system.buffer
+        coalesce = self.system.coalesce
         fetches: List = []
         fetch_units: List[tuple] = []
         if coalesce:
@@ -448,13 +448,8 @@ class SimulatedExecutor:
         failovers = 0
         fetch_failures = 0
         for unit, timing in zip(fetch_units, timings):
-            if timing is None:
-                # A system without timing records delivers every page;
-                # count the issue.
-                pages_fetched += sum(self._pages_spanned(p) for p in unit)
-                continue
             retries += max(0, timing.attempts - 1)
-            failovers += getattr(timing, "failovers", 0)
+            failovers += timing.failovers
             if timing.ok:
                 pages_fetched += timing.pages
             else:
@@ -524,7 +519,7 @@ class SimulatedExecutor:
             request = next(coroutine)
             self._sample_stack(qid, algorithm)
             while True:
-                buffer = getattr(self.system, "buffer", None)
+                buffer = self.system.buffer
                 round_start = self.env.now
                 failed_pages = set()
                 # Deadline check at round granularity: rounds already in
@@ -573,11 +568,7 @@ class SimulatedExecutor:
                         timeline.record(
                             "buffer.hit_rate", round_start, buffer.hit_rate
                         )
-                    hedges_before = (
-                        getattr(self.system, "hedges_issued", 0)
-                        if self.lifecycle is not None
-                        else 0
-                    )
+                    hedges_before = self.system.hedges_issued
                     io = yield from self._issue_round(qid, missed)
                     round_end = self.env.now
                     self._attribute_round(
@@ -599,10 +590,7 @@ class SimulatedExecutor:
                             retries=io.retries,
                             failovers=io.failovers,
                             fetch_failures=io.fetch_failures,
-                            hedges=(
-                                getattr(self.system, "hedges_issued", 0)
-                                - hedges_before
-                            ),
+                            hedges=self.system.hedges_issued - hedges_before,
                         )
                 fetched = {
                     pid: None if pid in failed_pages else self.tree.page(pid)
@@ -623,15 +611,12 @@ class SimulatedExecutor:
                 # the bound keeps the model conservative (CPU time is
                 # orders of magnitude below one disk access either way).
                 scanned = sum(
-                    len(node.entries)
-                    for node in fetched.values()
-                    if node is not None
+                    len(node) for node in fetched.values() if node is not None
                 )
                 cpu_timing = yield self.env.process(
                     self.system.cpu_work(scanned, scanned, flow=qid)
                 )
-                if cpu_timing is not None:
-                    breakdown.cpu += cpu_timing.total
+                breakdown.cpu += cpu_timing.total
 
                 if tracer.enabled:
                     tracer.span(
@@ -705,23 +690,19 @@ class SimulatedExecutor:
         remainder — the time the query idled at the barrier beyond the
         average fetch's busy time.  Failed fetches
         (:class:`~repro.simulation.system.FetchFailure`) expose the same
-        phase fields, so degraded rounds decompose identically.  Systems
-        whose ``fetch_page`` returns no timing fall back to attributing
-        the whole round to barrier idle.
+        phase fields, so degraded rounds decompose identically.  A round
+        with no fetch (every page a buffer hit) is all barrier idle.
         """
         duration = round_end - round_start
-        valid = [t for t in timings if t is not None]
-        if not valid:
+        if not timings:
             breakdown.barrier_idle += duration
             return
-        count = len(valid)
-        queue_wait = math.fsum(t.queue_wait for t in valid) / count
-        service = math.fsum(t.service for t in valid) / count
-        bus_wait = math.fsum(t.bus_wait for t in valid) / count
-        bus_transfer = math.fsum(t.bus_transfer for t in valid) / count
-        retry_wait = math.fsum(
-            getattr(t, "retry_wait", 0.0) for t in valid
-        ) / count
+        count = len(timings)
+        queue_wait = math.fsum(t.queue_wait for t in timings) / count
+        service = math.fsum(t.service for t in timings) / count
+        bus_wait = math.fsum(t.bus_wait for t in timings) / count
+        bus_transfer = math.fsum(t.bus_transfer for t in timings) / count
+        retry_wait = math.fsum(t.retry_wait for t in timings) / count
         breakdown.queue_wait += queue_wait
         breakdown.disk_service += service
         breakdown.bus_wait += bus_wait

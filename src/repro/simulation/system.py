@@ -200,6 +200,12 @@ class DiskArraySystem:
     #: number.  The paper's striped array is a replica set of one.
     REPLICAS = 1
 
+    #: Hedged reads issued; a striped array has no replica to hedge to.
+    hedges_issued = 0
+    #: True while a drive streams its pages back; a striped array never
+    #: rebuilds.
+    rebuild_active = False
+
     def __init__(
         self,
         env: Environment,

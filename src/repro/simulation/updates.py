@@ -82,7 +82,8 @@ class MixedWorkloadResult:
         return statistics.fmean(u.response_time for u in self.updates)
 
 
-def _insertion_process(
+def _update_process(
+    kind: str,
     env: Environment,
     system: DiskArraySystem,
     tree,
@@ -91,20 +92,36 @@ def _insertion_process(
     oid: int,
     result: MixedWorkloadResult,
 ) -> Generator:
-    """Process body performing one insertion under the write latch."""
+    """Process body performing one *kind* (``"insert"`` / ``"delete"``)
+    of ``(point, oid)`` under the write latch.
+
+    The root-to-leaf path is read root first — each page must arrive
+    before the next child pointer is known.  The mutation itself is
+    instantaneous under the latch; the surviving path pages, leaf
+    first, and every page it created are then written back in
+    parallel.  Freed pages cost nothing (their blocks are simply
+    released).
+    """
     arrival = env.now
     grant = lock.acquire_write()
     yield grant
     try:
-        # Path determination: read root..leaf sequentially — each page
-        # must arrive before the next child pointer is known.
-        rect = Rect.from_point(point)
-        leaf = tree.tree._choose_subtree(rect, 0)
-        path = []
-        node = leaf
-        while node is not None:
-            path.append(node.page_id)
-            node = node.parent
+        inner = tree.tree
+        if kind == "insert":
+            leaf = inner._choose_subtree(Rect.from_point(point), 0)
+        else:
+            found = inner._find_leaf(inner.root, point, oid)
+            leaf = found[0] if found is not None else None
+        if leaf is None:
+            # A delete whose object is missing: charge the failed
+            # descent, one path's worth of reads, and change nothing.
+            path = [tree.root_page_id] * inner.height
+        else:
+            path = []
+            node = leaf
+            while node is not None:
+                path.append(node.page_id)
+                node = node.parent
         for page_id in reversed(path):  # root first
             yield env.process(
                 system.fetch_page(
@@ -112,33 +129,34 @@ def _insertion_process(
                 )
             )
 
-        # The in-memory mutation is instantaneous under the latch.
-        created_before = tree.tree._next_page_id
-        tree.insert(point, oid)
-        created = tree.tree._next_page_id - created_before
-
-        # Write back the (possibly split) path pages plus every page the
-        # insertion created; writes to distinct disks proceed in
-        # parallel.
-        dirty = [pid for pid in path if pid in tree.tree.pages]
-        dirty += [
-            pid
-            for pid in range(created_before, tree.tree._next_page_id)
-            if pid in tree.tree.pages
-        ]
-        buffer = getattr(system, "buffer", None)
-        if buffer is not None:
-            for page_id in dirty:
-                buffer.invalidate(page_id)
-        writes = [
-            env.process(
-                system.fetch_page(
-                    tree.disk_of(page_id), tree.cylinder_of(page_id)
+        dirty: List[int] = []
+        created = 0
+        if leaf is not None:
+            created_before = inner._next_page_id
+            if kind == "insert":
+                tree.insert(point, oid)
+            else:
+                assert tree.delete(point, oid)
+            created = inner._next_page_id - created_before
+            dirty = [pid for pid in path if pid in inner.pages]
+            dirty += [
+                pid
+                for pid in range(created_before, inner._next_page_id)
+                if pid in inner.pages
+            ]
+            # Page ids are never reused, so the new pages hold no
+            # buffered copy; the path's pages (freed ones included) do.
+            if system.buffer is not None:
+                for page_id in path:
+                    system.buffer.invalidate(page_id)
+            yield env.all_of([
+                env.process(
+                    system.fetch_page(
+                        tree.disk_of(page_id), tree.cylinder_of(page_id)
+                    )
                 )
-            )
-            for page_id in dirty
-        ]
-        yield env.all_of(writes)
+                for page_id in dirty
+            ])
     finally:
         lock.release_write()
 
@@ -150,106 +168,8 @@ def _insertion_process(
             pages_read=len(path),
             pages_written=len(dirty),
             pages_created=created,
-            kind="insert",
-        )
-    )
-
-
-def _deletion_process(
-    env: Environment,
-    system: DiskArraySystem,
-    tree,
-    lock: ReadWriteLock,
-    point: Point,
-    oid: int,
-    result: MixedWorkloadResult,
-) -> Generator:
-    """Process body deleting ``(point, oid)`` under the write latch.
-
-    The search for the victim leaf is charged as sequential page reads
-    along the (single, containment-guided) descent; condensing may free
-    pages and reinsert orphans, all of whose surviving touched pages
-    are written back.
-    """
-    arrival = env.now
-    grant = lock.acquire_write()
-    yield grant
-    try:
-        found = tree.tree._find_leaf(tree.tree.root, tuple(point), oid)
-        if found is None:
-            # Charge the failed descent: one path's worth of reads.
-            reads = tree.tree.height
-            for _ in range(reads):
-                yield env.process(
-                    system.fetch_page(
-                        tree.disk_of(tree.root_page_id),
-                        tree.cylinder_of(tree.root_page_id),
-                    )
-                )
-            record = UpdateRecord(
-                point=tuple(point),
-                arrival=arrival,
-                completion=env.now,
-                pages_read=reads,
-                pages_written=0,
-                pages_created=0,
-                kind="delete",
-                applied=False,
-            )
-            result.updates.append(record)
-            return
-
-        leaf, _ = found
-        path = []
-        node = leaf
-        while node is not None:
-            path.append(node.page_id)
-            node = node.parent
-        for page_id in reversed(path):
-            yield env.process(
-                system.fetch_page(
-                    tree.disk_of(page_id), tree.cylinder_of(page_id)
-                )
-            )
-
-        created_before = tree.tree._next_page_id
-        assert tree.delete(point, oid)
-        created = tree.tree._next_page_id - created_before
-
-        # Write back whatever survived of the path plus reinsertion
-        # fallout; freed pages cost nothing (their blocks are simply
-        # released).
-        dirty = [pid for pid in path if pid in tree.tree.pages]
-        dirty += [
-            pid
-            for pid in range(created_before, tree.tree._next_page_id)
-            if pid in tree.tree.pages
-        ]
-        buffer = getattr(system, "buffer", None)
-        if buffer is not None:
-            for page_id in path:
-                buffer.invalidate(page_id)
-        writes = [
-            env.process(
-                system.fetch_page(
-                    tree.disk_of(page_id), tree.cylinder_of(page_id)
-                )
-            )
-            for page_id in dirty
-        ]
-        yield env.all_of(writes)
-    finally:
-        lock.release_write()
-
-    result.updates.append(
-        UpdateRecord(
-            point=tuple(point),
-            arrival=arrival,
-            completion=env.now,
-            pages_read=len(path),
-            pages_written=len(dirty),
-            pages_created=created,
-            kind="delete",
+            kind=kind,
+            applied=leaf is not None,
         )
     )
 
@@ -321,8 +241,9 @@ def simulate_mixed_workload(
         for point in inserts:
             yield env.timeout(rng.expovariate(insert_rate))
             env.process(
-                _insertion_process(
-                    env, system, tree, lock, tuple(point), next_oid, result
+                _update_process(
+                    "insert", env, system, tree, lock, tuple(point),
+                    next_oid, result,
                 )
             )
             next_oid += 1
@@ -332,8 +253,9 @@ def simulate_mixed_workload(
         for point, oid in deletes:
             yield env.timeout(rng.expovariate(delete_rate))
             env.process(
-                _deletion_process(
-                    env, system, tree, lock, tuple(point), oid, result
+                _update_process(
+                    "delete", env, system, tree, lock, tuple(point), oid,
+                    result,
                 )
             )
 

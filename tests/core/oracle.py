@@ -33,6 +33,15 @@
   ``offer_many`` call became its loop.  The sphere, SR and TV kernels
   must return these floats, and a round scan over such nodes the
   concatenation of the per-node, per-region scans.
+* ``repro.extensions.tvtree.TVRegion`` and ``TVTreeView.project``, and
+  the branch objects ``repro.core.protocol.child_refs`` built for every
+  scan before scans returned rows — moved here when their last caller
+  in ``src/`` went.  ``TVRegion`` is verbatim; ``project`` became a
+  function taking the view; ``ChildRef`` became :class:`Branch` and
+  ``child_refs`` :func:`branches`, which projects a TV view's children
+  itself (the view no longer holds projected child objects).  The
+  per-node scans still score these objects region by region, so a
+  round scan's rows must line up with them.
 """
 
 import math
@@ -47,11 +56,9 @@ from repro.core.distances import (
     minimum_distance_sq as rect_minimum_distance_sq,
     minmax_distance_sq as rect_minmax_distance_sq,
 )
-from repro.core.protocol import ChildRef, child_refs, leaf_points
 from repro.core.results import NeighborList
 from repro.core.stack import Candidate
 from repro.core.threshold import Threshold
-from repro.extensions.tvtree import TVRegion
 from repro.geometry.point import squared_euclidean
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
@@ -60,8 +67,71 @@ from repro.perf.kernels import _as_matrices, record_kernel_use
 from repro.rtree.flat import FlatNode
 
 
+class TVRegion:
+    """A directory region with exact bounds on the active dimensions
+    only; the inactive tail is bounded by the global data box."""
+
+    __slots__ = ("active_rect", "tail_rect")
+
+    def __init__(self, active_rect: Rect, tail_rect: Optional[Rect]):
+        self.active_rect = active_rect
+        self.tail_rect = tail_rect
+
+    @property
+    def dims(self) -> int:
+        """Full dimensionality (active + tail)."""
+        tail = self.tail_rect.dims if self.tail_rect is not None else 0
+        return self.active_rect.dims + tail
+
+    def __repr__(self) -> str:
+        return (
+            f"TVRegion(active={self.active_rect}, tail={self.tail_rect})"
+        )
+
+
+def project(view, rect: Rect) -> TVRegion:
+    """The TV region of a full-dimensional MBR under *view*."""
+    active = view.active
+    root_mbr = view._tree.tree.root.mbr
+    tail = None
+    if root_mbr is not None and active < view.dims:
+        tail = Rect(root_mbr.low[active:], root_mbr.high[active:])
+    return TVRegion(Rect(rect.low[:active], rect.high[:active]), tail)
+
+
+class Branch(NamedTuple):
+    """The on-page data describing one branch of an internal node.
+
+    This corresponds to the paper's modified internal entry
+    ``(R, count, child_ptr)`` — the subtree object count is the §2.1
+    structural addition that Lemma 1 relies on.
+    """
+
+    rect: object
+    count: int
+    page_id: int
+
+
+def branches(node) -> List[Branch]:
+    """The branch entries stored in an internal *node*'s page.
+
+    A TV view's branches carry the TV projection of each child's MBR.
+    """
+    if node.region_family == "tv":
+        view, node = node._view, node._node
+        return [
+            Branch(project(view, child.mbr), child.object_count,
+                   child.page_id)
+            for child in node.entries
+        ]
+    return [
+        Branch(child.mbr, child.object_count, child.page_id)
+        for child in node.entries
+    ]
+
+
 def threshold_distance_sq(
-    entries: Sequence[ChildRef], k: int, dmax_sq: Sequence[float]
+    entries: Sequence[Branch], k: int, dmax_sq: Sequence[float]
 ) -> Threshold:
     """Lemma 1 by tuple sort: the shortest ``Dmax``-ordered prefix holding k."""
     by_dmax = sorted(zip(dmax_sq, (ref.count for ref in entries)))
@@ -76,7 +146,7 @@ def threshold_distance_sq(
 
 
 def reduce_candidates(
-    frontier: List[ChildRef],
+    frontier: List[int],
     dmin_sq: List[float],
     dmm_sq: List[float],
     radius_sq: float,
@@ -85,15 +155,16 @@ def reduce_candidates(
     prune_reason: str = "lemma1",
     explain=None,
 ) -> Tuple[List[Candidate], List[Candidate]]:
-    """The candidate reduction criterion plus the l..u bound, entry by entry."""
+    """The candidate reduction criterion plus the l..u bound, entry by
+    entry, over the frontier's child page ids."""
     qualified: List[Candidate] = []
     preferred: List[Candidate] = []  # Dmm < D_th: surely useful
-    for ref, ref_dmin_sq, ref_dmm_sq in zip(frontier, dmin_sq, dmm_sq):
+    for page_id, ref_dmin_sq, ref_dmm_sq in zip(frontier, dmin_sq, dmm_sq):
         if ref_dmin_sq > radius_sq:
             if explain is not None:
-                explain.prune(ref.page_id, prune_reason)
+                explain.prune(page_id, prune_reason)
             continue  # criterion (i): rejected outright
-        candidate = Candidate(ref_dmin_sq, ref)
+        candidate = Candidate(ref_dmin_sq, page_id)
         if ref_dmm_sq < radius_sq:
             preferred.append(candidate)  # criterion (ii): activate
         else:
@@ -354,7 +425,7 @@ _VECTOR_KERNELS = {
 class ChildScan(NamedTuple):
     """Per-entry distances for one internal node's branches."""
 
-    refs: List[ChildRef]
+    refs: List[Branch]
     dmin_sq: Optional[List[float]]
     dmm_sq: Optional[List[float]] = None
     dmax_sq: Optional[List[float]] = None
@@ -384,8 +455,7 @@ def scan_children(
     ``Dmin`` is always computed (every algorithm needs it); ``Dmm`` and
     ``Dmax`` on request.  The result lists contain plain Python floats.
     """
-    refs_getter = getattr(node, "child_refs", None)
-    refs = refs_getter() if refs_getter is not None else child_refs(node)
+    refs = branches(node)
     if not refs:
         return ChildScan(refs, [], [] if want_dmm else None,
                          [] if want_dmax else None,
@@ -410,13 +480,8 @@ def scan_children(
         )
     counts: Optional[np.ndarray] = None
     if want_dmax:
-        counts_getter = getattr(node, "child_counts", None)
-        counts = (
-            counts_getter()
-            if counts_getter is not None
-            else np.fromiter(
-                (ref.count for ref in refs), dtype=np.int64, count=len(refs)
-            )
+        counts = np.fromiter(
+            (ref.count for ref in refs), dtype=np.int64, count=len(refs)
         )
     by_metric = dict(zip(metrics, results))
     return ChildScan(
@@ -469,8 +534,8 @@ def offer_leaf(
         for entry, dist_sq in zip(node.entries, distances.tolist()):
             offer_computed(neighbors, dist_sq, entry.point, entry.oid)
         return
-    for point, oid in leaf_points(node):
-        neighbors.offer(point, oid)
+    for entry in node.entries:
+        neighbors.offer(entry.point, entry.oid)
 
 
 def offer_computed(

@@ -13,8 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import CRSS, CountingExecutor
-from repro.core.protocol import ChildRef, FetchRequest
-from repro.geometry.rect import Rect
+from repro.core.protocol import FetchRequest
 from repro.parallel import build_parallel_tree
 from tests.core import oracle
 
@@ -116,8 +115,7 @@ def reductions(draw, min_size=0, max_size=14):
         st.lists(st.tuples(distance, distance), min_size=min_size,
                  max_size=max_size)
     )
-    box = Rect((0.0, 0.0), (1.0, 1.0))
-    frontier = [ChildRef(box, 1, 100 + i) for i in range(len(pairs))]
+    frontier = [100 + i for i in range(len(pairs))]
     return (
         frontier,
         [dmin for dmin, _ in pairs],
@@ -162,9 +160,7 @@ class TestReductionOracle:
 
     @pytest.mark.parametrize("size", [0, 1, 2])
     def test_short_frontiers_at_every_bound(self, size):
-        frontier = [
-            ChildRef(Rect((0.0,), (1.0,)), 1, i) for i in range(size)
-        ]
+        frontier = list(range(size))
         for dmin in ([0.5] * size, [1.0, 0.25][:size]):
             for dmm in ([0.5] * size, [0.25, 2.0][:size]):
                 for radius_sq in (0.25, 0.5, math.inf):
@@ -178,28 +174,24 @@ class TestReductionOracle:
     def test_overflow_and_qualified_interleave_by_dmin(self):
         """``u`` cuts the preferred run; its tail merges into the saved
         run by Dmin, ahead of a qualified branch at the same Dmin."""
-        frontier = [
-            ChildRef(Rect((0.0,), (1.0,)), 1, i) for i in range(6)
-        ]
+        frontier = list(range(6))
         dmin = [0.5, 0.25, 0.5, 0.25, 0.5, 0.0]
         dmm = [0.75, 0.75, 2.0, 2.0, 0.75, 0.75]  # 2.0: not preferred
         active, saved = self.both(
             frontier, dmin, dmm, 1.0, 0, 2, "lemma1"
         )
-        assert [c.ref.page_id for c in active] == [5, 1]
-        assert [c.ref.page_id for c in saved] == [3, 0, 4, 2]
+        assert [c.page_id for c in active] == [5, 1]
+        assert [c.page_id for c in saved] == [3, 0, 4, 2]
 
     def test_lower_bound_promotes_from_the_saved_run(self):
-        frontier = [
-            ChildRef(Rect((0.0,), (1.0,)), 1, i) for i in range(4)
-        ]
+        frontier = list(range(4))
         dmin = [0.5, 0.25, 1.0, 3.0]
         dmm = [2.0] * 4  # nothing preferred
         active, saved = self.both(
             frontier, dmin, dmm, 1.0, 2, 4, "kth"
         )
-        assert [c.ref.page_id for c in active] == [1, 0]
-        assert [c.ref.page_id for c in saved] == [2]
+        assert [c.page_id for c in active] == [1, 0]
+        assert [c.page_id for c in saved] == [2]
 
 
 class TestBusBottleneck:

@@ -1,13 +1,9 @@
 """Tests for the fetch protocol primitives."""
 
+import numpy as np
 import pytest
 
-from repro.core.protocol import (
-    FetchRequest,
-    SearchAlgorithm,
-    child_refs,
-    leaf_points,
-)
+from repro.core.protocol import FetchRequest, SearchAlgorithm
 from repro.rtree.node import LeafEntry, Node
 
 
@@ -34,29 +30,30 @@ class TestNodeViews:
         return leaf
 
     def test_leaf_points(self):
-        assert leaf_points(self._leaf()) == [
+        oids, points = self._leaf().leaf_data
+        assert oids.dtype == np.int64
+        assert list(zip(points, oids.tolist())) == [
             ((0.0, 0.0), 10),
             ((1.0, 1.0), 11),
         ]
 
-    def test_leaf_points_rejects_internal(self):
-        with pytest.raises(ValueError, match="not a leaf"):
-            leaf_points(Node(0, 1))
+    def test_internal_node_has_no_leaf_data(self):
+        assert Node(0, 1).leaf_data is None
 
-    def test_child_refs(self):
+    def test_child_rows(self):
+        """One ``(R, count, child_ptr)`` row per branch, as columns."""
         leaf = self._leaf()
         parent = Node(0, 1)
         parent.add(leaf)
         parent.refresh()
-        refs = child_refs(parent)
-        assert len(refs) == 1
-        assert refs[0].page_id == 1
-        assert refs[0].count == 2
-        assert refs[0].rect == leaf.mbr
-
-    def test_child_refs_rejects_leaf(self):
-        with pytest.raises(ValueError, match="leaf"):
-            child_refs(self._leaf())
+        assert len(parent) == 1
+        assert parent.child_pages() == [1]
+        counts = parent.child_counts()
+        assert counts.dtype == np.int64 and counts.tolist() == [2]
+        lows, highs = parent.entry_bounds()
+        assert (tuple(lows[0]), tuple(highs[0])) == (
+            leaf.mbr.low, leaf.mbr.high
+        )
 
 
 class TestSearchAlgorithmBase:

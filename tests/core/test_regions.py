@@ -22,7 +22,6 @@ from repro.core.distances import (
 )
 from repro.core.regions import KERNELS
 from repro.extensions.srtree import SRRegion
-from repro.extensions.tvtree import TVRegion
 from repro.geometry.point import euclidean
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
@@ -205,7 +204,7 @@ def test_tv_kernels_equal_the_oracle(batch, data):
     tail_low, tail_high = _boxes(data.draw, [query[active:]], spread)
     tail = Rect(tail_low[0], tail_high[0]) if active < dims else None
     regions = [
-        TVRegion(Rect(lo[:active], hi[:active]), tail)
+        oracle.TVRegion(Rect(lo[:active], hi[:active]), tail)
         for lo, hi in zip(lows, highs)
     ]
     rows = len(lows)

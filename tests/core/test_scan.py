@@ -73,7 +73,9 @@ def test_round_scan_is_the_concatenated_node_scans(
                              want_dmax=want_dmax)
         for node in nodes
     ]
-    assert got.refs == [ref for part in parts for ref in part.refs]
+    assert got.pages == [
+        ref.page_id for part in parts for ref in part.refs
+    ]
     assert _bytes(got.dmin_sq) == _bytes(
         [d for part in parts for d in part.dmin_sq]
     )
@@ -200,7 +202,9 @@ def test_extension_round_scan_is_the_per_region_oracle(
                              want_dmax=want_dmax)
         for node in nodes
     ]
-    assert got.refs == [ref for part in parts for ref in part.refs]
+    assert got.pages == [
+        ref.page_id for part in parts for ref in part.refs
+    ]
     for field, wanted in (("dmin_sq", True), ("dmm_sq", want_dmm),
                           ("dmax_sq", want_dmax)):
         values = getattr(got, field)
@@ -233,7 +237,7 @@ def test_extension_leaf_round_is_the_per_entry_loop(name, data, k):
 
 def test_empty_round_scans_nothing():
     empty = scan.scan_children((0.5, 0.5), [], want_dmm=True, want_dmax=True)
-    assert empty.refs == [] and empty.dmin_sq == []
+    assert empty.pages == [] and empty.dmin_sq == []
     assert empty.dmm_sq == [] and empty.dmax_sq == []
     assert empty.counts.dtype == np.int64 and len(empty.counts) == 0
     neighbors = NeighborList((0.5, 0.5), 3)

@@ -1,13 +1,10 @@
 """Tests for the CRSS candidate stack (runs + guards)."""
 
-from repro.core.protocol import ChildRef
 from repro.core.stack import Candidate, CandidateStack
-from repro.geometry.rect import Rect
 
 
 def candidate(dmin_sq, page_id=0):
-    rect = Rect((0.0, 0.0), (1.0, 1.0))
-    return Candidate(dmin_sq, ChildRef(rect, 1, page_id))
+    return Candidate(dmin_sq, page_id)
 
 
 class TestCandidateStack:
@@ -30,9 +27,9 @@ class TestCandidateStack:
         assert stack.run_count == 2
         assert len(stack) == 2
         first = stack.pop_run()
-        assert [c.ref.page_id for c in first] == [2]
+        assert [c.page_id for c in first] == [2]
         second = stack.pop_run()
-        assert [c.ref.page_id for c in second] == [1]
+        assert [c.page_id for c in second] == [1]
         assert stack.empty
 
     def test_runs_sorted_by_ascending_dmin(self):
@@ -49,7 +46,7 @@ class TestCandidateStack:
         stack.push_run(run)
         popped = stack.pop_run()
         survivors = stack.filter_popped(popped, radius_sq=5.0)
-        assert [c.ref.page_id for c in survivors] == [1, 2]
+        assert [c.page_id for c in survivors] == [1, 2]
 
     def test_filter_popped_all_survive(self):
         stack = CandidateStack()

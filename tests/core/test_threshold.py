@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.distances import maximum_distance_sq
-from repro.core.protocol import ChildRef
 from repro.core.threshold import threshold_distance_sq
 from repro.geometry.point import euclidean
 from repro.geometry.rect import Rect
@@ -17,17 +16,20 @@ from tests.core import oracle
 
 
 def ref(low, high, count, page_id=0):
-    return ChildRef(Rect(low, high), count, page_id)
+    return oracle.Branch(Rect(low, high), count, page_id)
 
 
 def lemma1(query, entries, k, counts=None):
-    """Lemma 1 over *entries* with the kernel ``Dmax`` a scan would pass."""
+    """Lemma 1 over *entries* with the kernel ``Dmax`` and the int64
+    count row a scan would pass (*counts* overrides the row)."""
     dmax_sq = kernels.batch_maximum_distance_sq(
         query,
         np.array([e.rect.low for e in entries]).reshape(-1, len(query)),
         np.array([e.rect.high for e in entries]).reshape(-1, len(query)),
     ).tolist()
-    return threshold_distance_sq(entries, k, dmax_sq, counts=counts)
+    if counts is None:
+        counts = np.array([e.count for e in entries], dtype=np.int64)
+    return threshold_distance_sq(dmax_sq, counts, k)
 
 
 class TestThresholdBasics:
@@ -106,7 +108,7 @@ def entries_with_points(draw):
                     rect.low[1] + fy * (rect.high[1] - rect.low[1]),
                 )
             )
-        entries.append(ChildRef(rect, n_points, page_id))
+        entries.append(oracle.Branch(rect, n_points, page_id))
         all_points.extend(points)
     return entries, all_points
 
@@ -150,9 +152,9 @@ class TestScalarVectorizedBitIdentity:
         # What the algorithms do: hand over the kernel Dmax of the scan.
         vec = lemma1(query, entries, k, counts=counts)
         dmax_sq = [maximum_distance_sq(query, ref.rect) for ref in entries]
-        assert vec == threshold_distance_sq(
-            entries, k, dmax_sq=dmax_sq, counts=counts
-        )
+        if counts is None:
+            counts = [ref.count for ref in entries]
+        assert vec == threshold_distance_sq(dmax_sq, counts, k)
         return vec, oracle.threshold_distance_sq(entries, k, dmax_sq)
 
     @given(
@@ -174,7 +176,7 @@ class TestScalarVectorizedBitIdentity:
             rect = Rect(
                 (min(x1, x2), min(y1, y2)), (max(x1, x2), max(y1, y2))
             )
-            entries.append(ChildRef(rect, count, page_id))
+            entries.append(oracle.Branch(rect, count, page_id))
         vec, scalar = self.both_paths(query, entries, k)
         assert vec == scalar  # dth_sq, prefix_length, guaranteed — exact
 
@@ -187,7 +189,7 @@ class TestScalarVectorizedBitIdentity:
         """All MBRs identical → every Dmax ties; order hangs on counts."""
         rect = Rect((1.0, 1.0), (2.0, 2.0))
         entries = [
-            ChildRef(rect, count, page_id)
+            oracle.Branch(rect, count, page_id)
             for page_id, count in enumerate(counts)
         ]
         vec, scalar = self.both_paths((0.0, 0.0), entries, k)
@@ -195,8 +197,8 @@ class TestScalarVectorizedBitIdentity:
 
     def test_zero_count_entries_never_satisfy_k(self):
         entries = [
-            ChildRef(Rect((1.0, 0.0), (2.0, 1.0)), 0, 0),
-            ChildRef(Rect((3.0, 0.0), (4.0, 1.0)), 0, 1),
+            oracle.Branch(Rect((1.0, 0.0), (2.0, 1.0)), 0, 0),
+            oracle.Branch(Rect((3.0, 0.0), (4.0, 1.0)), 0, 1),
         ]
         vec, scalar = self.both_paths((0.0, 0.0), entries, k=1)
         assert vec == scalar
@@ -205,8 +207,8 @@ class TestScalarVectorizedBitIdentity:
 
     def test_k_beyond_total_objects(self):
         entries = [
-            ChildRef(Rect((1.0, 0.0), (2.0, 1.0)), 3, 0),
-            ChildRef(Rect((5.0, 0.0), (6.0, 1.0)), 2, 1),
+            oracle.Branch(Rect((1.0, 0.0), (2.0, 1.0)), 3, 0),
+            oracle.Branch(Rect((5.0, 0.0), (6.0, 1.0)), 2, 1),
         ]
         vec, scalar = self.both_paths((0.0, 0.0), entries, k=6)
         assert vec == scalar
@@ -218,9 +220,9 @@ class TestScalarVectorizedBitIdentity:
         st.integers(min_value=1, max_value=30),
     )
     def test_explicit_counts_array_matches_ref_gather(self, counts, k):
-        """The counts= fast path must not change the result."""
+        """An int64 count row and a list of ints give one result."""
         entries = [
-            ChildRef(
+            oracle.Branch(
                 Rect((float(i), 0.0), (float(i) + 1.0, 1.0)), count, i
             )
             for i, count in enumerate(counts)
@@ -233,9 +235,7 @@ class TestScalarVectorizedBitIdentity:
         assert with_counts == without == scalar
 
     def test_counts_length_mismatch_rejected(self):
-        entries = [ChildRef(Rect((0.0, 0.0), (1.0, 1.0)), 2, 0)]
         with pytest.raises(ValueError, match="counts"):
             threshold_distance_sq(
-                entries, 1, [2.0],
-                counts=np.asarray([2, 3], dtype=np.int64),
+                [2.0], np.asarray([2, 3], dtype=np.int64), 1
             )

@@ -15,7 +15,6 @@ from repro.core.distances import (
     minimum_distance_sq,
     minmax_distance_sq,
 )
-from repro.core.protocol import ChildRef
 from repro.core.regions import KERNELS
 from repro.core.threshold import threshold_distance_sq
 from repro.geometry.point import squared_euclidean
@@ -237,14 +236,14 @@ def test_threshold_paths_agree(k):
     rects = as_rects(lows, highs)
     rng = np.random.default_rng(801)
     entries = [
-        ChildRef(rect, int(count), page_id)
+        oracle.Branch(rect, int(count), page_id)
         for page_id, (rect, count) in enumerate(
             zip(rects, rng.integers(1, 30, len(rects)))
         )
     ]
     # Duplicates: same rect (same Dmax), different counts and page ids.
     entries += [
-        ChildRef(entries[i].rect, int(rng.integers(1, 30)), 100 + i)
+        oracle.Branch(entries[i].rect, int(rng.integers(1, 30)), 100 + i)
         for i in (0, 3, 7)
     ]
     query = tuple(rng.uniform(-5, 5, 4))
@@ -253,7 +252,9 @@ def test_threshold_paths_agree(k):
         [ref.rect.low for ref in entries],
         [ref.rect.high for ref in entries],
     ).tolist()
-    vectorized = threshold_distance_sq(entries, k, dmax_sq)
+    vectorized = threshold_distance_sq(
+        dmax_sq, np.array([ref.count for ref in entries], np.int64), k
+    )
     scalar = oracle.threshold_distance_sq(
         entries, k, [maximum_distance_sq(query, ref.rect) for ref in entries]
     )
@@ -264,12 +265,9 @@ def test_threshold_paths_agree(k):
 
 
 def test_threshold_rejects_misaligned_dmax():
-    lows, highs = random_mbrs(2, 4, seed=900)
-    entries = [
-        ChildRef(rect, 1, i) for i, rect in enumerate(as_rects(lows, highs))
-    ]
+    counts = np.ones(4, dtype=np.int64)
     with pytest.raises(ValueError, match="dmax_sq has"):
-        threshold_distance_sq(entries, 2, dmax_sq=[1.0])
+        threshold_distance_sq([1.0], counts, 2)
 
 
 class TestInstrumentation:

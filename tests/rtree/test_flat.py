@@ -93,18 +93,28 @@ class TestFreezeShape:
         assert highs.base is not None
         counts = root.child_counts()
         assert counts.dtype == np.int64
-        assert len(counts) == len(root.entries)
+        assert len(counts) == len(root)
 
-    def test_lazy_entries_len_without_materialization(self, frozen_tree):
-        flat = frozen_tree.tree
-        leaf_pid = int(flat.level_page_ids[0][0])
-        node = flat.page(leaf_pid)
-        entries = node.entries
-        assert len(entries) == node.entry_count
-        assert bool(entries) is (node.entry_count > 0)
-        # len/bool must not have built the per-entry objects.
-        assert entries._items is None
-        assert isinstance(node, FlatNode)
+    def test_searches_build_no_entries(self, points, pointer_tree):
+        """All four algorithms, counted and simulated, read a frozen
+        tree's rows only: no node's ``entries`` list gets built."""
+        from repro.simulation.simulator import simulate_workload
+
+        frozen = flatten(pointer_tree)
+        queries = sample_queries(points, 4, seed=13)
+        executor = CountingExecutor(frozen)
+        for query in queries:
+            for factory in algorithm_factories(frozen, query, 10, 5).values():
+                executor.execute(factory())
+        for name in ("BBSS", "CRSS"):
+            simulate_workload(
+                frozen,
+                lambda q: algorithm_factories(frozen, q, 10, 5)[name](),
+                queries, arrival_rate=20.0, seed=3,
+            )
+        nodes = list(frozen.tree.pages.values())
+        assert all(isinstance(node, FlatNode) for node in nodes)
+        assert all(node._entries is None for node in nodes)
 
 
 class TestFlatDifferential:

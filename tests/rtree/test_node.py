@@ -79,17 +79,6 @@ class TestNode:
         assert leaf.mbr == Rect((0.0, 1.0), (5.0, 5.0))
         assert parent.object_count == 2
 
-    def test_entry_rect_uniform_access(self):
-        leaf = Node(1, 0)
-        leaf.add(LeafEntry((1.0, 1.0), 0))
-        leaf.refresh()
-        assert leaf.entry_rect(0) == Rect((1.0, 1.0), (1.0, 1.0))
-
-        parent = Node(0, 1)
-        parent.add(leaf)
-        parent.refresh()
-        assert parent.entry_rect(0) == leaf.mbr
-
     def test_len_and_repr(self):
         node = Node(3, 0)
         assert len(node) == 0

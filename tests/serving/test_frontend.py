@@ -14,12 +14,14 @@ The load-bearing guarantees:
   when admission wait is charged.
 """
 
+import gc
 import math
 
 import pytest
 
 from repro.faults import FaultPlan, RetryPolicy
 from repro.serving import (
+    RoundTicket,
     ServingFrontend,
     ServingPolicy,
     TrafficScenario,
@@ -148,6 +150,36 @@ class TestBatchingPreservesAnswers:
         for query in batched.queries:
             assert query.outcome == "complete"
             assert query.answers == by_qid[query.qid].answers
+
+    def test_tickets_leave_no_cyclic_garbage(
+        self, serving_tree, crss_factory, serving_points
+    ):
+        """A round's ticket is freed by reference counting alone: its
+        barrier event does not point back at it."""
+        scenario = make_scenario(
+            "bursty", serving_points, rate=80.0, horizon=0.6, seed=7
+        )
+        policy = ServingPolicy(
+            max_in_flight=6,
+            cross_query_batching=True,
+            batch_window=0.0005,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            batched = serve_scenario(
+                serving_tree, crss_factory, scenario, policy=policy, seed=1
+            )
+            assert batched.batching["shared_pages"] > 0
+            del batched
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, RoundTicket)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
     def test_dedup_fetches_shared_pages_once(
         self, serving_tree, crss_factory, serving_points
