@@ -31,13 +31,10 @@ def _wrap_packed(build, data, dims, page_size):
         page_size=page_size,
         on_split=lambda old, new: None,
     )
-    # Re-wire the hooks, adopt the packed tree, and place every page.
-    packed.on_split = parallel._on_split
-    packed.on_new_root = parallel._on_new_root
-    packed.on_page_freed = parallel._on_page_freed
-    parallel.tree = packed
-    parallel._placement.clear()
-    parallel._nodes_per_disk = [0] * NUM_DISKS
+    # Drop the fresh tree's empty root, adopt the packed tree with the
+    # placement hooks, and place every page.
+    parallel.free_page(parallel.root_page_id)
+    parallel._adopt(packed)
     for node in sorted(packed.pages.values(), key=lambda n: -n.level):
         parallel._place(node)
     return parallel

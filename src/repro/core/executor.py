@@ -30,7 +30,7 @@ class SearchStats:
     rounds: int = 0
     #: Largest single batch.
     max_batch: int = 0
-    #: Accesses per disk id (empty when the tree has no disk placement).
+    #: Accesses per disk id.
     per_disk: Counter = field(default_factory=Counter)
     #: Sum over rounds of the busiest disk's accesses in that round — a
     #: lower bound on I/O time in units of single-page service times,
@@ -51,9 +51,9 @@ class SearchStats:
 class CountingExecutor:
     """Drive a search coroutine against a tree, counting page accesses.
 
-    :param tree: any object with ``root_page_id`` and ``page(page_id)``;
-        if it also exposes ``disk_of(page_id)`` (the parallel tree does),
-        per-disk statistics are collected.
+    :param tree: a placed tree (:class:`~repro.rtree.placed.PlacedTree`):
+        pages are fetched through ``page``, charged ``pages_spanned``
+        each and tallied per ``disk_of``.
     :param tracer: optional :class:`~repro.obs.trace.Tracer`.  This
         executor has no clock, so it emits *logical* access events: one
         instant per fetch round at timestamp = round index, naming the
@@ -67,10 +67,8 @@ class CountingExecutor:
 
     def __init__(self, tree, tracer=None, unavailable=None):
         self._tree = tree
-        self._disk_of = getattr(tree, "disk_of", None)
-        # X-tree supernodes span several pages; trees that have them
-        # expose pages_spanned(page_id).
-        self._pages_spanned = getattr(tree, "pages_spanned", lambda pid: 1)
+        self._disk_of = tree.disk_of
+        self._pages_spanned = tree.pages_spanned
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.unavailable = frozenset(unavailable) if unavailable else frozenset()
         self.last_stats: Optional[SearchStats] = None
@@ -111,10 +109,9 @@ class CountingExecutor:
             stats.pages.append(page_id)
             if node.is_leaf:
                 stats.leaf_nodes += spanned
-            if self._disk_of is not None:
-                disk = self._disk_of(page_id)
-                stats.per_disk[disk] += spanned
-                round_disks[disk] += spanned
+            disk = self._disk_of(page_id)
+            stats.per_disk[disk] += spanned
+            round_disks[disk] += spanned
         stats.rounds += 1
         stats.max_batch = max(stats.max_batch, len(request.pages))
         if explain is not None:

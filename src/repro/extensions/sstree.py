@@ -39,6 +39,7 @@ from repro.geometry.sphere import Sphere
 from repro.parallel.declustering import PlacementContext, ProximityIndex
 from repro.perf import kernels
 from repro.rtree.node import LeafEntry, Node, cached_leaf_data
+from repro.rtree.placed import PlacedTree
 
 Entry = Union[LeafEntry, "SSNode"]
 
@@ -249,6 +250,10 @@ class SSTree:
         """The node stored on *page_id*."""
         return self.pages[page_id]
 
+    def pages_spanned(self, page_id: int) -> int:
+        """Physical pages the node on *page_id* occupies: always one."""
+        return 1
+
     def __len__(self) -> int:
         return self.size
 
@@ -400,7 +405,7 @@ def _variance(values: Sequence[float]) -> float:
     return spread / len(values)
 
 
-class ParallelSSTree:
+class ParallelSSTree(PlacedTree):
     """An SS-tree declustered over a disk array.
 
     Uses the same declustering policies as the parallel R*-tree; for
@@ -422,22 +427,14 @@ class ParallelSSTree:
         seed: int = 0,
         **tree_kwargs,
     ):
-        if num_disks < 1:
-            raise ValueError(f"num_disks must be positive, got {num_disks}")
-        self.num_disks = num_disks
-        self.num_cylinders = num_cylinders
-        self._dims = dims
+        super().__init__(num_disks, num_cylinders)
         self.policy = policy if policy is not None else ProximityIndex()
-        self._placement: Dict[int, int] = {}
-        self._cylinder: Dict[int, int] = {}
-        self._nodes_per_disk = [0] * num_disks
         self._cylinder_rng = random.Random(seed ^ self.cylinder_salt)
         self.tree = self.tree_class(
-            dims,
-            on_split=lambda old, new: self._place(new),
-            on_new_root=self._on_new_root,
-            **tree_kwargs,
+            dims, on_split=lambda old, new: self._place(new), **tree_kwargs
         )
+        self.tree.on_new_root = self._on_new_root
+        self._place(self.tree.root)
 
     def _on_new_root(self, root: SSNode) -> None:
         if root.page_id not in self._placement:
@@ -455,7 +452,7 @@ class ParallelSSTree:
         rect = (
             node.mbr.bounding_rect()
             if node.mbr is not None
-            else Rect.from_point((0.0,) * self._dims)
+            else Rect.from_point((0.0,) * self.dims)
         )
         context = PlacementContext(
             rect=rect,
@@ -465,56 +462,15 @@ class ParallelSSTree:
             objects_per_disk=[0] * self.num_disks,
             area_per_disk=[0.0] * self.num_disks,
         )
-        disk = self.policy.choose_disk(context)
-        self._placement[node.page_id] = disk
-        self._nodes_per_disk[disk] += 1
-        self._cylinder[node.page_id] = self._cylinder_rng.randrange(
-            self.num_cylinders
+        self.place_page(
+            node.page_id,
+            self.policy.choose_disk(context),
+            self._cylinder_rng.randrange(self.num_cylinders),
         )
-
-    # -- executor interface ----------------------------------------------------
-
-    @property
-    def root_page_id(self) -> int:
-        """Page id of the root node."""
-        return self.tree.root_page_id
-
-    @property
-    def dims(self) -> int:
-        """Dimensionality of the indexed points."""
-        return self._dims
-
-    @property
-    def height(self) -> int:
-        """Tree height (levels)."""
-        return self.tree.height
-
-    def page(self, page_id: int) -> SSNode:
-        """The node stored on *page_id*."""
-        return self.tree.page(page_id)
-
-    def disk_of(self, page_id: int) -> int:
-        """The disk hosting *page_id*."""
-        return self._placement[page_id]
-
-    def cylinder_of(self, page_id: int) -> int:
-        """The cylinder hosting *page_id*."""
-        return self._cylinder[page_id]
-
-    def __len__(self) -> int:
-        return len(self.tree)
 
     def insert(self, point: Sequence[float], oid: int) -> None:
         """Insert one data point."""
         self.tree.insert(point, oid)
-
-    def knn(self, point: Sequence[float], k: int):
-        """In-memory exact k-NN."""
-        return self.tree.knn(point, k)
-
-    def kth_nearest_distance(self, point: Sequence[float], k: int) -> float:
-        """Oracle distance ``D_k``."""
-        return self.tree.kth_nearest_distance(point, k)
 
 
 def build_parallel_sstree(

@@ -38,9 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.rtree.capacity import capacity_for_page
+from repro.rtree.placed import PlacedTree
 
 
-class TVTreeView:
+class TVTreeView(PlacedTree):
     """A reduced-dimension *view* over a parallel R*-tree.
 
     The underlying index is a full R*-tree (exact maintenance, exact
@@ -50,21 +51,29 @@ class TVTreeView:
     the inactive tail.  Fan-out economics are modeled by construction —
     the wrapped tree is built with the *active*-dimensional page
     capacity, i.e. the fan-out a real TV directory page of the same
-    byte size would hold.
+    byte size would hold.  Everything but :meth:`page` and the oracle
+    ``D_k`` is the wrapped tree's: the same index, page ids, spans and
+    placement tables (shared, not copied).
 
     :param parallel_tree: a placed tree over the full-dimensional data.
     :param active: number of leading active dimensions in the directory.
     """
 
-    def __init__(self, parallel_tree, active: int):
+    def __init__(self, parallel_tree: PlacedTree, active: int):
         dims = parallel_tree.dims
         if not 1 <= active <= dims:
             raise ValueError(
                 f"active must be in [1, {dims}], got {active}"
             )
         self._tree = parallel_tree
+        self.tree = parallel_tree.tree
+        self.num_disks = parallel_tree.num_disks
+        self.num_cylinders = parallel_tree.num_cylinders
+        self._placement = parallel_tree._placement
+        self._cylinder = parallel_tree._cylinder
+        self._nodes_per_disk = parallel_tree._nodes_per_disk
         self.active = active
-        root_mbr = parallel_tree.tree.root.mbr
+        root_mbr = self.tree.root.mbr
         tail_low = tail_high = ()
         if root_mbr is not None and active < dims:
             tail_low = root_mbr.low[active:]
@@ -76,53 +85,14 @@ class TVTreeView:
             np.array(tail_high, dtype=np.float64),
         )
 
-    # -- executor interface -------------------------------------------------
-
-    @property
-    def num_disks(self) -> int:
-        """Disks in the underlying array."""
-        return self._tree.num_disks
-
-    @property
-    def dims(self) -> int:
-        """Full data dimensionality."""
-        return self._tree.dims
-
-    @property
-    def height(self) -> int:
-        """Height of the underlying tree."""
-        return self._tree.height
-
-    @property
-    def root_page_id(self) -> int:
-        """Root page id of the underlying tree."""
-        return self._tree.root_page_id
-
-    def disk_of(self, page_id: int) -> int:
-        """Disk of *page_id* (unchanged placement)."""
-        return self._tree.disk_of(page_id)
-
-    def cylinder_of(self, page_id: int) -> int:
-        """Cylinder of *page_id* (unchanged placement)."""
-        return self._tree.cylinder_of(page_id)
-
-    def __len__(self) -> int:
-        return len(self._tree)
-
     def page(self, page_id: int):
         """The TV view of the node on *page_id*.
 
         Leaves are returned as-is (full points).  Internal nodes are
         wrapped so their region rows read as TV regions.
         """
-        node = self._tree.page(page_id)
+        node = self.tree.page(page_id)
         return node if node.is_leaf else _TVInternalView(node, self)
-
-    # -- oracles (delegated to the exact underlying tree) --------------------
-
-    def knn(self, point: Sequence[float], k: int):
-        """Exact in-memory k-NN via the underlying full-dim tree."""
-        return self._tree.knn(point, k)
 
     def kth_nearest_distance(self, point: Sequence[float], k: int) -> float:
         """Oracle ``D_k`` via the underlying full-dim tree."""

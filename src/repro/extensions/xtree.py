@@ -14,9 +14,10 @@ This implementation subclasses :class:`~repro.rtree.tree.RStarTree`:
   MBR overlap exceeds ``max_overlap`` (the X-tree paper's MAX_OVERLAP,
   default 20 %), the node's capacity is extended by one page's worth of
   entries instead;
-* supernodes honestly cost more I/O: the parallel wrapper reports how
-  many pages each node spans, and both executors charge accordingly
-  (one seek + several sequential transfers).
+* supernodes honestly cost more I/O: the tree reports how many pages
+  each node spans (``pages_spanned``, which the placed tree's read
+  surface hands on, and a freeze keeps), and both executors charge
+  accordingly (one seek + several sequential transfers).
 """
 
 from __future__ import annotations
@@ -117,15 +118,11 @@ class ParallelXTree(ParallelRStarTree):
 
     Identical to :class:`~repro.parallel.tree.ParallelRStarTree` except
     the underlying index is an :class:`XTree` (``max_overlap`` and
-    ``max_supernode_pages`` go to it with the other tree keywords) and
-    the multi-page cost of supernodes is reported to the executors.
+    ``max_supernode_pages`` go to it with the other tree keywords),
+    whose supernode spans the read surface reports.
     """
 
     tree_class = XTree
-
-    def pages_spanned(self, page_id: int) -> int:
-        """Physical pages the node on *page_id* occupies."""
-        return self.tree.pages_spanned(page_id)
 
 
 def build_parallel_xtree(

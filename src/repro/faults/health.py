@@ -445,9 +445,8 @@ def pages_per_disk(tree) -> List[int]:
     re-stream; supernodes (X-tree) count their full span.
     """
     counts = [0] * tree.num_disks
-    spanned = getattr(tree, "pages_spanned", lambda pid: 1)
-    pages = getattr(getattr(tree, "tree", None), "pages", None) or {}
-    for page_id in pages:
+    spanned = tree.pages_spanned
+    for page_id in tree.page_ids():
         counts[tree.disk_of(page_id)] += spanned(page_id)
     return counts
 

@@ -24,10 +24,9 @@ bit-identical to the pointer tree: the arrays hold the exact float64
 values of the pointer nodes' cached MBRs, and every kernel consumes
 them through the same code path.
 
-**Invalidation contract.**  The pointer tree remains the only mutation
-surface.  :func:`flatten` snapshots the source tree's ``mutations``
-counter; inserting or deleting afterwards leaves the freeze stale —
-:meth:`FlatTree.is_stale` detects this, and callers re-freeze.  A
+**Freeze contract.**  The pointer tree remains the only mutation
+surface.  A freeze is a snapshot, not a mirror: after inserting or
+deleting on the pointer tree, callers run :func:`flatten` again.  A
 :class:`FlatTree` never mutates itself.
 
 The binary serialization (:func:`save_flat` / :func:`load_flat`) is the
@@ -36,7 +35,7 @@ C-contiguous array blobs, so the file can be ``mmap``-ed and the arrays
 used in place (``load_flat(path, mmap=True)``).  Position in the arrays
 *is* the structure, so the loader can check a file without walking it:
 sizes against the header, child slices against the level below,
-placement ids against the array — any mismatch is a
+placement ids against the array, page spans against 1 — any mismatch is a
 :class:`FlatFormatError`.  ``load_flat(path).rehydrate(policy=, seed=)``
 is the way back to a tree that takes inserts and deletes.
 """
@@ -53,14 +52,16 @@ import numpy as np
 from repro.geometry.rect import Rect
 from repro.perf import kernels
 from repro.rtree.node import LeafEntry, Node
+from repro.rtree.placed import PlacedTree
+from repro.rtree.query import knn
 from repro.rtree.tree import RStarTree
 
 _MAGIC = b"RPFL"
-_VERSION = 1
+_VERSION = 2
 #: Header: magic, version, flags, dims, height, max_entries, min_entries,
 #: page_size, num_disks, num_cylinders, size, root_page, next_page,
-#: total_points, source_mutations — 8-byte aligned overall.
-_HEADER = struct.Struct("<4sHHIIIIIIIQQQQQ")
+#: total_points.
+_HEADER = struct.Struct("<4sHHIIIIIIIQQQQ")
 _FLAG_PLACEMENT = 1
 
 
@@ -78,14 +79,14 @@ class FlatNode:
     """
 
     __slots__ = ("tree", "level", "index", "page_id", "entry_offset",
-                 "entry_count", "object_count", "_mbr", "_bounds",
+                 "entry_count", "object_count", "span", "_mbr", "_bounds",
                  "_pages", "_entries")
 
     region_family = "rect"
 
     def __init__(
         self, tree: "FlatTree", level: int, index: int, page_id: int,
-        entry_offset: int, entry_count: int, object_count: int,
+        entry_offset: int, entry_count: int, object_count: int, span: int,
     ):
         self.tree = tree
         self.level = level
@@ -94,6 +95,7 @@ class FlatNode:
         self.entry_offset = entry_offset
         self.entry_count = entry_count
         self.object_count = object_count
+        self.span = span
         self._mbr: Optional[Rect] = None
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._pages: Optional[List[int]] = None
@@ -214,7 +216,9 @@ class FlatTree:
     * ``level_page_ids[L]`` / ``level_object_counts[L]`` — int64;
     * ``level_entry_offsets[L]`` / ``level_entry_counts[L]`` — int64;
       for ``L > 0`` the offset indexes into level ``L - 1``'s arrays,
-      for ``L == 0`` into :attr:`points` / :attr:`oids`.
+      for ``L == 0`` into :attr:`points` / :attr:`oids`;
+    * ``page_spans`` — int64, one per page in page-table (level) order:
+      the physical pages each node occupies (> 1 for a supernode).
 
     Page ids are preserved from the source tree, so fetch traces, disk
     placements and answer digests carry over unchanged.
@@ -237,7 +241,7 @@ class FlatTree:
         min_entries: int,
         page_size: int,
         next_page_id: int,
-        source_mutations: int = 0,
+        page_spans: np.ndarray,
     ):
         self.dims = dims
         self.level_lows = level_lows
@@ -254,10 +258,11 @@ class FlatTree:
         self.min_entries = min_entries
         self.page_size = page_size
         self.next_page_id = next_page_id
-        self.source_mutations = source_mutations
+        self.page_spans = page_spans
         #: Every node as a :class:`FlatNode` view, keyed by page id —
         #: the executors' fetch surface.
         self.pages: Dict[int, FlatNode] = {}
+        spans = iter(page_spans.tolist())
         for level in range(len(level_page_ids)):
             ids = level_page_ids[level].tolist()
             offsets = level_entry_offsets[level].tolist()
@@ -266,7 +271,7 @@ class FlatTree:
             for index, page_id in enumerate(ids):
                 self.pages[page_id] = FlatNode(
                     self, level, index, page_id,
-                    offsets[index], counts[index], objects[index],
+                    offsets[index], counts[index], objects[index], next(spans),
                 )
 
     # -- the interface executors and reference queries consume -------------
@@ -285,27 +290,26 @@ class FlatTree:
         """The node view for *page_id* (KeyError if unknown)."""
         return self.pages[page_id]
 
+    def pages_spanned(self, page_id: int) -> int:
+        """Physical pages the node on *page_id* occupies (≥ 1)."""
+        return self.pages[page_id].span
+
     def __len__(self) -> int:
         return self.size
+
+    def knn(self, point: Sequence[float], k: int):
+        """In-memory exact k-NN (oracle/reference; no disk accounting)."""
+        return knn(self, tuple(point), k)
 
     def node_count(self) -> int:
         """Total nodes across all levels."""
         return sum(len(ids) for ids in self.level_page_ids)
 
-    def is_stale(self, source: RStarTree) -> bool:
-        """True when *source* has mutated since this freeze was taken.
-
-        The invalidation contract: a freeze is a snapshot, not a mirror.
-        Callers who keep inserting/deleting on the pointer tree must
-        re-run :func:`flatten` before searching the frozen copy again.
-        """
-        return source.mutations != self.source_mutations
-
     # -- round-trip ---------------------------------------------------------
 
     @classmethod
     def from_tree(cls, tree: RStarTree) -> "FlatTree":
-        """Freeze *tree* (a built pointer R*-tree) into flat arrays."""
+        """Freeze *tree* (a built pointer R*-tree or X-tree) into flat arrays."""
         dims = tree.dims
         root = tree.root
         height = root.level + 1
@@ -383,7 +387,10 @@ class FlatTree:
             min_entries=tree.min_entries,
             page_size=tree.page_size,
             next_page_id=tree._next_page_id,
-            source_mutations=tree.mutations,
+            page_spans=np.array([
+                tree.pages_spanned(node.page_id)
+                for nodes in levels for node in nodes
+            ], dtype=np.int64),
         )
 
     def rehydrate(self) -> RStarTree:
@@ -442,7 +449,6 @@ class FlatTree:
         tree.root.parent = None
         tree.size = self.size
         tree._next_page_id = self.next_page_id
-        tree.mutations = self.source_mutations
         return tree
 
 
@@ -497,67 +503,20 @@ def kth_nearest_over_leaves(
     return math.sqrt(float(np.partition(dist, rank)[rank]))
 
 
-class FrozenParallelTree:
+class FrozenParallelTree(PlacedTree):
     """A :class:`FlatTree` plus the disk/cylinder placement tables.
 
     Drop-in replacement for
     :class:`~repro.parallel.tree.ParallelRStarTree` on the *read* side:
-    it exposes the executor surface (``root_page_id`` / ``page`` /
-    ``disk_of`` / ``cylinder_of``), the oracle queries WOPTSS needs, and
-    a ``tree`` attribute (the :class:`FlatTree`, whose ``pages`` dict
-    the simulator's buffer-capacity check reads).  It has no mutation
-    surface — freezes are snapshots.
+    the :class:`~repro.rtree.placed.PlacedTree` surface over the
+    :class:`FlatTree` as :attr:`tree`.  It has no mutation surface —
+    freezes are snapshots; :func:`flatten` and :func:`load_flat` fill
+    its tables.
     """
 
-    def __init__(
-        self,
-        flat: FlatTree,
-        num_disks: int,
-        placement: Dict[int, int],
-        cylinder: Dict[int, int],
-        num_cylinders: int,
-    ):
+    def __init__(self, flat: FlatTree, num_disks: int, num_cylinders: int):
+        super().__init__(num_disks, num_cylinders)
         self.tree = flat
-        self.num_disks = num_disks
-        self.num_cylinders = num_cylinders
-        self._placement = dict(placement)
-        self._cylinder = dict(cylinder)
-
-    @property
-    def root_page_id(self) -> int:
-        """Page id of the root — where every search starts."""
-        return self.tree.root_page_id
-
-    def page(self, page_id: int) -> FlatNode:
-        """The node view stored on *page_id*."""
-        return self.tree.page(page_id)
-
-    def disk_of(self, page_id: int) -> int:
-        """The disk hosting *page_id*."""
-        return self._placement[page_id]
-
-    def cylinder_of(self, page_id: int) -> int:
-        """The cylinder (on its disk) hosting *page_id*."""
-        return self._cylinder[page_id]
-
-    @property
-    def dims(self) -> int:
-        """Dimensionality of the indexed points."""
-        return self.tree.dims
-
-    @property
-    def height(self) -> int:
-        """Tree height (levels)."""
-        return self.tree.height
-
-    def __len__(self) -> int:
-        return len(self.tree)
-
-    def knn(self, point: Sequence[float], k: int):
-        """In-memory exact k-NN (oracle/reference; no disk accounting)."""
-        from repro.rtree.query import knn
-
-        return knn(self.tree, tuple(point), k)
 
     def kth_nearest_distance(self, point: Sequence[float], k: int) -> float:
         """Oracle distance ``D_k`` — what WOPTSS assumes known.
@@ -580,13 +539,6 @@ class FrozenParallelTree:
             point, k, flat.size, flat.level_lows[0], flat.level_highs[0],
             lengths, points_of,
         )
-
-    def optimal_page_set(self, point: Sequence[float], k: int):
-        """Page ids a weak-optimal search would fetch (Definition 6)."""
-        from repro.rtree.query import nodes_intersecting_sphere
-
-        dk = self.kth_nearest_distance(point, k)
-        return nodes_intersecting_sphere(self.tree, tuple(point), dk)
 
     def rehydrate(self, policy=None, seed: int = 0):
         """Rebuild a mutable :class:`ParallelRStarTree` from the freeze.
@@ -611,39 +563,31 @@ class FrozenParallelTree:
             min_entries=self.tree.min_entries,
             page_size=self.tree.page_size,
         )
-        tree = parallel.tree = self.tree.rehydrate()
-        tree.on_split = parallel._on_split
-        tree.on_new_root = parallel._on_new_root
-        tree.on_page_freed = parallel._on_page_freed
-        parallel._placement = dict(self._placement)
-        parallel._cylinder = dict(self._cylinder)
-        per_disk = [0] * self.num_disks
-        for disk in self._placement.values():
-            per_disk[disk] += 1
-        parallel._nodes_per_disk = per_disk
+        parallel.free_page(parallel.root_page_id)  # the fresh, empty root
+        parallel._adopt(self.tree.rehydrate())
+        for page_id, disk in self._placement.items():
+            parallel.place_page(page_id, disk, self._cylinder[page_id])
         return parallel
 
 
 def flatten(tree):
     """Freeze *tree* into its struct-of-arrays form.
 
-    Accepts either a bare :class:`~repro.rtree.tree.RStarTree` (returns
-    a :class:`FlatTree`) or a placed tree exposing ``tree`` /
-    ``disk_of`` / ``cylinder_of`` — the
-    :class:`~repro.parallel.tree.ParallelRStarTree` — in which case the
-    placement tables are snapshotted too and a
-    :class:`FrozenParallelTree` is returned.
+    A bare :class:`~repro.rtree.tree.RStarTree` gives a
+    :class:`FlatTree`; a :class:`~repro.rtree.placed.PlacedTree` over
+    one (the :class:`~repro.parallel.tree.ParallelRStarTree`) gives a
+    :class:`FrozenParallelTree` holding a copy of its placement tables.
     """
-    inner = getattr(tree, "tree", None)
-    if inner is not None and hasattr(tree, "disk_of"):
-        flat = FlatTree.from_tree(inner)
-        placement = {pid: tree.disk_of(pid) for pid in inner.pages}
-        cylinder = {pid: tree.cylinder_of(pid) for pid in inner.pages}
-        return FrozenParallelTree(
-            flat, tree.num_disks, placement, cylinder,
-            num_cylinders=getattr(tree, "num_cylinders", 1),
+    if not isinstance(tree, PlacedTree):
+        return FlatTree.from_tree(tree)
+    frozen = FrozenParallelTree(
+        FlatTree.from_tree(tree.tree), tree.num_disks, tree.num_cylinders
+    )
+    for page_id in tree.page_ids():
+        frozen.place_page(
+            page_id, tree.disk_of(page_id), tree.cylinder_of(page_id)
         )
-    return FlatTree.from_tree(tree)
+    return frozen
 
 
 # -- serialization ----------------------------------------------------------
@@ -659,9 +603,10 @@ def save_flat(tree, path: str) -> None:
     """Write a :class:`FlatTree` or :class:`FrozenParallelTree` to *path*.
 
     Layout: one fixed header, the per-level node counts, then every
-    array as a raw little-endian C-contiguous blob in a fixed order,
-    each starting on an 8-byte boundary — ready to be mapped back
-    without parsing (``load_flat(path, mmap=True)``).
+    array as a raw little-endian C-contiguous blob in a fixed order (the
+    level arrays, the leaf data, the placement tables if any, the page
+    spans), each starting on an 8-byte boundary — ready to be mapped
+    back without parsing (``load_flat(path, mmap=True)``).
     """
     placed = isinstance(tree, FrozenParallelTree)
     flat = tree.tree if placed else tree
@@ -672,7 +617,7 @@ def save_flat(tree, path: str) -> None:
         tree.num_disks if placed else 0,
         tree.num_cylinders if placed else 0,
         flat.size, flat.root_page_id, flat.next_page_id,
-        len(flat.oids), flat.source_mutations,
+        len(flat.oids),
     )
     chunks = [_pad8(header)]
     counts = np.array(
@@ -699,6 +644,7 @@ def save_flat(tree, path: str) -> None:
                 cylinders.append(tree.cylinder_of(page_id))
         chunks.append(np.array(disks, dtype=np.int64).tobytes())
         chunks.append(np.array(cylinders, dtype=np.int64).tobytes())
+    chunks.append(flat.page_spans.tobytes())
     with open(path, "wb") as handle:
         for chunk in chunks:
             handle.write(chunk)
@@ -716,8 +662,9 @@ def load_flat(path: str, mmap: bool = False):
         self-consistent flat-tree file: too short for its header or for
         the arrays the header announces, longer than them, foreign
         magic or version, a child slice reaching past the level below,
-        a root that is not a stored page, or a page placed on a disk or
-        cylinder the array does not have.
+        a root that is not a stored page, a page spanning fewer than
+        one page, or a page placed on a disk or cylinder the array does
+        not have.
     """
     if os.path.getsize(path) < _HEADER.size:
         raise FlatFormatError(
@@ -731,7 +678,7 @@ def load_flat(path: str, mmap: bool = False):
             buffer = np.frombuffer(handle.read(), dtype=np.uint8)
     (magic, version, flags, dims, height, max_entries, min_entries,
      page_size, num_disks, num_cylinders, size, root_page_id,
-     next_page_id, total_points, source_mutations) = _HEADER.unpack(
+     next_page_id, total_points) = _HEADER.unpack(
         bytes(buffer[:_HEADER.size])
     )
     if magic != _MAGIC:
@@ -778,6 +725,7 @@ def load_flat(path: str, mmap: bool = False):
         # early (pages without a placement) reads as truncation.
         disks = take(total_nodes, np.int64)
         cylinders = take(total_nodes, np.int64)
+    page_spans = take(total_nodes, np.int64)
     if offset != len(buffer):
         raise FlatFormatError(
             f"{path}: {len(buffer) - offset} trailing bytes after the "
@@ -817,7 +765,7 @@ def load_flat(path: str, mmap: bool = False):
         min_entries=min_entries,
         page_size=page_size,
         next_page_id=next_page_id,
-        source_mutations=source_mutations,
+        page_spans=page_spans,
     )
     if len(flat.pages) != total_nodes:
         raise FlatFormatError(
@@ -827,13 +775,18 @@ def load_flat(path: str, mmap: bool = False):
         raise FlatFormatError(
             f"{path}: root page {root_page_id} is not a stored page"
         )
-    if not placed:
-        return flat
     page_order = [
         page_id
         for level in range(height)
         for page_id in level_page_ids[level].tolist()
     ]
+    bad = np.flatnonzero(page_spans < 1)
+    if len(bad):
+        raise FlatFormatError(
+            f"{path}: page {page_order[bad[0]]} spans {page_spans[bad[0]]} pages"
+        )
+    if not placed:
+        return flat
     for unit, table, limit in (
         ("disk", disks, num_disks),
         ("cylinder", cylinders, num_cylinders),
@@ -844,9 +797,9 @@ def load_flat(path: str, mmap: bool = False):
                 f"{path}: page {page_order[bad[0]]} on invalid {unit} "
                 f"{table[bad[0]]} (array has {limit})"
             )
-    return FrozenParallelTree(
-        flat, num_disks,
-        placement=dict(zip(page_order, disks.tolist())),
-        cylinder=dict(zip(page_order, cylinders.tolist())),
-        num_cylinders=num_cylinders,
-    )
+    frozen = FrozenParallelTree(flat, num_disks, num_cylinders)
+    for page_id, disk, cylinder in zip(
+        page_order, disks.tolist(), cylinders.tolist()
+    ):
+        frozen.place_page(page_id, disk, cylinder)
+    return frozen

@@ -113,11 +113,6 @@ class RStarTree:
         self.pages: Dict[int, Node] = {}
         self._next_page_id = 0
         self.size = 0
-        #: Structural mutation counter (insert/delete), incremented on
-        #: every change.  :func:`repro.rtree.flat.flatten` records it so
-        #: a freeze can detect that its source has moved on — the
-        #: invalidation contract of the flat layout.
-        self.mutations = 0
         self.root = self._new_node(level=0)
         if self.on_new_root is not None:
             self.on_new_root(self.root)
@@ -141,6 +136,10 @@ class RStarTree:
     def page(self, page_id: int) -> Node:
         """The node stored on page *page_id* (KeyError if deallocated)."""
         return self.pages[page_id]
+
+    def pages_spanned(self, page_id: int) -> int:
+        """Physical pages the node on *page_id* occupies (the X-tree's vary)."""
+        return 1
 
     @property
     def root_page_id(self) -> int:
@@ -178,7 +177,6 @@ class RStarTree:
         self._reinserted_levels = set()
         self._insert(entry, holder_level=0)
         self.size += 1
-        self.mutations += 1
 
     def node_capacity(self, node: Node) -> int:
         """Maximum entries *node* may hold before overflow treatment.
@@ -363,7 +361,6 @@ class RStarTree:
         leaf.discard(index)
         leaf.refresh_path()
         self.size -= 1
-        self.mutations += 1
         self._condense(leaf)
         self._shrink_root()
         return True

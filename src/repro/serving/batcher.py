@@ -110,8 +110,8 @@ class FetchBroker:
     :param env: the simulation environment.
     :param system: the disk array (``fetch_page``/``fetch_group``/
         ``buffer``).
-    :param tree: placement interface (``disk_of``/``cylinder_of`` and
-        optionally ``pages_spanned``).
+    :param tree: the placed tree (``disk_of``/``cylinder_of``/
+        ``pages_spanned``).
     :param window: collection window in simulated seconds — after a
         wakeup the broker waits this long before flushing, letting
         concurrent rounds pile into the same transactions.  0 flushes
@@ -150,7 +150,7 @@ class FetchBroker:
         self.max_group_pages = max_group_pages
         self.timeline = timeline
         self.lifecycle = lifecycle
-        self._pages_spanned = getattr(tree, "pages_spanned", lambda pid: 1)
+        self._pages_spanned = tree.pages_spanned
         self._flights: Dict[int, _Flight] = {}
         #: Pages awaiting dispatch, strict arrival order (aging).
         self._backlog: List[int] = []

@@ -272,8 +272,7 @@ class SimulatedExecutor:
 
     :param env: simulation environment.
     :param system: the disk array model.
-    :param tree: a placed tree — must expose ``root_page_id``,
-        ``page(pid)``, ``disk_of(pid)`` and ``cylinder_of(pid)``.
+    :param tree: a placed tree (:class:`~repro.rtree.placed.PlacedTree`).
     :param tracer: optional :class:`~repro.obs.trace.Tracer` receiving
         query/round spans (default: the no-op null tracer).
     :param metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
@@ -315,7 +314,7 @@ class SimulatedExecutor:
         self.system = system
         self.tree = tree
         buffer = system.buffer
-        total_pages = len(getattr(getattr(tree, "tree", None), "pages", ()))
+        total_pages = len(tree.page_ids())
         if buffer is not None and total_pages and buffer.capacity >= total_pages:
             raise ValueError(
                 f"buffer_pages={buffer.capacity} would cache the entire "
@@ -334,7 +333,7 @@ class SimulatedExecutor:
         self._in_flight = 0
         self._stack_depths: dict = {}
         self._stack_total = 0
-        self._pages_spanned = getattr(tree, "pages_spanned", lambda pid: 1)
+        self._pages_spanned = tree.pages_spanned
         self._batch_width = (
             metrics.histogram("batch_width", minimum=1.0)
             if metrics is not None
@@ -855,8 +854,8 @@ def simulate_workload(
 ) -> WorkloadResult:
     """Simulate a stream of k-NN queries against a placed tree.
 
-    :param tree: a :class:`~repro.parallel.tree.ParallelRStarTree` (or
-        anything exposing the same placement interface).
+    :param tree: a placed tree (:class:`~repro.rtree.placed.PlacedTree`),
+        e.g. a :class:`~repro.parallel.tree.ParallelRStarTree`.
     :param factory: builds the algorithm instance for each query point.
     :param queries: the query points, issued in order.
     :param arrival_rate: Poisson arrival rate λ (queries/second); if

@@ -56,10 +56,3 @@ class TestCountingExecutor:
         executor.execute(BBSS((0.5, 0.5), 50))
         second = executor.last_stats.nodes_visited
         assert second >= first  # bigger query, fresh stats
-
-    def test_works_without_disk_placement(self, small_tree):
-        """Plain RStarTree (no disk_of) still executes fine."""
-        executor = CountingExecutor(small_tree)
-        result = executor.execute(BBSS((0.5, 0.5), 3))
-        assert len(result) == 3
-        assert not executor.last_stats.per_disk

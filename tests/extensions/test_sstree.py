@@ -20,6 +20,7 @@ from repro.extensions.sstree import (
 from repro.geometry.sphere import Sphere
 from repro.rtree.node import LeafEntry
 from tests.conftest import brute_force_knn
+from tests.rtree.oracle import assert_leaf_data_is_fresh
 
 
 def check_sstree(tree: SSTree) -> int:
@@ -228,8 +229,6 @@ def test_leaf_data_equals_a_fresh_build_after_every_insert(tree_class,
                                                            points):
     """Splits rewrite entry lists; every leaf's cached oids and point
     tuples follow, insert after insert, warmed again each time."""
-    from tests.rtree.test_bounds_cache import assert_leaf_data_is_fresh
-
     tree = tree_class(2, max_entries=4)
     for oid, point in enumerate(points):
         tree.insert(point, oid)

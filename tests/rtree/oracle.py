@@ -6,12 +6,18 @@ before ChooseSubtree and the topological split moved onto
 functions, nothing else changed).  They built every structure digest in
 ``test_structure_golden.py``; the differential tests require the
 kernel path to pick the same child and the same two groups, always.
+
+The leaf-data freshness check at the end is shared by the R*-tree and
+SS-tree churn tests; it lives here, not in a test module, so importing
+it applies no ``@given`` decorator.
 """
 
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.geometry.rect import Rect
-from repro.rtree.node import Node
+from repro.rtree.node import Node, build_leaf_data
 from repro.rtree.split import E, Groups, RectOf, SplitPolicy
 
 
@@ -155,3 +161,18 @@ class ScalarRStarSplit(SplitPolicy):
         total = len(sorted_entries)
         for split_at in range(min_fill, total - min_fill + 1):
             yield sorted_entries[:split_at], sorted_entries[split_at:]
+
+
+def assert_leaf_data_is_fresh(nodes):
+    """Every leaf's ``leaf_data`` equals a fresh build, point objects
+    included; reading it warms every cache for the next operation."""
+    for node in nodes:
+        if not node.is_leaf:
+            assert node.leaf_data is None
+            continue
+        oids, points = node.leaf_data
+        fresh_oids, fresh_points = build_leaf_data(node.entries)
+        assert oids.dtype == np.int64
+        assert oids.tolist() == fresh_oids.tolist()
+        assert len(points) == len(fresh_points)
+        assert all(a is b for a, b in zip(points, fresh_points))

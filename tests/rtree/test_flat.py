@@ -355,28 +355,6 @@ class TestRoundTrips:
         assert knn(loaded, points[0], 5) == knn(tree, points[0], 5)
 
 
-class TestStaleness:
-    def test_freeze_records_mutation_counter(self, points):
-        tree = RStarTree(3, max_entries=8)
-        for oid, point in enumerate(points[:100]):
-            tree.insert(point, oid)
-        flat = FlatTree.from_tree(tree)
-        assert not flat.is_stale(tree)
-        tree.insert(points[100], 100)
-        assert flat.is_stale(tree)
-        fresh = FlatTree.from_tree(tree)
-        assert not fresh.is_stale(tree)
-        assert fresh.source_mutations == tree.mutations
-
-    def test_delete_also_invalidates(self, points):
-        tree = RStarTree(3, max_entries=8)
-        for oid, point in enumerate(points[:100]):
-            tree.insert(point, oid)
-        flat = FlatTree.from_tree(tree)
-        assert tree.delete(points[3], 3)
-        assert flat.is_stale(tree)
-
-
 class TestAfterDeletions:
     def test_deletion_path_answers_match_fresh_build(self, points):
         """Golden deletion-path check for the bounds-cache fixes.

@@ -30,7 +30,7 @@ from tests.rtree.test_structure_golden import structure_digest
 HEADER_FIELDS = (
     "magic", "version", "flags", "dims", "height", "max_entries",
     "min_entries", "page_size", "num_disks", "num_cylinders", "size",
-    "root_page_id", "next_page_id", "total_points", "source_mutations",
+    "root_page_id", "next_page_id", "total_points",
 )
 #: Where the arrays start: the header padded to 8 bytes.
 BODY = (flat._HEADER.size + 7) // 8 * 8
@@ -68,6 +68,7 @@ def array_offsets(frozen) -> dict:
     offsets["oids"] = offset + 8 * len(tree.oids) * tree.dims
     offsets["disks"] = offsets["oids"] + 8 * len(tree.oids)
     offsets["cylinders"] = offsets["disks"] + 8 * tree.node_count()
+    offsets["spans"] = offsets["cylinders"] + 8 * tree.node_count()
     return offsets
 
 
@@ -385,3 +386,14 @@ class TestParallelRoundTrip:
         )
         with pytest.raises(FlatFormatError, match="invalid cylinder"):
             load_flat(str(path), mmap=mmap)
+
+    @both_loaders
+    def test_invalid_page_span_detected(self, placed_file, mmap):
+        frozen, data, path = placed_file
+        first_page = int(frozen.tree.level_page_ids[0][0])
+        for value in (0, -2):
+            path.write_bytes(poke(data, array_offsets(frozen)["spans"], value))
+            with pytest.raises(
+                FlatFormatError, match=f"page {first_page} spans {value} pages"
+            ):
+                load_flat(str(path), mmap=mmap)
