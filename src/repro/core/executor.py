@@ -79,7 +79,7 @@ class CountingExecutor:
         Statistics for the run are left in :attr:`last_stats`.
         """
         stats = SearchStats()
-        explain = getattr(algorithm, "explain", None)
+        explain = algorithm.explain
         coroutine = algorithm.run(self._tree.root_page_id)
         try:
             request: FetchRequest = next(coroutine)

@@ -22,12 +22,15 @@ ends in exactly one of four outcomes:
 ``rejected``
     bounced at the door because the admission queue was full.
 
-The unrestricted policy (no bounds, no batching) reproduces
-``simulate_workload`` **bit-identically** when fed the same arrival
-stream (:func:`~repro.serving.traffic.workload_interarrivals`): the
-admission bookkeeping adds no simulation events.  The golden no-op test
-in ``tests/serving`` pins this down, which is what licenses the serving
-layer as the default front door.
+The unrestricted policy (no bounds, no batching) is the paper's
+multi-user experiment — every query "enters the system immediately" —
+and the admission bookkeeping adds no simulation events, so
+:func:`~repro.simulation.simulator.simulate_workload` is this frontend
+fed :func:`~repro.serving.traffic.workload_interarrivals` (or one
+zero-think closed-loop client) under a one-class policy.  The oracle
+tests in ``tests/simulation`` and the golden no-op test in
+``tests/serving`` pin it against the loop ``simulate_workload`` ran
+before.
 
 Response times are measured from *scenario arrival* — admission-queue
 wait shows up in the new ``admission_wait`` breakdown component, so
@@ -151,7 +154,7 @@ class ServingResult:
     #: Every offered query, ordered by qid.
     queries: List[ServedQuery]
     #: The admitted queries' workload aggregate (records ordered by
-    #: completion, as in ``simulate_workload``) — feeds the standard
+    #: completion) — feeds the standard
     #: RunReport latency/breakdown/counts/utilization sections.
     result: WorkloadResult
     #: Broker counter snapshot (None without cross-query batching).
@@ -284,8 +287,8 @@ class ServingFrontend:
     Single-use: build one per :func:`serve_scenario` call.  All state
     transitions happen synchronously on the simulation clock — the only
     events the frontend itself creates are the arrival timeouts (open
-    scenarios) and the per-client think-time timeouts (closed loop),
-    mirroring ``simulate_workload``'s arrival process exactly.
+    scenarios) and the per-client think-time timeouts and completion
+    latches (closed loop).
     """
 
     def __init__(
@@ -299,7 +302,6 @@ class ServingFrontend:
         tracer=None,
         metrics=None,
         timeline=None,
-        deadline: Optional[float] = None,
         lifecycle=None,
         slo=None,
     ):
@@ -318,6 +320,7 @@ class ServingFrontend:
         self.slo = slo
         self.controller = AdmissionController(policy)
         self.broker: Optional[FetchBroker] = None
+        executor, batching = SimulatedExecutor, {}
         if policy.cross_query_batching:
             self.broker = FetchBroker(
                 env,
@@ -328,28 +331,17 @@ class ServingFrontend:
                 timeline=timeline,
                 lifecycle=lifecycle,
             )
-            self.executor: SimulatedExecutor = BatchedExecutor(
-                env,
-                system,
-                tree,
-                tracer=tracer,
-                metrics=metrics,
-                timeline=timeline,
-                deadline=deadline,
-                lifecycle=lifecycle,
-                broker=self.broker,
-            )
-        else:
-            self.executor = SimulatedExecutor(
-                env,
-                system,
-                tree,
-                tracer=tracer,
-                metrics=metrics,
-                timeline=timeline,
-                deadline=deadline,
-                lifecycle=lifecycle,
-            )
+            executor, batching = BatchedExecutor, {"broker": self.broker}
+        self.executor: SimulatedExecutor = executor(
+            env,
+            system,
+            tree,
+            tracer=tracer,
+            metrics=metrics,
+            timeline=timeline,
+            lifecycle=lifecycle,
+            **batching,
+        )
         self.served: List[Optional[ServedQuery]] = [None] * len(
             scenario.queries
         )
@@ -364,9 +356,8 @@ class ServingFrontend:
     def open_arrivals(self) -> Generator:
         """Open scenario: advance the clock by the interarrival deltas.
 
-        Accumulates time exactly like ``simulate_workload`` (successive
-        ``timeout(delta)`` events), which is what makes the no-op
-        golden test byte-exact.
+        Accumulates time by successive ``timeout(delta)`` events, so
+        arrival instants are the running float sums of the deltas.
         """
         for qid, delta in enumerate(self.scenario.interarrivals):
             yield self.env.timeout(delta)
@@ -551,7 +542,9 @@ class ServingFrontend:
             done.succeed(served)
 
     def _sample_queue(self) -> None:
-        if self.timeline is not None:
+        # Only a bounded policy can queue; an unbounded run would record
+        # a flat-zero track.
+        if self.timeline is not None and self.policy.max_in_flight is not None:
             self.timeline.record(
                 "serving.queued", self.env.now, self.controller.queued
             )
@@ -586,10 +579,11 @@ def serve_scenario(
         :class:`~repro.serving.admission.ServingPolicy` (no admission
         bounds, no batching — the plain-workload baseline).
     :param params: system parameters (default: the paper's).
-    :param seed: seeds rotational latencies (and fault plans), exactly
-        as in ``simulate_workload`` — arrivals are owned by *scenario*.
+    :param seed: seeds rotational latencies (and fault plans) —
+        arrivals are owned by *scenario*.
     :param tracer / metrics / timeline: the usual observability hooks;
-        the timeline gains ``serving.queued`` (admission-queue depth)
+        the timeline gains ``serving.queued`` (admission-queue depth,
+        under a ``max_in_flight`` bound only — nothing else queues)
         and, with batching, ``serving.backlog`` (broker backlog) tracks.
     :param fault_plan / retry_policy: PR3 fault injection.
     :param raid: ``"raid0"`` (declustered, the default) or ``"raid1"``

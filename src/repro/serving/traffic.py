@@ -21,9 +21,10 @@ points (optionally hot-spot skewed via
 :func:`repro.datasets.workloads.hotspot_queries`) and per-query priority
 class names.  Interarrival *deltas* rather than absolute times are
 stored: the frontend advances the simulation clock by successive
-``timeout(delta)`` events, accumulating floats exactly the way
-:func:`~repro.simulation.simulator.simulate_workload` does — which is
-what lets the batching-off no-op test assert bit-identical runs.
+``timeout(delta)`` events, so a scenario built from
+:func:`workload_interarrivals` replays the paper's Poisson arrivals
+float for float — :func:`~repro.simulation.simulator.simulate_workload`
+is exactly that scenario under the unrestricted policy.
 """
 
 from __future__ import annotations
@@ -193,13 +194,12 @@ def diurnal_trace(
 def workload_interarrivals(
     rate: float, count: int, seed: int = 0
 ) -> List[float]:
-    """The exact interarrival stream :func:`simulate_workload` draws.
+    """The Poisson interarrival stream of :func:`simulate_workload`.
 
-    ``simulate_workload`` seeds its arrival RNG as
-    ``random.Random(seed ^ 0xA5A5A5)`` and draws one
-    ``expovariate(rate)`` per query.  Reproducing that stream here lets
-    the serving frontend replay the *same* arrivals as a plain workload
-    run — the foundation of the batching-off no-op golden test.
+    Seeds the arrival RNG as ``random.Random(seed ^ 0xA5A5A5)`` and
+    draws one ``expovariate(rate)`` per query.  ``simulate_workload``
+    builds its open scenario from this stream, so any serving run fed
+    it replays the *same* arrivals as a plain workload run.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")

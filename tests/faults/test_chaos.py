@@ -154,14 +154,17 @@ class TestBufferAccountingUnderFaults:
             ),
             seed=13, fault_plan=fault_plan, retry_policy=policy,
         )
-        executor = SimulatedExecutor(env, system, tree, deadline=deadline)
+        executor = SimulatedExecutor(env, system, tree)
         records = []
 
         def run_all():
             for query in queries:
                 record = yield env.process(
                     executor.query_process(
-                        CRSS(query, 8, num_disks=tree.num_disks)
+                        CRSS(query, 8, num_disks=tree.num_disks),
+                        deadline_at=(
+                            None if deadline is None else env.now + deadline
+                        ),
                     )
                 )
                 records.append(record)
