@@ -8,8 +8,10 @@ at (nearly) the same instant, issuing them as one sweep amortizes the
 mechanical overhead exactly the same way.  The
 :class:`FetchBroker` is that cross-query merge point: executors submit
 their round's missed pages, the broker collects submissions over a
-short ``window``, groups the backlog by disk, and issues one
-:meth:`~repro.simulation.system.DiskArraySystem.fetch_group` per disk.
+short ``window``, groups the backlog by disk, and issues each group
+through :meth:`~repro.simulation.system.DiskArraySystem.transfer` — the
+same call a query round's own units go through, so a merged page is
+charged its span exactly as an unmerged one.
 
 Fairness/aging: the backlog is flushed **completely** on every
 dispatch cycle in strict arrival order, and ``max_group_pages`` caps
@@ -108,8 +110,7 @@ class FetchBroker:
     """Merges same-disk page requests across in-flight queries.
 
     :param env: the simulation environment.
-    :param system: the disk array (``fetch_page``/``fetch_group``/
-        ``buffer``).
+    :param system: the disk array (``transfer``/``buffer``).
     :param tree: the placed tree (``disk_of``/``cylinder_of``/
         ``pages_spanned``).
     :param window: collection window in simulated seconds — after a
@@ -263,24 +264,7 @@ class FetchBroker:
         self.pages_dispatched += spanned
         if len(qids) > 1:
             self.batched_transactions += 1
-        if len(group) == 1:
-            timing = yield self.env.process(
-                self.system.fetch_page(
-                    disk_id,
-                    self.tree.cylinder_of(group[0]),
-                    pages=spanned,
-                    flow=None,
-                )
-            )
-        else:
-            timing = yield self.env.process(
-                self.system.fetch_group(
-                    disk_id,
-                    [self.tree.cylinder_of(p) for p in group],
-                    pages=spanned,
-                    flow=None,
-                )
-            )
+        timing = yield self.system.transfer(self.tree, disk_id, group)
         ok = timing.ok
         buffer = self.system.buffer
         for page_id in group:
