@@ -7,8 +7,9 @@ at their batch barriers while one straggler disk finishes.  A
 response time to exactly one component:
 
 ``admission_wait``
-    time spent queued at the serving layer's admission controller
-    before entering the system (zero outside ``repro.serving``);
+    time spent queued before entering the system: at the serving
+    layer's admission controller, or for the index's read latch in a
+    mixed workload (zero elsewhere);
 ``startup``
     the flat query-startup charge (Table 1);
 ``queue_wait``
