@@ -49,8 +49,18 @@ def parallel_tree(small_points):
 
 
 def brute_force_knn(points, query, k):
-    """Oracle: exact k-NN as (distance, oid), ties broken by oid."""
-    scored = sorted(
-        (math.dist(query, point), oid) for oid, point in enumerate(points)
-    )
-    return scored[:k]
+    """Oracle: exact k-NN as (distance, oid), ties broken by oid.
+
+    Points are ranked by squared distance, as the library ranks them.
+    Ranking by the rooted distance would call two points tied when their
+    square roots round to the same double although one is strictly
+    nearer, and then hand the tie to the smaller oid.
+    """
+    scored = []
+    for oid, point in enumerate(points):
+        dist_sq = 0.0
+        for x, y in zip(query, point):
+            dist_sq += (x - y) * (x - y)
+        scored.append((dist_sq, oid))
+    scored.sort()
+    return [(math.sqrt(dist_sq), oid) for dist_sq, oid in scored[:k]]

@@ -7,7 +7,7 @@ matches a brute-force oracle.
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.rtree import RStarTree, check_invariants
@@ -64,6 +64,13 @@ def test_interleaved_insert_delete_invariants(points, data):
     st.lists(point2d, min_size=2, max_size=100, unique=True),
     point2d,
     st.integers(min_value=1, max_value=20),
+)
+# Point 1 is nearer by one ulp of the squared distance, but both
+# distances round to the same double once rooted.
+@example(
+    points=[(0.0, 0.0), (0.0, 8.028184891521159e-17)],
+    query=(0.375, 1.0),
+    k=1,
 )
 def test_knn_matches_brute_force_2d(points, query, k):
     tree = RStarTree(2, max_entries=5, min_entries=2)
