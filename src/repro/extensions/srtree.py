@@ -10,10 +10,13 @@ parts' bounds, which prunes strictly more than either tree alone.
 Structure and insertion are the SS-tree's (centroid-guided descent,
 variance split): :class:`SRTree` is an
 :class:`~repro.extensions.sstree.SSTree` whose nodes additionally
-maintain the exact MBR of their subtree.  The combined bound is exposed
-as an :class:`SRRegion` through ``node.mbr``, and each node's branches
-as row-aligned ``(lows, highs, centres, radii)`` arrays, which the
-``sr`` kernels of :mod:`repro.core.regions` combine per the rules above.
+maintain the exact MBR of their subtree, so it runs on the same page
+table, structural hooks and declustering as the R*-tree.  The combined
+bound is exposed as an :class:`SRRegion` through ``node.mbr`` (its
+``bounding_rect()`` is what the placement policies read), and each
+node's branches as row-aligned ``(lows, highs, centres, radii)`` arrays,
+which the ``sr`` kernels of :mod:`repro.core.regions` combine per the
+rules above.
 """
 
 from __future__ import annotations
@@ -127,11 +130,5 @@ class ParallelSRTree(ParallelSSTree):
     cylinder_salt = 0x5271EE
 
 
-def build_parallel_srtree(
-    data, dims: int, num_disks: int, seed: int = 0, **tree_kwargs
-) -> ParallelSRTree:
-    """Build a declustered SR-tree by one-by-one insertion."""
-    tree = ParallelSRTree(dims, num_disks, seed=seed, **tree_kwargs)
-    for oid, point in enumerate(data):
-        tree.insert(point, oid)
-    return tree
+#: Build a declustered SR-tree by one-by-one insertion.
+build_parallel_srtree = ParallelSRTree.build

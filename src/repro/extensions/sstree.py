@@ -7,13 +7,16 @@ balanced tree whose nodes are bounded by **spheres** (centroid +
 radius) rather than rectangles.  Spheres suit similarity search because
 they match the query geometry, at the cost of more mutual overlap.
 
-The implementation mirrors the R*-tree module's shape — same page
-table, same structural hooks, same per-branch object counts — so the
-four search algorithms of :mod:`repro.core` run over it through the
-identical fetch protocol.  ``node.mbr`` holds a
-:class:`~repro.geometry.sphere.Sphere`; the node exposes its branches as
-row-aligned ``(centres, radii)`` arrays (:meth:`SSNode.entry_bounds`),
-which the ``sphere`` kernels of :mod:`repro.core.regions` score.
+The SS-tree is the R*-tree's skeleton with another region and another
+split.  :class:`SSNode` is a :class:`~repro.rtree.node.Node` whose
+``mbr`` holds a :class:`~repro.geometry.sphere.Sphere` and whose
+branches are row-aligned ``(centres, radii)`` arrays, which the
+``sphere`` kernels of :mod:`repro.core.regions` score; :class:`SSTree`
+is a :class:`~repro.rtree.tree.PagedTree`, with the R*-tree's page
+table, structural hooks and split wiring; :class:`ParallelSSTree` is a
+:class:`~repro.parallel.tree.DeclusteredTree`, placed by the R*-tree's
+hooks.  So the four search algorithms of :mod:`repro.core` run over it
+through the identical fetch protocol.
 
 Insertion follows White & Jain: descend toward the child whose centroid
 is nearest the new point; split an overflowing node along the
@@ -27,19 +30,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.regions import KERNELS
 from repro.geometry.point import Point, squared_euclidean, validate_point
-from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
-from repro.parallel.declustering import PlacementContext, ProximityIndex
+from repro.parallel.tree import DeclusteredTree
 from repro.perf import kernels
-from repro.rtree.node import LeafEntry, Node, cached_leaf_data
-from repro.rtree.placed import PlacedTree
+from repro.rtree.node import LeafEntry, Node
+from repro.rtree.tree import PagedTree
 
 Entry = Union[LeafEntry, "SSNode"]
 
@@ -56,61 +57,16 @@ def _entry_radius(entry: Entry) -> float:
     return 0.0 if isinstance(entry, LeafEntry) else entry.mbr.radius
 
 
-class SSNode:
+class SSNode(Node):
     """One SS-tree node (= one disk page), bounded by a sphere.
 
-    The attribute holding the bounding region is called ``mbr``, as on
-    an R*-tree node; it holds a :class:`Sphere`.  A scan reads the
-    branches as rows, through the same accessors as an R*-tree node.
+    An R*-tree :class:`~repro.rtree.node.Node` whose ``mbr`` holds a
+    :class:`Sphere`; only the region and its row arrays differ.
     """
 
-    __slots__ = ("page_id", "level", "entries", "parent", "mbr",
-                 "object_count", "_bounds", "_leaf")
+    __slots__ = ()
 
     region_family = "sphere"
-
-    def __init__(self, page_id: int, level: int):
-        self.page_id = page_id
-        self.level = level
-        self.entries: List[Entry] = []
-        self.parent: Optional["SSNode"] = None
-        self.mbr: Optional[Sphere] = None
-        self.object_count = 0
-        #: Cached :meth:`build_bounds` arrays; dropped when the entry
-        #: list changes or a child's region does (:meth:`refresh`).
-        self._bounds: Optional[Tuple[np.ndarray, ...]] = None
-        #: Cached :attr:`leaf_data`, dropped when the entry list changes.
-        self._leaf: Optional[Tuple[np.ndarray, List[Point]]] = None
-
-    leaf_data = property(cached_leaf_data)
-    child_pages = Node.child_pages
-    child_counts = Node.child_counts
-
-    @property
-    def is_leaf(self) -> bool:
-        """True for level-0 nodes holding data entries."""
-        return self.level == 0
-
-    def add(self, entry: Entry) -> None:
-        """Append *entry*, wiring parent pointers for child nodes."""
-        if isinstance(entry, SSNode):
-            entry.parent = self
-        self.entries.append(entry)
-        self._bounds = self._leaf = None
-
-    def replace_entries(self, entries: Sequence[Entry]) -> None:
-        """Replace the whole entry list, wiring parent pointers.
-
-        Same contract as :meth:`repro.rtree.node.Node.replace_entries`:
-        bulk rewrites go through here rather than rebinding ``entries``
-        directly, so the cached region arrays and leaf data are dropped.
-        """
-        replacement = list(entries)
-        for entry in replacement:
-            if isinstance(entry, SSNode):
-                entry.parent = self
-        self.entries = replacement
-        self._bounds = self._leaf = None
 
     def refresh(self) -> None:
         """Recompute the bounding sphere and subtree object count.
@@ -145,25 +101,6 @@ class SSNode:
         self.mbr = Sphere(center, radius)
         self.object_count = total
 
-    def refresh_path(self) -> None:
-        """Refresh this node and every ancestor."""
-        node: Optional[SSNode] = self
-        while node is not None:
-            node.refresh()
-            node = node.parent
-
-    def entry_bounds(self) -> Tuple[np.ndarray, ...]:
-        """The cached row-aligned region arrays of this node's entries.
-
-        Row *i* describes ``entries[i]``; the first array is always the
-        ``(n, dims)`` centre matrix, which for a leaf is its point
-        matrix (data points are zero-radius spheres).  Treat the arrays
-        as read-only.
-        """
-        if self._bounds is None:
-            self._bounds = self.build_bounds()
-        return self._bounds
-
     def build_bounds(self) -> Tuple[np.ndarray, ...]:
         """Fresh ``(centres, radii)`` arrays, uncached."""
         centers = np.array(
@@ -174,18 +111,8 @@ class SSNode:
         )
         return centers, radii
 
-    def __len__(self) -> int:
-        return len(self.entries)
 
-    def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else f"internal(level={self.level})"
-        return (
-            f"{type(self).__name__}(page={self.page_id}, {kind}, "
-            f"entries={len(self.entries)})"
-        )
-
-
-class SSTree:
+class SSTree(PagedTree):
     """A dynamic SS-tree over n-dimensional points.
 
     :param dims: dimensionality of the indexed points.
@@ -195,7 +122,6 @@ class SSTree:
     :param on_new_root: hook ``(root)`` when the root changes.
     """
 
-    #: The page type; a subclass with another node region sets its own.
     node_class = SSNode
 
     def __init__(
@@ -203,84 +129,19 @@ class SSTree:
         dims: int,
         max_entries: int = 20,
         min_entries: Optional[int] = None,
-        on_split: Optional[Callable[[SSNode, SSNode], None]] = None,
-        on_new_root: Optional[Callable[[SSNode], None]] = None,
+        on_split=None,
+        on_new_root=None,
     ):
-        if dims < 1:
-            raise ValueError(f"dimensionality must be positive, got {dims}")
-        if max_entries < 2:
-            raise ValueError(f"max_entries must be at least 2, got {max_entries}")
-        self.dims = dims
-        self.max_entries = max_entries
-        if min_entries is not None:
-            self.min_entries = min_entries
-        else:
-            self.min_entries = max(1, int(max_entries * 0.4))
-        if not 1 <= self.min_entries <= max_entries // 2:
-            raise ValueError(
-                f"min_entries must be in [1, {max_entries // 2}], "
-                f"got {self.min_entries}"
-            )
-        self.on_split = on_split
-        self.on_new_root = on_new_root
-        self.pages: Dict[int, SSNode] = {}
-        self._next_page_id = 0
-        self.size = 0
-        self.root = self._new_node(0)
-        if self.on_new_root is not None:
-            self.on_new_root(self.root)
-
-    def _new_node(self, level: int) -> SSNode:
-        node = self.node_class(self._next_page_id, level)
-        self.pages[node.page_id] = node
-        self._next_page_id += 1
-        return node
-
-    @property
-    def root_page_id(self) -> int:
-        """Page id of the root — the search entry point."""
-        return self.root.page_id
-
-    @property
-    def height(self) -> int:
-        """Number of levels."""
-        return self.root.level + 1
-
-    def page(self, page_id: int) -> SSNode:
-        """The node stored on *page_id*."""
-        return self.pages[page_id]
-
-    def pages_spanned(self, page_id: int) -> int:
-        """Physical pages the node on *page_id* occupies: always one."""
-        return 1
-
-    def __len__(self) -> int:
-        return self.size
-
-    def iter_points(self) -> Iterator[Tuple[Point, int]]:
-        """All stored ``(point, oid)`` pairs."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for entry in node.entries:
-                    yield entry.point, entry.oid
-            else:
-                stack.extend(node.entries)
-
-    # -- insertion -----------------------------------------------------------
+        super().__init__(dims, max_entries, min_entries, on_split, on_new_root)
 
     def insert(self, point: Sequence[float], oid: int) -> None:
         """Insert one data point."""
-        entry = LeafEntry(validate_point(point, self.dims), oid)
+        entry = LeafEntry(point, oid, self.dims)
         leaf = self._choose_leaf(entry.point)
         leaf.add(entry)
         leaf.refresh_path()
-        node = leaf
-        while node is not None and len(node) > self.max_entries:
-            parent = node.parent
-            self._split(node)
-            node = parent
+        if len(leaf) > self.max_entries:
+            self._split(leaf)
         self.size += 1
 
     def _choose_leaf(self, point: Point) -> SSNode:
@@ -292,36 +153,7 @@ class SSTree:
             )
         return node
 
-    def _split(self, node: SSNode) -> None:
-        group1, group2 = self._variance_split(node.entries)
-        new_node = self._new_node(node.level)
-        node.replace_entries(())
-        for entry in group1:
-            node.add(entry)
-        for entry in group2:
-            new_node.add(entry)
-        node.refresh()
-        new_node.refresh()
-
-        if node is self.root:
-            new_root = self._new_node(node.level + 1)
-            new_root.add(node)
-            new_root.add(new_node)
-            new_root.refresh()
-            self.root = new_root
-            if self.on_split is not None:
-                self.on_split(node, new_node)
-            if self.on_new_root is not None:
-                self.on_new_root(new_root)
-            return
-
-        parent = node.parent
-        parent.add(new_node)
-        parent.refresh_path()
-        if self.on_split is not None:
-            self.on_split(node, new_node)
-
-    def _variance_split(
+    def _partition(
         self, entries: List[Entry]
     ) -> Tuple[List[Entry], List[Entry]]:
         """White & Jain's split: highest-variance axis, minimal summed
@@ -405,79 +237,16 @@ def _variance(values: Sequence[float]) -> float:
     return spread / len(values)
 
 
-class ParallelSSTree(PlacedTree):
+class ParallelSSTree(DeclusteredTree):
     """An SS-tree declustered over a disk array.
 
-    Uses the same declustering policies as the parallel R*-tree; for
-    geometric policies the region's ``bounding_rect()`` stands in for
-    the MBR.
+    The R*-tree's placement, policies included; a geometric policy
+    reads the box that bounds each sphere.
     """
 
-    #: The tree type and the salt of its cylinder RNG; subclasses over
-    #: another tree set both.
     tree_class = SSTree
     cylinder_salt = 0x51C6E5
 
-    def __init__(
-        self,
-        dims: int,
-        num_disks: int,
-        policy=None,
-        num_cylinders: int = 1449,
-        seed: int = 0,
-        **tree_kwargs,
-    ):
-        super().__init__(num_disks, num_cylinders)
-        self.policy = policy if policy is not None else ProximityIndex()
-        self._cylinder_rng = random.Random(seed ^ self.cylinder_salt)
-        self.tree = self.tree_class(
-            dims, on_split=lambda old, new: self._place(new), **tree_kwargs
-        )
-        self.tree.on_new_root = self._on_new_root
-        self._place(self.tree.root)
 
-    def _on_new_root(self, root: SSNode) -> None:
-        if root.page_id not in self._placement:
-            self._place(root)
-
-    def _place(self, node: SSNode) -> None:
-        siblings = []
-        if node.parent is not None:
-            for sibling in node.parent.entries:
-                if sibling is node or sibling.mbr is None:
-                    continue
-                disk = self._placement.get(sibling.page_id)
-                if disk is not None:
-                    siblings.append((sibling.mbr.bounding_rect(), disk))
-        rect = (
-            node.mbr.bounding_rect()
-            if node.mbr is not None
-            else Rect.from_point((0.0,) * self.dims)
-        )
-        context = PlacementContext(
-            rect=rect,
-            siblings=siblings,
-            num_disks=self.num_disks,
-            nodes_per_disk=list(self._nodes_per_disk),
-            objects_per_disk=[0] * self.num_disks,
-            area_per_disk=[0.0] * self.num_disks,
-        )
-        self.place_page(
-            node.page_id,
-            self.policy.choose_disk(context),
-            self._cylinder_rng.randrange(self.num_cylinders),
-        )
-
-    def insert(self, point: Sequence[float], oid: int) -> None:
-        """Insert one data point."""
-        self.tree.insert(point, oid)
-
-
-def build_parallel_sstree(
-    data, dims: int, num_disks: int, seed: int = 0, **tree_kwargs
-) -> ParallelSSTree:
-    """Build a declustered SS-tree by one-by-one insertion."""
-    tree = ParallelSSTree(dims, num_disks, seed=seed, **tree_kwargs)
-    for oid, point in enumerate(data):
-        tree.insert(point, oid)
-    return tree
+#: Build a declustered SS-tree by one-by-one insertion.
+build_parallel_sstree = ParallelSSTree.build

@@ -81,9 +81,7 @@ class XTree(RStarTree):
             super()._split(node)
             return
 
-        group1, group2 = self.split_policy.split(
-            node.entries, self.min_entries, _entry_rect
-        )
+        group1, group2 = self._partition(node.entries)
         bb1 = Rect.union_of(map(_entry_rect, group1))
         bb2 = Rect.union_of(map(_entry_rect, group2))
         union_area = bb1.union(bb2).area()
@@ -125,11 +123,5 @@ class ParallelXTree(ParallelRStarTree):
     tree_class = XTree
 
 
-def build_parallel_xtree(
-    data, dims: int, num_disks: int, seed: int = 0, **kwargs
-) -> ParallelXTree:
-    """Build a declustered X-tree by one-by-one insertion."""
-    tree = ParallelXTree(dims, num_disks, seed=seed, **kwargs)
-    for oid, point in enumerate(data):
-        tree.insert(point, oid)
-    return tree
+#: Build a declustered X-tree by one-by-one insertion.
+build_parallel_xtree = ParallelXTree.build

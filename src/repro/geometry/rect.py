@@ -108,6 +108,11 @@ class Rect:
             result *= hi - lo
         return result
 
+    def bounding_rect(self) -> "Rect":
+        """The box itself: every node region answers this (a sphere or
+        an SR-tree region with the box that bounds it)."""
+        return self
+
     def margin(self) -> float:
         """Sum of side lengths — the R*-tree split criterion's *margin*."""
         total = 0.0

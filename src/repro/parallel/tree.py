@@ -10,7 +10,10 @@ uniformly at random, per the paper's §4.1 allocation strategy).
 The placement tables and the read surface the simulator consumes
 (``disk_of`` routes each page request to a disk queue, ``cylinder_of``
 feeds the seek-time model) are :class:`~repro.rtree.placed.PlacedTree`'s;
-this module adds the declustering policy that fills them.
+:class:`DeclusteredTree` adds the declustering that fills them for any
+dynamic index — the R*- and X-trees here, the SS- and SR-trees in
+:mod:`repro.extensions` — and :class:`ParallelRStarTree` the R*-tree's
+deletes and oracle ``D_k``.
 """
 
 from __future__ import annotations
@@ -30,14 +33,19 @@ from repro.parallel.declustering import (
 from repro.rtree.node import Node
 from repro.rtree.flat import kth_nearest_over_leaves
 from repro.rtree.placed import PlacedTree
-from repro.rtree.tree import RStarTree
+from repro.rtree.tree import PagedTree, RStarTree
 
 #: Cylinder count of the paper's HP C2240A disk (Table 2).
 DEFAULT_CYLINDERS = 1449
 
 
-class ParallelRStarTree(PlacedTree):
-    """An R*-tree declustered over *num_disks* disks.
+class DeclusteredTree(PlacedTree):
+    """A dynamic index declustered over *num_disks* disks.
+
+    The index is a :attr:`tree_class`; its structural hooks place every
+    page it creates with the declustering *policy*.  A node's region
+    stands in for it through ``bounding_rect()``, so the geometric
+    policies place sphere- and box-bounded pages alike.
 
     :param dims: dimensionality of the indexed points.
     :param num_disks: disks in the array.
@@ -49,8 +57,10 @@ class ParallelRStarTree(PlacedTree):
         (``max_entries``, ``page_size``, ``split_policy``, ...).
     """
 
-    #: The index type the placement hooks are wired into.
-    tree_class = RStarTree
+    #: The index type the placement hooks are wired into, and the salt
+    #: of its cylinder RNG; each subclass over another index sets both.
+    tree_class: type
+    cylinder_salt: int
 
     def __init__(
         self,
@@ -63,13 +73,29 @@ class ParallelRStarTree(PlacedTree):
     ):
         super().__init__(num_disks, num_cylinders)
         self.policy = policy if policy is not None else ProximityIndex()
-        self._cylinder_rng = random.Random(seed ^ 0x9E3779B9)
+        self._cylinder_rng = random.Random(seed ^ self.cylinder_salt)
         self._adopt(self.tree_class(dims, **tree_kwargs))
         self._place(self.tree.root)
 
+    @classmethod
+    def build(
+        cls, data: Iterable[Sequence[float]], dims: int, num_disks: int,
+        **kwargs,
+    ):
+        """Build the tree by inserting *data* one point at a time.
+
+        Points receive sequential object ids starting at 0 — the
+        incremental construction the paper uses (§4.1).  *kwargs* go to
+        the constructor (``policy``, ``seed``, the tree's keywords).
+        """
+        tree = cls(dims, num_disks, **kwargs)
+        for oid, point in enumerate(data):
+            tree.insert(point, oid)
+        return tree
+
     # -- placement hooks ----------------------------------------------------
 
-    def _adopt(self, tree: RStarTree) -> None:
+    def _adopt(self, tree: PagedTree) -> None:
         """Make *tree* the index and route its page events here."""
         tree.on_split = lambda old, new: self._place(new)
         tree.on_new_root = self._on_new_root
@@ -95,7 +121,7 @@ class ParallelRStarTree(PlacedTree):
                     continue
                 disk = self._placement.get(sibling.page_id)
                 if disk is not None and sibling.mbr is not None:
-                    siblings.append((sibling.mbr, disk))
+                    siblings.append((sibling.mbr.bounding_rect(), disk))
         objects = (
             self.objects_per_disk() if self.policy.needs_object_stats
             else [0] * self.num_disks
@@ -104,8 +130,8 @@ class ParallelRStarTree(PlacedTree):
             self.area_per_disk() if self.policy.needs_area_stats
             else [0.0] * self.num_disks
         )
-        rect = node.mbr if node.mbr is not None else Rect.from_point(
-            (0.0,) * self.dims
+        rect = node.mbr.bounding_rect() if node.mbr is not None else (
+            Rect.from_point((0.0,) * self.dims)
         )
         return PlacementContext(
             rect=rect,
@@ -129,24 +155,33 @@ class ParallelRStarTree(PlacedTree):
         return totals
 
     def area_per_disk(self) -> List[float]:
-        """Total MBR area of the pages resident on each disk."""
+        """Total bounding-box area of the pages resident on each disk."""
         totals = [0.0] * self.num_disks
         pages = self.tree.pages
         for page_id, disk in self._placement.items():
             node = pages.get(page_id)
             if node is not None and node.mbr is not None:
-                totals[disk] += node.mbr.area()
+                totals[disk] += node.mbr.bounding_rect().area()
         return totals
 
     def placement_histogram(self) -> Counter:
         """Pages per disk — useful to eyeball declustering balance."""
         return Counter(self._placement.values())
 
-    # -- updates -------------------------------------------------------------
-
     def insert(self, point: Sequence[float], oid: int) -> None:
         """Insert one data point (may trigger splits and placements)."""
         self.tree.insert(point, oid)
+
+
+class ParallelRStarTree(DeclusteredTree):
+    """An R*-tree declustered over *num_disks* disks.
+
+    The constructor is :class:`DeclusteredTree`'s; *tree_kwargs* go to
+    :class:`~repro.rtree.tree.RStarTree`.
+    """
+
+    tree_class = RStarTree
+    cylinder_salt = 0x9E3779B9
 
     def delete(self, point: Sequence[float], oid: int) -> bool:
         """Delete one data point; frees pages condensed away."""
@@ -196,22 +231,6 @@ class ParallelRStarTree(PlacedTree):
         return [leaf for node in parents for leaf in node.entries], lows, highs
 
 
-def build_parallel_tree(
-    data: Iterable[Sequence[float]],
-    dims: int,
-    num_disks: int,
-    policy: Optional[DeclusteringPolicy] = None,
-    seed: int = 0,
-    **tree_kwargs,
-) -> ParallelRStarTree:
-    """Build a declustered R*-tree by inserting *data* one point at a time.
-
-    Points receive sequential object ids starting at 0 — the incremental
-    construction the paper uses (§4.1).
-    """
-    tree = ParallelRStarTree(
-        dims, num_disks, policy=policy, seed=seed, **tree_kwargs
-    )
-    for oid, point in enumerate(data):
-        tree.insert(point, oid)
-    return tree
+#: Build a declustered R*-tree by inserting *data* one point at a time
+#: (:meth:`DeclusteredTree.build`).
+build_parallel_tree = ParallelRStarTree.build

@@ -284,4 +284,7 @@ class Node:
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"internal(level={self.level})"
-        return f"Node(page={self.page_id}, {kind}, entries={len(self.entries)})"
+        return (
+            f"{type(self).__name__}(page={self.page_id}, {kind}, "
+            f"entries={len(self.entries)})"
+        )

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import BBSS, CRSS, CountingExecutor, FPSS, WOPTSS
 from repro.datasets import gaussian, uniform
-from repro.extensions.srtree import SRNode, SRTree
+from repro.extensions.srtree import SRNode, SRTree, build_parallel_srtree
 from repro.extensions.sstree import (
     ParallelSSTree,
     SSNode,
@@ -18,6 +19,7 @@ from repro.extensions.sstree import (
     build_parallel_sstree,
 )
 from repro.geometry.sphere import Sphere
+from repro.parallel import make_policy
 from repro.rtree.node import LeafEntry
 from tests.conftest import brute_force_knn
 from tests.rtree.oracle import assert_leaf_data_is_fresh
@@ -178,6 +180,20 @@ class TestParallelSSTree:
     def test_invalid_disk_count(self):
         with pytest.raises(ValueError, match="num_disks"):
             ParallelSSTree(2, num_disks=0)
+
+
+@pytest.mark.parametrize("policy", ["data_balance", "area_balance"])
+@pytest.mark.parametrize("build", [build_parallel_sstree, build_parallel_srtree])
+def test_balancing_policies_spread_sphere_trees(build, policy):
+    """The balancing policies read per-disk objects and areas, which a
+    sphere tree reports like an R*-tree (areas of the bounding boxes);
+    fed zeros, they put all 226 pages of this tree on disk 0."""
+    tree = build(
+        uniform(3000, 2, seed=0), dims=2, num_disks=10,
+        policy=make_policy(policy), seed=0,
+    )
+    disks = Counter(tree.disk_of(page_id) for page_id in tree.page_ids())
+    assert sorted(disks) == list(range(10))
 
 
 
