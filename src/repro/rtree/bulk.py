@@ -55,6 +55,60 @@ def _tile(items: List, dims: int, axis: int, capacity: int, key) -> List[List]:
     return groups
 
 
+def pack_levels(
+    points: Sequence[Tuple[Sequence[float], int]],
+    dims: int,
+    max_entries: Optional[int],
+    page_size: int,
+    fill_factor: float,
+    on_split: Optional[Callable[[Optional[Node], Node], None]],
+    group: Callable[[List, int, Callable], List[List]],
+) -> RStarTree:
+    """Pack an R*-tree bottom up: the body both bulk loaders share.
+
+    ``group(items, capacity, key)`` divides one level's items into
+    groups of at most *capacity*, each of which becomes a node; *key*
+    maps an item to its point (a data entry's point, a node's MBR
+    centre).  The leaves are packed from the data, each upper level
+    from the nodes below, until one node — the root — remains.  The
+    other parameters are :func:`str_bulk_load`'s.
+    """
+    if not 0.0 < fill_factor <= 1.0:
+        raise ValueError(f"fill_factor must be in (0, 1], got {fill_factor}")
+    tree = RStarTree(dims, max_entries=max_entries, page_size=page_size)
+    if not points:
+        return tree
+    capacity = max(2, int(tree.max_entries * fill_factor))
+
+    def pack(items: List, key: Callable, level: int) -> List[Node]:
+        nodes: List[Node] = []
+        for members in group(items, capacity, key):
+            node = tree._new_node(level=level)
+            for item in members:
+                node.add(item)
+            node.refresh()
+            nodes.append(node)
+            if on_split is not None:
+                on_split(None, node)
+        return nodes
+
+    entries = [LeafEntry(point, oid) for point, oid in points]
+    level_nodes = pack(entries, lambda e: e.point, 0)
+    level = 1
+    while len(level_nodes) > 1:
+        level_nodes = pack(level_nodes, lambda n: n.mbr.center, level)
+        level += 1
+
+    # Install the new root, discarding the empty bootstrap root.
+    old_root = tree.root
+    tree.root = level_nodes[0]
+    tree._free_node(old_root)
+    tree.size = len(entries)
+    if tree.on_new_root is not None:
+        tree.on_new_root(tree.root)
+    return tree
+
+
 def str_bulk_load(
     points: Sequence[Tuple[Sequence[float], int]],
     dims: int,
@@ -76,49 +130,7 @@ def str_bulk_load(
     :returns: a fully functional :class:`RStarTree` (dynamic operations
         keep working on it afterwards).
     """
-    if not 0.0 < fill_factor <= 1.0:
-        raise ValueError(f"fill_factor must be in (0, 1], got {fill_factor}")
-    tree = RStarTree(dims, max_entries=max_entries, page_size=page_size)
-    if not points:
-        return tree
-    capacity = max(2, int(tree.max_entries * fill_factor))
-
-    # Pack the leaf level.
-    leaf_entries = [LeafEntry(point, oid) for point, oid in points]
-    groups = _tile(leaf_entries, dims, 0, capacity, key=lambda e: e.point)
-    level_nodes: List[Node] = []
-    for group in groups:
-        node = tree._new_node(level=0)
-        for entry in group:
-            node.add(entry)
-        node.refresh()
-        level_nodes.append(node)
-        if on_split is not None:
-            on_split(None, node)
-
-    # Build internal levels bottom-up until one node remains.
-    level = 1
-    while len(level_nodes) > 1:
-        groups = _tile(
-            level_nodes, dims, 0, capacity, key=lambda n: n.mbr.center
-        )
-        parents: List[Node] = []
-        for group in groups:
-            parent = tree._new_node(level=level)
-            for child in group:
-                parent.add(child)
-            parent.refresh()
-            parents.append(parent)
-            if on_split is not None:
-                on_split(None, parent)
-        level_nodes = parents
-        level += 1
-
-    # Install the new root, discarding the empty bootstrap root.
-    old_root = tree.root
-    tree.root = level_nodes[0]
-    tree._free_node(old_root)
-    tree.size = len(leaf_entries)
-    if tree.on_new_root is not None:
-        tree.on_new_root(tree.root)
-    return tree
+    return pack_levels(
+        points, dims, max_entries, page_size, fill_factor, on_split,
+        lambda items, capacity, key: _tile(items, dims, 0, capacity, key),
+    )

@@ -16,10 +16,11 @@ This module provides the underlying machinery:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.rtree.bulk import _even_chunks
-from repro.rtree.node import LeafEntry, Node
+from repro.rtree.bulk import _even_chunks, pack_levels
+from repro.rtree.node import Node
 from repro.rtree.tree import RStarTree
 
 #: Default curve order: 16 bits per dimension resolves the unit cube to
@@ -117,51 +118,11 @@ def hilbert_bulk_load(
     :func:`repro.rtree.bulk.str_bulk_load` (every node meets the
     minimum fill, dynamic operations work afterwards).
     """
-    if not 0.0 < fill_factor <= 1.0:
-        raise ValueError(f"fill_factor must be in (0, 1], got {fill_factor}")
-    tree = RStarTree(dims, max_entries=max_entries, page_size=page_size)
-    if not points:
-        return tree
-    capacity = max(2, int(tree.max_entries * fill_factor))
 
-    entries = [LeafEntry(point, oid) for point, oid in points]
-    entries.sort(key=lambda e: hilbert_sort_key(e.point, order))
+    def group(items: List, capacity: int, key) -> List[List]:
+        ordered = sorted(items, key=lambda it: hilbert_sort_key(key(it), order))
+        return _even_chunks(ordered, max(1, math.ceil(len(ordered) / capacity)))
 
-    import math
-
-    groups = _even_chunks(entries, max(1, math.ceil(len(entries) / capacity)))
-    level_nodes: List[Node] = []
-    for group in groups:
-        node = tree._new_node(level=0)
-        for entry in group:
-            node.add(entry)
-        node.refresh()
-        level_nodes.append(node)
-        if on_split is not None:
-            on_split(None, node)
-
-    level = 1
-    while len(level_nodes) > 1:
-        level_nodes.sort(key=lambda n: hilbert_center_key(n.mbr, order))
-        groups = _even_chunks(
-            level_nodes, max(1, math.ceil(len(level_nodes) / capacity))
-        )
-        parents: List[Node] = []
-        for group in groups:
-            parent = tree._new_node(level=level)
-            for child in group:
-                parent.add(child)
-            parent.refresh()
-            parents.append(parent)
-            if on_split is not None:
-                on_split(None, parent)
-        level_nodes = parents
-        level += 1
-
-    old_root = tree.root
-    tree.root = level_nodes[0]
-    tree._free_node(old_root)
-    tree.size = len(entries)
-    if tree.on_new_root is not None:
-        tree.on_new_root(tree.root)
-    return tree
+    return pack_levels(
+        points, dims, max_entries, page_size, fill_factor, on_split, group
+    )
