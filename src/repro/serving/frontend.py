@@ -462,9 +462,9 @@ class ServingFrontend:
         )
         verdict = self.controller.offer(entry)
         if verdict == "admit":
-            if self.lifecycle is not None:
+            if self.lifecycle is not None and self.latch is None:
                 self.lifecycle.admitted(qid, now, 0.0)
-            self.env.process(self._run_admitted(entry))
+            self.env.process(self._run_admitted(entry, at_door=True))
         elif verdict == "reject":
             if self.lifecycle is not None:
                 self.lifecycle.rejected(qid, now)
@@ -474,11 +474,17 @@ class ServingFrontend:
                 self.lifecycle.queued(qid, now, self.controller.queued)
             self._sample_queue()
 
-    def _run_admitted(self, entry: QueueEntry) -> Generator:
+    def _run_admitted(
+        self, entry: QueueEntry, at_door: bool = False
+    ) -> Generator:
         latch = self.latch
         if latch is not None:
             yield latch.acquire_read()
         started = self.env.now
+        if at_door and latch is not None and self.lifecycle is not None:
+            # Admitted at the door, the query starts once the shared
+            # latch is granted: log that instant and the latch wait.
+            self.lifecycle.admitted(entry.qid, started, started - entry.arrival)
         record = yield self.env.process(
             self.executor.query_process(
                 self.factory(self.scenario.queries[entry.qid]),

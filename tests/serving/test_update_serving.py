@@ -133,6 +133,31 @@ def test_a_class_deadline_counts_the_latch_wait():
         assert query.record.breakdown.admission_wait == query.admission_wait
 
 
+def test_admitted_is_logged_when_the_latch_is_granted():
+    """Beside updates a query admitted at the door starts only once the
+    shared latch is granted; its lifecycle ``admitted`` event carries
+    that instant and the wait, the query's ``admission_wait``."""
+    log = LifecycleLog()
+    served = serve_scenario(
+        fresh_tree(), factory,
+        mixed_scenario(
+            sample_queries(DATA, 10, seed=94), 5.0, uniform(60, 2, seed=95),
+            100.0,
+        ),
+        policy=no_admission_policy(), seed=4, lifecycle=log,
+    )
+    events = {record["qid"]: record["events"] for record in log.records}
+    for query in served.queries:
+        (admitted,) = [
+            e for e in events[query.qid] if e["event"] == "admitted"
+        ]
+        assert admitted["ts"] == query.started
+        assert admitted["waited"] == query.admission_wait
+    assert served.queries[0].admission_wait == pytest.approx(6.87, abs=0.01)
+    kinds = [e["event"] for e in events[0]]
+    assert kinds.index("admitted") < kinds.index("round")
+
+
 def test_updates_on_a_frozen_tree_are_refused_before_the_run(monkeypatch):
     def no_run(self, *args, **kwargs):
         raise AssertionError("the run started")
