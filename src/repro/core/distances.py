@@ -84,7 +84,10 @@ def minmax_distance_sq(point: Sequence[float], rect: Rect) -> float:
                  + \\sum_{j \\ne k} (p_j - rM_j)^2 \\Big)
 
     with ``rm_k`` the nearer edge of axis *k* and ``rM_j`` the farther
-    edge of axis *j*.
+    edge of axis *j*.  The result is clamped to :func:`minimum_distance_sq`:
+    ``Dmin <= Dmm`` holds in exact arithmetic, but ``far_total - f + n``
+    can round below ``Dmin`` on a degenerate box, and a pruning rule
+    comparing ``Dmm`` with ``Dmin`` must never see that.
     """
     _check_dims(point, rect)
     # Precompute the "far edge" squared distances and their total.
@@ -99,7 +102,10 @@ def minmax_distance_sq(point: Sequence[float], rect: Rect) -> float:
     far_total = 0.0
     for f in far_sq:
         far_total += f
-    return min(far_total - f + n for f, n in zip(far_sq, near_sq))
+    return max(
+        min(far_total - f + n for f, n in zip(far_sq, near_sq)),
+        minimum_distance_sq(point, rect),
+    )
 
 
 def minmax_distance(point: Sequence[float], rect: Rect) -> float:

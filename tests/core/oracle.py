@@ -33,6 +33,9 @@
   ``offer_many`` call became its loop.  The sphere, SR and TV kernels
   must return these floats, and a round scan over such nodes the
   concatenation of the per-node, per-region scans.
+* Both ``Dmm`` loops (the per-axis rect kernel and the SR dispatcher)
+  took the kernels' clamp to ``Dmin`` when the kernels did, so a
+  rounding that puts ``Dmm`` below ``Dmin`` can never prune the answer.
 * ``repro.extensions.tvtree.TVRegion`` and ``TVTreeView.project``, and
   the branch objects ``repro.core.protocol.child_refs`` built for every
   scan before scans returned rows — moved here when their last caller
@@ -240,6 +243,7 @@ def minmax_distance_sq(point, lows, highs) -> np.ndarray:
     near_sq = np.empty((n, dims), dtype=np.float64)
     far_sq = np.empty((n, dims), dtype=np.float64)
     far_total = np.zeros(n, dtype=np.float64)
+    dmin = np.zeros(n, dtype=np.float64)
     for axis in range(dims):
         p = query[axis]
         lo = low_m[:, axis]
@@ -252,9 +256,11 @@ def minmax_distance_sq(point, lows, highs) -> np.ndarray:
         near_sq[:, axis] = near_gap * near_gap
         far_sq[:, axis] = far_gap * far_gap
         far_total += far_sq[:, axis]
+        gap = np.where(p < lo, lo - p, np.where(p > hi, p - hi, 0.0))
+        dmin += gap * gap
     candidates = far_total[:, None] - far_sq + near_sq
     record_kernel_use("dmm", n)
-    return candidates.min(axis=1)
+    return np.maximum(candidates.min(axis=1), dmin)
 
 
 def point_distance_sq(point, points) -> np.ndarray:
@@ -344,7 +350,8 @@ def region_minmax_distance_sq(point: Sequence[float], region) -> float:
     For a composite region the rectangle part is a true MBR (every face
     touches an object), so its MINMAXDIST guarantee applies; the sphere
     contributes ``Dmax`` as its best guarantee, and the smaller of the
-    two existence bounds wins.
+    two existence bounds wins, clamped to the region's ``Dmin`` as the
+    kernel clamps it.
     """
     if isinstance(region, Rect):
         return rect_minmax_distance_sq(point, region)
@@ -352,9 +359,12 @@ def region_minmax_distance_sq(point: Sequence[float], region) -> float:
         return region_maximum_distance_sq(point, region)
     if isinstance(region, TVRegion):
         return tv_minmax_distance_sq(region, point)
-    return min(
-        region_minmax_distance_sq(point, region.rect),
-        region_maximum_distance_sq(point, region.sphere),
+    return max(
+        min(
+            region_minmax_distance_sq(point, region.rect),
+            region_maximum_distance_sq(point, region.sphere),
+        ),
+        region_minimum_distance_sq(point, region),
     )
 
 
