@@ -22,14 +22,14 @@ def validate_point(point: Sequence[float], dims: int = 0) -> Point:
     :raises ValueError: if the point is empty, has the wrong dimensionality,
         or contains non-finite coordinates.
     """
-    coords = tuple(float(c) for c in point)
+    coords = tuple(map(float, point))
     if not coords:
         raise ValueError("a point needs at least one coordinate")
     if dims and len(coords) != dims:
         raise ValueError(
             f"expected a {dims}-dimensional point, got {len(coords)} coordinates"
         )
-    if not all(math.isfinite(c) for c in coords):
+    if not all(map(math.isfinite, coords)):
         raise ValueError(f"point has non-finite coordinates: {coords}")
     return coords
 

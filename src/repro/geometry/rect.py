@@ -8,6 +8,7 @@ class is the geometric workhorse of the library.
 from __future__ import annotations
 
 import math
+from operator import le
 from typing import Iterable, Sequence, Tuple
 
 from repro.geometry.point import Point, validate_point
@@ -70,20 +71,15 @@ class Rect:
 
         :raises ValueError: if *rects* is empty.
         """
-        it = iter(rects)
-        try:
-            first = next(it)
-        except StopIteration:
+        rects = list(rects)
+        if not rects:
             raise ValueError("union of an empty collection of rectangles")
-        low = list(first.low)
-        high = list(first.high)
-        for r in it:
-            for i in range(len(low)):
-                if r.low[i] < low[i]:
-                    low[i] = r.low[i]
-                if r.high[i] > high[i]:
-                    high[i] = r.high[i]
-        return cls._raw(tuple(low), tuple(high))
+        # Per axis, min/max over the column in order: each keeps the
+        # first extreme it meets, as a strict ``<`` / ``>`` update loop.
+        return cls._raw(
+            tuple(map(min, zip(*[r.low for r in rects]))),
+            tuple(map(max, zip(*[r.high for r in rects]))),
+        )
 
     # -- basic properties --------------------------------------------------
 
@@ -123,10 +119,15 @@ class Rect:
     # -- relations ---------------------------------------------------------
 
     def union(self, other: "Rect") -> "Rect":
-        """The tightest rectangle enclosing *self* and *other*."""
+        """The tightest rectangle enclosing *self* and *other*.
+
+        On a tie *other*'s coordinate is kept (``min``/``max`` return
+        their first argument unless the second is strictly beyond it),
+        so a ``-0.0`` in *other* replaces a ``0.0`` corner.
+        """
         return Rect._raw(
-            tuple(a if a < b else b for a, b in zip(self.low, other.low)),
-            tuple(a if a > b else b for a, b in zip(self.high, other.high)),
+            tuple(map(min, other.low, self.low)),
+            tuple(map(max, other.high, self.high)),
         )
 
     def intersects(self, other: "Rect") -> bool:
@@ -154,9 +155,8 @@ class Rect:
 
     def contains_rect(self, other: "Rect") -> bool:
         """True if *other* lies fully inside *self* (boundaries included)."""
-        return all(
-            lo <= o_lo and o_hi <= hi
-            for lo, hi, o_lo, o_hi in zip(self.low, self.high, other.low, other.high)
+        return all(map(le, self.low, other.low)) and all(
+            map(le, other.high, self.high)
         )
 
     def enlargement(self, other: "Rect") -> float:

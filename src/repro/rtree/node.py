@@ -12,6 +12,7 @@ computation.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -70,6 +71,27 @@ def cached_leaf_data(node) -> Optional[Tuple[np.ndarray, List[Point]]]:
     return data
 
 
+class EntryBounds(tuple):
+    """A node's cached ``(lows, highs)`` corner matrices.
+
+    ChooseSubtree also needs the entries' areas; the first descent
+    through a directory node folds them
+    (:func:`repro.perf.kernels.batch_enlargement`) and leaves them here
+    as :attr:`areas`, row-aligned with the matrices, with the rows in
+    area order as :attr:`by_area`.  Riding on the same object, they are
+    built with the matrices and dropped with them by whatever drops the
+    cache, and a node that never descends (a leaf, a scanned node)
+    never holds them.
+    """
+
+    #: The entries' areas, ``None`` until a descent folds them.
+    areas: Optional[np.ndarray] = None
+    #: The rows by ascending area, ties in entry order (a stable
+    #: argsort of :attr:`areas`); ``None`` until a descent sorts them
+    #: and again once a row's area changes.
+    by_area: Optional[np.ndarray] = None
+
+
 class Node:
     """One R*-tree node (= one disk page).
 
@@ -93,12 +115,14 @@ class Node:
         self.parent: Optional["Node"] = None
         self.mbr: Optional[Rect] = None
         self.object_count = 0
-        #: Cached (lows, highs) float64 matrices over the entries' MBRs,
-        #: feeding the batch kernels in :mod:`repro.perf.kernels`; row
-        #: *i* is ``entries[i]``.  Dropped only when the entry *list*
-        #: changes (:meth:`add`, :meth:`discard`,
-        #: :meth:`replace_entries`); a child whose MBR changes rewrites
-        #: its own row in place (:meth:`refresh`, :meth:`extend_path`).
+        #: Cached (lows, highs) float64 matrices over the entries' MBRs
+        #: (an :class:`EntryBounds`, with the entries' areas once a
+        #: descent has folded them), feeding the batch kernels in
+        #: :mod:`repro.perf.kernels`; row *i* is ``entries[i]``.
+        #: Dropped only when the entry *list* changes (:meth:`add`,
+        #: :meth:`discard`, :meth:`replace_entries`); a child whose MBR
+        #: changes rewrites its own row in place (:meth:`refresh`,
+        #: :meth:`extend_path`).
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Cached :attr:`leaf_data`, dropped with :attr:`_bounds`.
         self._leaf: Optional[Tuple[np.ndarray, List[Point]]] = None
@@ -140,7 +164,10 @@ class Node:
 
         In place, so the parent's cache stays warm across inserts: row
         *i* of a node's matrices *is* entry *i*, and a child that grows
-        rewrites one row instead of invalidating the structure.  A
+        rewrites one row instead of invalidating the structure.  The
+        parent's cached areas, if a descent folded them, get this row's
+        :meth:`Rect.area`, whose ``1.0 * s0 * s1 ...`` is the kernel's
+        ``s0 * s1 ...`` bit for bit, and their order is dropped.  A
         child without an MBR has no matrix form; the parent's cache is
         dropped then, as :meth:`entry_bounds` would refuse to build it.
         """
@@ -150,10 +177,14 @@ class Node:
         if self.mbr is None:
             parent._bounds = None
             return
-        lows, highs = parent._bounds
+        bounds = parent._bounds
+        lows, highs = bounds
         row = parent.entries.index(self)
         lows[row] = self.mbr.low
         highs[row] = self.mbr.high
+        if bounds.areas is not None:
+            bounds.areas[row] = self.mbr.area()
+            bounds.by_area = None
 
     def refresh_path(self) -> None:
         """Refresh this node and every ancestor up to the root."""
@@ -170,17 +201,30 @@ class Node:
         MBR can only grow and the count only increases.  Callers removing
         or replacing entries must use :meth:`refresh_path` instead.
 
-        Every level is unioned with *rect*, also above the first box
-        that did not grow: :meth:`Rect.union` takes its argument's value
-        on a tie, so a ``-0.0`` coordinate replaces a ``0.0`` corner all
-        the way up, and stopping early would leave different bits in
-        the ancestors.  Only a box whose *values* changed rewrites its
-        row of the parent's bounds matrices.
+        A level whose box holds *rect* strictly inside, on every axis,
+        keeps its box: :meth:`Rect.union` meets no tie there and would
+        return the old corners, and every ancestor's box holds that box,
+        so *rect* is strictly inside those too.  From there up only the
+        counts change.  Any other level is unioned with *rect*:
+        :meth:`Rect.union` takes its argument's value on a tie, so a
+        ``-0.0`` coordinate replaces a ``0.0`` corner all the way up.
+        Only a box whose *values* changed rewrites its row of the
+        parent's bounds matrices.
         """
         node: Optional[Node] = self
         while node is not None:
             old = node.mbr
-            grown = rect if old is None else old.union(rect)
+            if old is None:
+                grown = rect
+            elif all(map(lt, old.low, rect.low)) and all(
+                map(lt, rect.high, old.high)
+            ):
+                while node is not None:
+                    node.object_count += added_objects
+                    node = node.parent
+                return
+            else:
+                grown = old.union(rect)
             node.mbr = grown
             node.object_count += added_objects
             if old is None or grown.low != old.low or grown.high != old.high:
@@ -266,7 +310,7 @@ class Node:
             rects.append(rect)
         lows = np.array([rect.low for rect in rects], dtype=np.float64)
         highs = np.array([rect.high for rect in rects], dtype=np.float64)
-        return lows, highs
+        return EntryBounds((lows, highs))
 
     def child_pages(self) -> List[int]:
         """The children's page ids, in entry order (internal nodes)."""

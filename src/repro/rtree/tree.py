@@ -183,11 +183,8 @@ class PagedTree:
         parent's own overflow is treated in turn."""
         group1, group2 = self._partition(node.entries)
         new_node = self._new_node(node.level)
-        node.replace_entries(())
-        for entry in group1:
-            node.add(entry)
-        for entry in group2:
-            new_node.add(entry)
+        node.replace_entries(group1)
+        new_node.replace_entries(group2)
         node.refresh()
         new_node.refresh()
 
@@ -276,42 +273,69 @@ class RStarTree(PagedTree):
             self._overflow(node)
 
     def _choose_subtree(self, rect: Rect, holder_level: int) -> Node:
-        """R* ChooseSubtree: descend from the root to *holder_level*."""
+        """R* ChooseSubtree: descend from the root to *holder_level*.
+
+        *rect*'s corners become float64 arrays once, for every level.
+        """
         node = self.root
+        if node.level <= holder_level:
+            return node
+        low = np.array(rect.low)
+        high = np.array(rect.high)
         while node.level > holder_level:
             if node.level == 1:
-                node = self._pick_leaf_child(node, rect)
+                node = self._pick_leaf_child(node, rect, low, high)
             else:
-                node = self._pick_internal_child(node, rect)
+                node = self._pick_internal_child(node, rect, low, high)
         return node
 
     @staticmethod
-    def _rank_children(node: Node, rect: Rect):
-        """Children by (area enlargement, area), ties in entry order.
+    def _score_children(node: Node, low: np.ndarray, high: np.ndarray):
+        """The node's cached bounds and its children's area enlargements.
 
-        Returns the node's corner matrices and the ranking as indices
-        into ``node.entries``; ``lexsort`` is stable, like ``sorted``.
+        *low* / *high* are the new box's corners as arrays.  The
+        children's areas are folded on the node's first descent and
+        cached beside its matrices (:class:`~repro.rtree.node.EntryBounds`).
         """
-        lows, highs = node.entry_bounds()
-        enlargement, area = kernels.batch_enlargement(
-            rect.low, rect.high, lows, highs
+        bounds = node.entry_bounds()
+        lows, highs = bounds
+        enlargement, bounds.areas = kernels.batch_enlargement(
+            low, high, lows, highs, bounds.areas
         )
-        return lows, highs, np.lexsort((area, enlargement))
+        return bounds, enlargement
 
     @staticmethod
-    def _pick_internal_child(node: Node, rect: Rect) -> Node:
+    def _least_child(bounds, enlargement: np.ndarray) -> int:
+        """The child of least (area enlargement, area), ties in entry order.
+
+        That is ``np.lexsort((areas, enlargement))[0]`` without the sort:
+        the first minimum of the enlargement along the children in
+        stable area order, which the node caches until an area changes.
+        """
+        by_area = bounds.by_area
+        if by_area is None:
+            by_area = bounds.by_area = bounds.areas.argsort(kind="stable")
+        return by_area[enlargement[by_area].argmin()]
+
+    @staticmethod
+    def _pick_internal_child(
+        node: Node, rect: Rect, low: np.ndarray, high: np.ndarray
+    ) -> Node:
         """Least area enlargement, ties by least area, then entry order."""
-        _, _, order = RStarTree._rank_children(node, rect)
-        return node.entries[order[0]]
+        bounds, enlargement = RStarTree._score_children(node, low, high)
+        return node.entries[RStarTree._least_child(bounds, enlargement)]
 
     @staticmethod
-    def _pick_leaf_child(node: Node, rect: Rect) -> Node:
+    def _pick_leaf_child(
+        node: Node, rect: Rect, low: np.ndarray, high: np.ndarray
+    ) -> Node:
         """Least *overlap* enlargement among the children (R* rule).
 
         Overlap enlargement is O(fan-out^2); per the R* paper the
         quadratic part is restricted to the :data:`OVERLAP_CANDIDATES`
         children with least area enlargement (ties by area, then entry
-        order: :meth:`_rank_children`).  The winner is the first candidate, in that order, with the least
+        order; ``lexsort`` is stable, like ``sorted``).  The winner is
+        the first candidate, in that order, with the least
         ``(overlap enlargement, area enlargement, area)``; the candidates
         being sorted by the last two already, that is simply the first
         minimum of the overlap enlargement.
@@ -339,31 +363,30 @@ class RStarTree(PagedTree):
         so far.
         """
         children: List[Node] = node.entries
-        lows, highs, order = RStarTree._rank_children(node, rect)
-        first = children[order[0]]
+        bounds, enlargement = RStarTree._score_children(node, low, high)
+        first = children[RStarTree._least_child(bounds, enlargement)]
         if first.mbr.contains_rect(rect):
             return first
+        lows, highs = bounds
+        order = np.lexsort((bounds.areas, enlargement))
         candidates = order[:OVERLAP_CANDIDATES]
-        # Axis-major copies for the overlap kernel; both the candidates
-        # and their grown twins go through it in one call.
+        count = len(candidates)
+        # Axis-major copies for the overlap kernel; the candidates and
+        # then their grown twins go through it in one call.
         sibling_lows = np.ascontiguousarray(lows.T)
         sibling_highs = np.ascontiguousarray(highs.T)
-        cand_lows = sibling_lows[:, candidates]
-        cand_highs = sibling_highs[:, candidates]
+        twice = np.concatenate((candidates, candidates))
+        pair_lows = sibling_lows[:, twice]
+        pair_highs = sibling_highs[:, twice]
+        grown_lows = pair_lows[:, count:]
+        grown_highs = pair_highs[:, count:]
+        np.minimum(grown_lows, low[:, None], out=grown_lows)
+        np.maximum(grown_highs, high[:, None], out=grown_highs)
         overlap = kernels.batch_intersection_area(
-            np.concatenate(
-                (cand_lows, np.minimum(cand_lows, np.array(rect.low)[:, None])),
-                axis=1,
-            ),
-            np.concatenate(
-                (cand_highs, np.maximum(cand_highs, np.array(rect.high)[:, None])),
-                axis=1,
-            ),
-            sibling_lows, sibling_highs,
+            pair_lows, pair_highs, sibling_lows, sibling_highs
         )
-        before, after = overlap[:len(candidates)], overlap[len(candidates):]
-        delta = np.add.accumulate(after - before, axis=1)[:, -1]
-        return children[candidates[np.argmin(delta)]]
+        delta = np.add.accumulate(overlap[count:] - overlap[:count], axis=1)
+        return children[candidates[delta[:, -1].argmin()]]
 
     def _overflow(self, node: Node) -> None:
         """R* OverflowTreatment: reinsert once per level, else split."""
@@ -374,15 +397,21 @@ class RStarTree(PagedTree):
             self._split(node)
 
     def _forced_reinsert(self, node: Node) -> None:
-        """Evict the farthest entries and insert them again (R* §4.3)."""
+        """Evict the farthest entries and insert them again (R* §4.3).
+
+        The key is the squared distance between the entry's centre,
+        ``(lo + hi) / 2.0`` read off its corners, and the node's, summed
+        axis by axis in scalar code: ``** 2`` is libm ``pow``, which a
+        numpy square need not match in the last bit.
+        """
         count = max(1, int(round(len(node.entries) * self.reinsert_fraction)))
         center = node.mbr.center
 
         def distance_from_center(entry: Entry) -> float:
-            entry_center = _entry_rect(entry).center
+            rect = _entry_rect(entry)
             total = 0.0
-            for a, b in zip(entry_center, center):
-                total += (a - b) ** 2
+            for lo, hi, c in zip(rect.low, rect.high, center):
+                total += ((lo + hi) / 2.0 - c) ** 2
             return total
 
         ordered = sorted(node.entries, key=distance_from_center, reverse=True)

@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, List
 import numpy as np
 
 from repro.geometry.rect import Rect
+from repro.perf.kernels import box_areas
 from repro.rtree.node import LeafEntry, Node, build_leaf_data
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,9 +40,12 @@ def check_invariants(tree: "RStarTree") -> int:
       fresh rebuild from the entries in values, shape and dtype — the
       caches are patched in place on the insert path, so a missed
       invalidation or a row written to the wrong slot shows up here;
-      likewise every cached leaf oid vector and point list
-      (:attr:`Node.leaf_data`), which must also hold the entries' own
-      point tuples;
+      the entry areas a descent caches beside them
+      (:class:`~repro.rtree.node.EntryBounds`) are absent or equal, bit
+      for bit, to a fresh fold of the cached corners, and their cached
+      order to a stable sort of them; likewise every
+      cached leaf oid vector and point list (:attr:`Node.leaf_data`),
+      which must also hold the entries' own point tuples;
     * every live node is registered in the page table under its page id;
     * the total object count equals ``len(tree)``.
 
@@ -154,6 +158,27 @@ def _check_bounds_cache(node: Node) -> None:
                 f"page {node.page_id}: cached {name} matrix differs from a "
                 f"rebuild from the entries"
             )
+    areas = getattr(cached, "areas", None)
+    if areas is not None:
+        want = box_areas(*cached[:2])
+        if (
+            areas.shape != want.shape
+            or areas.dtype != want.dtype
+            or areas.tobytes() != want.tobytes()
+        ):
+            raise InvariantViolation(
+                f"page {node.page_id}: cached areas differ from a fold of "
+                f"the cached corners"
+            )
+    by_area = getattr(cached, "by_area", None)
+    if by_area is not None and (
+        areas is None
+        or not np.array_equal(by_area, areas.argsort(kind="stable"))
+    ):
+        raise InvariantViolation(
+            f"page {node.page_id}: cached area order differs from a stable "
+            f"sort of the cached areas"
+        )
 
 
 def _check_leaf_cache(node: Node) -> None:

@@ -1,11 +1,12 @@
 """The in-place bounds cache and the audits that keep it honest.
 
 A node's corner matrices follow its entry *list*; a child whose MBR
-changes rewrites its own row.  A leaf's cached oid vector and point
-list (``leaf_data``) follow the entry list too.  ``check_invariants``
-compares every cached matrix and leaf cache with a fresh rebuild, so
-each of these rules is audited wherever the suite (and the wall ledger)
-checks a tree.
+changes rewrites its own row, and its area in the entry areas a
+descent caches beside the matrices.  A leaf's cached oid vector and
+point list (``leaf_data``) follow the entry list too.
+``check_invariants`` compares every cached matrix and leaf cache with a
+fresh rebuild, and the areas with a fresh fold, so each of these rules
+is audited wherever the suite (and the wall ledger) checks a tree.
 """
 
 import numpy as np
@@ -13,6 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.extensions.srtree import SRTree
+from repro.extensions.sstree import SSTree
+from repro.extensions.xtree import XTree
 from repro.geometry.rect import Rect
 from repro.rtree import RStarTree, check_invariants
 from repro.rtree.node import LeafEntry, Node
@@ -240,3 +244,154 @@ class TestInsertValidatesOnce:
         assert entry.point == (1.0, 2.0, 3.0)
         assert all(type(c) is float for c in entry.point)
         assert entry.rect.low is entry.point and entry.rect.high is entry.point
+
+
+def area_cached(tree):
+    """The nodes whose cache carries the entry areas a descent folded."""
+    return [
+        node for node in tree.pages.values()
+        if getattr(node._bounds, "areas", None) is not None
+    ]
+
+
+class TestAreaCache:
+    """Directory nodes keep their entries' areas beside the corners."""
+
+    def test_descents_fold_them_on_directory_nodes_only(self):
+        tree = warm_tree(300)
+        cached = area_cached(tree)
+        assert cached and all(not node.is_leaf for node in cached)
+        for node in cached:
+            lows, highs = node._bounds
+            assert node._bounds.areas.tolist() == [
+                Rect(lo, hi).area()
+                for lo, hi in zip(lows.tolist(), highs.tolist())
+            ]
+
+    def test_a_stale_area_is_caught(self):
+        tree = warm_tree()
+        areas = area_cached(tree)[0]._bounds.areas
+        areas[0] = np.nextafter(areas[0], np.inf)
+        with pytest.raises(InvariantViolation, match="cached areas"):
+            check_invariants(tree)
+
+    def test_a_stale_area_order_is_caught(self):
+        tree = warm_tree()
+        bounds = next(
+            node._bounds for node in area_cached(tree)
+            if node._bounds.by_area is not None and len(node) > 1
+        )
+        bounds.by_area = bounds.by_area[::-1].copy()
+        with pytest.raises(InvariantViolation, match="cached area order"):
+            check_invariants(tree)
+
+    def test_a_patched_row_keeps_the_areas_warm(self):
+        tree = warm_tree(300)
+        root = tree.root
+        bounds = root._bounds
+        assert bounds.areas is not None
+        tree.insert((3.0, 3.0), 1000)  # grows one child of the root
+        assert root._bounds is bounds
+        assert bounds.by_area is None  # an area changed: re-sorted on use
+        assert max(bounds.areas.tolist()) == max(
+            child.mbr.area() for child in root.entries
+        )
+        check_invariants(tree)
+
+    @pytest.mark.parametrize("make", [
+        lambda: RStarTree(2, max_entries=5),
+        lambda: XTree(6, max_entries=8, max_overlap=0.0),
+    ], ids=["rstar", "xtree"])
+    def test_churn_keeps_them_a_fresh_fold(self, make):
+        """Inserts with forced reinsertion and splits, deletes that
+        condense: after each, every cached area is a fresh fold."""
+        tree = make()
+        events = {"reinsert": 0, "split": 0, "free": 0}
+
+        def counting(name, method):
+            def counted(*args):
+                events[name] += 1
+                return method(*args)
+            return counted
+
+        tree._forced_reinsert = counting("reinsert", tree._forced_reinsert)
+        tree._split = counting("split", tree._split)
+        tree._free_node = counting("free", tree._free_node)
+        rng = np.random.default_rng(9)
+        live = {}
+        most_cached = 0
+        for oid in range(450):
+            if len(live) < 60 or rng.random() < 0.6:
+                live[oid] = tuple(rng.random(tree.dims).tolist())
+                tree.insert(live[oid], oid)
+            else:
+                victim = sorted(live)[int(rng.integers(len(live)))]
+                assert tree.delete(live.pop(victim), victim)
+            check_invariants(tree)
+            cached = area_cached(tree)
+            assert all(not node.is_leaf for node in cached)
+            most_cached = max(most_cached, len(cached))
+        assert most_cached > 0
+        assert min(events.values()) > 0, events
+        if isinstance(tree, XTree):
+            assert tree.supernode_count() > 0
+
+    @pytest.mark.parametrize("tree_class", [SSTree, SRTree])
+    def test_sphere_nodes_never_hold_them(self, tree_class):
+        tree = tree_class(2, max_entries=6)
+        rng = np.random.default_rng(10)
+        for oid, point in enumerate(rng.random((300, 2)).tolist()):
+            tree.insert(point, oid)
+        assert tree.height > 2
+        for node in tree.pages.values():
+            node.entry_bounds()
+        assert area_cached(tree) == []
+
+
+class TestPathGrowth:
+    """``extend_path`` skips the unions only where none could change a bit."""
+
+    def test_a_point_on_a_zero_corner_rewrites_every_ancestor(self):
+        """``-0.0`` on a ``0.0`` corner is a tie, not strictly inside:
+        the union runs at every level and leaves ``-0.0`` all the way up."""
+        tree = RStarTree(2, max_entries=4)
+        rng = np.random.default_rng(11)
+        for oid, (x, y) in enumerate(rng.random((200, 2)).tolist()):
+            tree.insert((0.0 if oid % 5 == 0 else x, y), oid)
+        assert tree.height >= 3
+        tree.insert((-0.0, 0.5), 1000)
+        leaf = next(
+            node for node in tree.pages.values() if node.is_leaf
+            and any(entry.oid == 1000 for entry in node.entries)
+        )
+        node = leaf
+        while node is not None:
+            assert node.mbr.low[0].hex() == "-0x0.0p+0", node
+            node = node.parent
+        check_invariants(tree)
+
+    def test_a_point_strictly_inside_keeps_every_box_object(self):
+        tree = warm_tree(300)
+        for leaf in tree.pages.values():
+            if not leaf.is_leaf or len(leaf) >= tree.max_entries:
+                continue
+            point = leaf.mbr.center
+            if tree._choose_subtree(Rect.from_point(point), 0) is not leaf:
+                continue
+            if all(
+                lo < c < hi
+                for lo, c, hi in zip(leaf.mbr.low, point, leaf.mbr.high)
+            ):
+                break
+        else:
+            pytest.fail("no leaf with room holds its centre strictly inside")
+        path = []
+        node = leaf
+        while node is not None:
+            path.append((node, node.mbr, node.object_count))
+            node = node.parent
+        tree.insert(point, 1000)
+        for node, box, count in path:
+            assert node.mbr is box
+            assert node.object_count == count + 1
+        check_invariants(tree)
