@@ -389,10 +389,6 @@ class DiskHealthMonitor:
         """The drive's breaker state as a string (closed/open/half_open)."""
         return BREAKER_STATES[self._drives[disk_id].state]
 
-    def hedge_delay(self, policy: HedgePolicy) -> float:
-        """The current hedge delay under *policy*."""
-        return policy.delay(self.latencies)
-
     @property
     def total_ejected(self) -> int:
         """Requests refused across every drive."""
