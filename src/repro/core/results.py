@@ -82,16 +82,14 @@ class NeighborList:
         :param dist_sq: squared distances (array or list) aligned with
             *oids*, as produced by the batch point kernel.
         :param oids: the objects' ids (array or list).
-        :param points: the row-aligned answer points: an ``(n, dims)``
-            array, whose admitted rows become fresh tuples of floats, or
-            a sequence of points (a pointer leaf's own tuples), kept
-            verbatim as ``tuple(point)`` — the same object for a tuple,
-            and no float conversion, so such points must already be the
-            answer points.
+        :param points: the row-aligned answer points, a sequence of the
+            point tuples the leaves store (their ``leaf_data``).  An
+            admitted candidate's tuple is kept as it is — the same
+            object, no copy and no float conversion — so the points must
+            already be the answer points.
 
-        Admits exactly the objects :meth:`offer` would, one by one, but
-        materializes an answer point only for candidates that enter the
-        heap (items compare on ``(-dist_sq, -oid)`` first and oids are
+        Admits exactly the objects :meth:`offer` would, one by one
+        (items compare on ``(-dist_sq, -oid)`` first and oids are
         unique, so the point never decides an ordering).  The block is
         first filtered at a bound no admitted candidate exceeds: the
         k-th distance at block start once the list is full, else the
@@ -123,17 +121,13 @@ class NeighborList:
             rows = np.flatnonzero(dist_sq <= bound)
             dist_sq, oids = dist_sq[rows], oids[rows]
             rows = rows.tolist()
-        matrix = isinstance(points, np.ndarray)
-        if matrix:
-            points = points.astype(np.float64, copy=False)
         for row, dist, oid in zip(rows, dist_sq.tolist(), oids.tolist()):
             full = len(heap) >= k
             if full:
                 top = heap[0]
                 if -dist < top[0] or (-dist == top[0] and -oid <= top[1]):
                     continue
-            point = points[row]
-            item = (-dist, -oid, tuple(point.tolist() if matrix else point))
+            item = (-dist, -oid, points[row])
             if full:
                 heapq.heapreplace(heap, item)
             else:

@@ -16,10 +16,10 @@ The algorithms above this module never need to know the node type.
 Every leaf takes one block path: the round's point matrices go through
 one kernel call, and the round's leaves are offered through one
 :meth:`~repro.core.results.NeighborList.offer_block` over their
-``leaf_data`` — gathered oid/point slices for flat nodes
-(:class:`repro.rtree.flat.FlatNode`), and for pointer and SS-tree leaves
-a cached oid vector plus the entries' own point tuples — so no leaf is
-offered entry by entry.
+``leaf_data`` — every leaf, pointer, SS/SR or frozen
+(:class:`repro.rtree.flat.FlatNode`), hands over an int64 oid vector
+and the list of the point tuples it stores — so no leaf is offered
+entry by entry and no answer point is built from a matrix row.
 
 **Branches are rows.**  A directory page stores one row per branch,
 ``(R, count, child_ptr)`` (paper §2.1), and a scan reads it as such:
@@ -63,7 +63,7 @@ class ChildScan(NamedTuple):
     counts: Optional[np.ndarray] = None
 
 
-def _gather(chunks: List) -> Sequence:
+def _gather(chunks: Sequence) -> Sequence:
     """Row-concatenate per-node arrays (or point / page lists); a lone
     chunk is passed through."""
     if len(chunks) == 1:
@@ -126,7 +126,7 @@ def offer_leaf(
     degenerate MBRs, the centres of zero-radius spheres, or a frozen
     leaf's slice of the packed points), then one
     :meth:`~repro.core.results.NeighborList.offer_block` over the
-    gathered ``leaf_data`` oids and answer points.  The neighbor list
+    gathered ``leaf_data`` oids and point tuples.  The neighbor list
     keeps the k best under a total order on ``(distance, oid)``, so the
     order of offers within a round does not change what it holds
     afterwards.
@@ -134,15 +134,10 @@ def offer_leaf(
     leaves = [node for node in nodes if len(node)]
     if not leaves:
         return
-    data = [node.leaf_data for node in leaves]
-    points = _gather([points for _, points in data])
-    # A frozen leaf's answer points are its kernel matrix; gathering its
-    # bounds as well would copy a multi-leaf round's points twice.
-    matrix = points if isinstance(points, np.ndarray) else _gather(
-        [node.entry_bounds()[0] for node in leaves]
-    )
+    oids, points = zip(*[node.leaf_data for node in leaves])
+    matrices = [node.entry_bounds()[0] for node in leaves]
     neighbors.offer_block(
-        kernels.batch_point_distance_sq(query, matrix),
-        _gather([oids for oids, _ in data]),
-        points,
+        kernels.batch_point_distance_sq(query, _gather(matrices)),
+        _gather(oids),
+        _gather(points),
     )

@@ -44,6 +44,10 @@ Track naming convention (what the simulation wires up):
 ``disk<L>r<R>.rebuild``   online-rebuild progress gauge, 0 → 1 as a
                           repaired drive's pages stream back (RAID-1
                           with a rebuild policy only)
+``latch.readers``         queries holding the index latch shared
+``latch.writer``          an update holding it exclusively (0/1)
+``latch.queue``           requests waiting for it (these three only
+                          when a scenario has update streams)
 ========================  =============================================
 
 The time-weighted mean of a ``.busy`` track over the makespan *is* the

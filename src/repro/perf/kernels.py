@@ -172,7 +172,8 @@ def batch_minimum_distance_sq(point, lows, highs) -> np.ndarray:
     """Squared ``Dmin`` from *point* to each of *n* MBRs, all at once.
 
     Exact batch twin of
-    :func:`repro.core.distances.minimum_distance_sq`.
+    :func:`repro.core.distances.minimum_distance_sq`.  Every family
+    keeps ``Dmin <= Dmm <= Dmax`` row by row, as exact values do.
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
     record_kernel_use("dmin", low_m.shape[0])
@@ -183,7 +184,8 @@ def batch_maximum_distance_sq(point, lows, highs) -> np.ndarray:
     """Squared ``Dmax`` from *point* to each of *n* MBRs, all at once.
 
     Exact batch twin of
-    :func:`repro.core.distances.maximum_distance_sq`.
+    :func:`repro.core.distances.maximum_distance_sq`.  ``Dmin <= Dmm
+    <= Dmax``: the far-side fold needs no clamp to stay on top.
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
     record_kernel_use("dmax", low_m.shape[0])
@@ -200,10 +202,11 @@ def batch_minmax_distance_sq(point, lows, highs) -> np.ndarray:
     over the per-axis guarantees is taken last (min is
     order-insensitive, so ``numpy.min`` over the axis is safe).
 
-    Never below :func:`batch_minimum_distance_sq` of the same box: the
-    result is clamped to it, which the exact value never needs, so a
-    pruning rule comparing one branch's ``Dmm`` with another's ``Dmin``
-    cannot discard the branch it compares against.
+    ``Dmin <= Dmm <= Dmax``.  Never below
+    :func:`batch_minimum_distance_sq` of the same box: the result is
+    clamped to it, which the exact value never needs, so a pruning rule
+    comparing one branch's ``Dmm`` with another's ``Dmin`` cannot
+    discard the branch it compares against.
     """
     query, low_m, high_m = _as_matrices(point, lows, highs)
     record_kernel_use("dmm", low_m.shape[0])
@@ -245,7 +248,8 @@ def _sphere_maximum(query, center_m, radius_v) -> np.ndarray:
 
 
 def batch_sphere_minimum_distance_sq(point, centers, radii) -> np.ndarray:
-    """Squared ``Dmin = max(0, |q - c| - r)²`` to each of *n* spheres."""
+    """Squared ``Dmin = max(0, |q - c| - r)²`` to each of *n* spheres;
+    ``Dmin <= Dmm == Dmax``."""
     query, center_m, radius_v = _as_spheres(point, centers, radii)
     record_kernel_use("dmin", center_m.shape[0])
     return _sphere_minimum(query, center_m, radius_v)
@@ -256,6 +260,7 @@ def batch_sphere_maximum_distance_sq(point, centers, radii) -> np.ndarray:
 
     Also the spheres' ``Dmm``: a sphere has no face an object is
     guaranteed to touch, so its far side is the only existence bound.
+    ``Dmin <= Dmm == Dmax``.
     """
     query, center_m, radius_v = _as_spheres(point, centers, radii)
     record_kernel_use("dmax", center_m.shape[0])
@@ -295,26 +300,33 @@ def _sr_minmax(query, low_m, high_m, center_m, radius_v) -> np.ndarray:
 
 
 def _sr_maximum(query, low_m, high_m, center_m, radius_v) -> np.ndarray:
-    return np.minimum(
-        _rect_maximum(query, low_m, high_m),
-        _sphere_maximum(query, center_m, radius_v),
+    # Clamped to Dmm: on a one-point node at ``d == 2.0`` the sphere's
+    # near side ``sqrt(d)**2`` rounds one ulp above the rect's ``d``.
+    return np.maximum(
+        np.minimum(
+            _rect_maximum(query, low_m, high_m),
+            _sphere_maximum(query, center_m, radius_v),
+        ),
+        _sr_minmax(query, low_m, high_m, center_m, radius_v),
     )
 
 
 def batch_sr_minimum_distance_sq(point, lows, highs, centers, radii):
-    """Squared ``Dmin`` to *n* rect ∩ sphere regions: the larger part's."""
+    """Squared ``Dmin`` to *n* rect ∩ sphere regions: the larger part's;
+    ``Dmin <= Dmm <= Dmax``."""
     return _sr_bound("dmin", _sr_minimum, point, lows, highs, centers, radii)
 
 
 def batch_sr_minmax_distance_sq(point, lows, highs, centers, radii):
     """Squared ``Dmm``: the rect's MINMAXDIST or the sphere's far side,
     whichever is smaller, clamped to the region's ``Dmin`` like the
-    rect's (:func:`batch_minmax_distance_sq`)."""
+    rect's (:func:`batch_minmax_distance_sq`); ``Dmin <= Dmm <= Dmax``."""
     return _sr_bound("dmm", _sr_minmax, point, lows, highs, centers, radii)
 
 
 def batch_sr_maximum_distance_sq(point, lows, highs, centers, radii):
-    """Squared ``Dmax`` to *n* rect ∩ sphere regions: the smaller part's."""
+    """Squared ``Dmax`` to *n* rect ∩ sphere regions: the smaller part's,
+    clamped to the region's ``Dmm``; ``Dmin <= Dmm <= Dmax``."""
     return _sr_bound("dmax", _sr_maximum, point, lows, highs, centers, radii)
 
 
@@ -337,6 +349,7 @@ def batch_tv_minimum_distance_sq(point, lows, highs, tail_lows, tail_highs):
 
     *lows* / *highs* bound the leading ``active`` axes; *tail_lows* /
     *tail_highs* bound the rest (zero columns when ``active == dims``).
+    ``Dmin <= Dmm == Dmax``.
     """
     return _tv_bound("dmin", _rect_minimum, point, lows, highs,
                      tail_lows, tail_highs)
@@ -346,6 +359,7 @@ def batch_tv_maximum_distance_sq(point, lows, highs, tail_lows, tail_highs):
     """Squared ``Dmax`` to *n* TV regions: head ``Dmax`` + tail ``Dmax``.
 
     Also their ``Dmm``: no face-touching guarantee survives projection.
+    ``Dmin <= Dmm == Dmax``.
     """
     return _tv_bound("dmax", _rect_maximum, point, lows, highs,
                      tail_lows, tail_highs)

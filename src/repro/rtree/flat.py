@@ -16,13 +16,16 @@ index-arithmetic layout of Wald's stack-free BVH traversal
 Searches run unchanged: a :class:`FlatNode` view answers the row
 contract :mod:`repro.core.scan` reads (``len()`` / ``entry_bounds()`` /
 ``leaf_data`` / ``child_pages()`` / ``child_counts()``) with zero-copy
-slices of the level arrays — only the page-id list is a copy, one
-``tolist()`` per node, cached — and builds no per-entry object on the
-search path (``entries`` is built on first use, for the callers that
-walk a tree).  Answer digests are
-bit-identical to the pointer tree: the arrays hold the exact float64
-values of the pointer nodes' cached MBRs, and every kernel consumes
-them through the same code path.
+slices of the level arrays.  Only lists are copies, one ``tolist()``
+each, built on a node's first read and kept for the snapshot's life:
+its page ids, and a leaf's point tuples — the answer points every
+query over that leaf hands out, as a pointer leaf hands out its
+entries' own.  No per-entry object is built on the search path
+(``entries`` is built on first use, for the callers that walk a tree),
+and no list by :func:`flatten`, :func:`save_flat` or :func:`load_flat`.
+Answer digests are bit-identical to the pointer tree: the arrays hold
+the exact float64 values of the pointer nodes' cached MBRs and points,
+and every kernel consumes them through the same code path.
 
 **Freeze contract.**  The pointer tree remains the only mutation
 surface.  A freeze is a snapshot, not a mirror: after inserting or
@@ -74,13 +77,14 @@ class FlatNode:
 
     Satisfies the node surface the protocol, the scan layer and the
     executors consume: its rows are slices of the level arrays —
-    :meth:`entry_bounds`, :meth:`child_counts` and :attr:`leaf_data`
-    zero-copy, :meth:`child_pages` one cached list.
+    :meth:`entry_bounds` and :meth:`child_counts` zero-copy,
+    :meth:`child_pages` one cached list, and :attr:`leaf_data` a
+    zero-copy oid slice beside one cached list of point tuples.
     """
 
     __slots__ = ("tree", "level", "index", "page_id", "entry_offset",
                  "entry_count", "object_count", "span", "_mbr", "_bounds",
-                 "_pages", "_entries")
+                 "_pages", "_entries", "_leaf")
 
     region_family = "rect"
 
@@ -100,6 +104,7 @@ class FlatNode:
         self._bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._pages: Optional[List[int]] = None
         self._entries: Optional[list] = None
+        self._leaf: Optional[Tuple[np.ndarray, List[tuple]]] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -130,18 +135,14 @@ class FlatNode:
         """
         entries = self._entries
         if entries is None:
-            tree = self.tree
             if self.level == 0:
-                start = self.entry_offset
-                stop = start + self.entry_count
+                oids, points = self.leaf_data
                 entries = [
-                    LeafEntry(point, oid) for point, oid in zip(
-                        tree.points[start:stop].tolist(),
-                        tree.oids[start:stop].tolist(),
-                    )
+                    LeafEntry(point, oid)
+                    for point, oid in zip(points, oids.tolist())
                 ]
             else:
-                entries = [tree.pages[page] for page in self.child_pages()]
+                entries = [self.tree.pages[p] for p in self.child_pages()]
             self._entries = entries
         return entries
 
@@ -189,13 +190,22 @@ class FlatNode:
         return self.tree.level_object_counts[below][start:start + self.entry_count]
 
     @property
-    def leaf_data(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Zero-copy ``(oids, points)`` slices of a leaf's data entries."""
+    def leaf_data(self) -> Optional[Tuple[np.ndarray, List[tuple]]]:
+        """A leaf's zero-copy int64 oid slice and its packed point rows
+        as a list of tuples, built on the first read and kept (the
+        snapshot never changes); ``None`` above level 0."""
         if self.level != 0:
             return None
-        start, stop = self.entry_offset, self.entry_offset + self.entry_count
-        tree = self.tree
-        return tree.oids[start:stop], tree.points[start:stop]
+        data = self._leaf
+        if data is None:
+            start = self.entry_offset
+            stop = start + self.entry_count
+            tree = self.tree
+            data = self._leaf = (
+                tree.oids[start:stop],
+                list(map(tuple, tree.points[start:stop].tolist())),
+            )
+        return data
 
     def __len__(self) -> int:
         return self.entry_count
@@ -328,8 +338,6 @@ class FlatTree:
         level_object_counts: List[np.ndarray] = []
         level_entry_offsets: List[np.ndarray] = []
         level_entry_counts: List[np.ndarray] = []
-        all_points: List[tuple] = []
-        all_oids: List[int] = []
         zero = (0.0,) * dims
         for level in range(height):
             nodes = levels[level]
@@ -347,30 +355,15 @@ class FlatTree:
             level_object_counts.append(np.array(
                 [n.object_count for n in nodes], dtype=np.int64
             ))
-            offsets = np.zeros(len(nodes), dtype=np.int64)
-            counts = np.zeros(len(nodes), dtype=np.int64)
-            if level == 0:
-                running = 0
-                for i, node in enumerate(nodes):
-                    offsets[i] = running
-                    counts[i] = len(node.entries)
-                    running += len(node.entries)
-                    for entry in node.entries:
-                        all_points.append(entry.point)
-                        all_oids.append(entry.oid)
-            else:
-                running = 0
-                for i, node in enumerate(nodes):
-                    offsets[i] = running
-                    counts[i] = len(node.entries)
-                    running += len(node.entries)
-            level_entry_offsets.append(offsets)
+            counts = np.array([len(n.entries) for n in nodes], dtype=np.int64)
+            level_entry_offsets.append(np.cumsum(counts) - counts)
             level_entry_counts.append(counts)
 
-        points = np.array(all_points, dtype=np.float64).reshape(
-            len(all_points), dims
-        )
-        oids = np.array(all_oids, dtype=np.int64)
+        data = [entry for node in levels[0] for entry in node.entries]
+        points = np.array(
+            [entry.point for entry in data], dtype=np.float64
+        ).reshape(len(data), dims)
+        oids = np.array([entry.oid for entry in data], dtype=np.int64)
         return cls(
             dims=dims,
             level_lows=level_lows,
@@ -408,42 +401,25 @@ class FlatTree:
             min_entries=self.min_entries,
             page_size=self.page_size,
         )
-        tree.pages.clear()
-        nodes: Dict[int, Node] = {}
-        for level in range(self.height):
-            for index, page_id in enumerate(self.level_page_ids[level].tolist()):
-                nodes[page_id] = Node(page_id, level)
-        for level in range(self.height):
-            ids = self.level_page_ids[level].tolist()
-            offsets = self.level_entry_offsets[level].tolist()
-            counts = self.level_entry_counts[level].tolist()
-            objects = self.level_object_counts[level].tolist()
-            lows = self.level_lows[level]
-            highs = self.level_highs[level]
-            for index, page_id in enumerate(ids):
-                node = nodes[page_id]
-                start, stop = offsets[index], offsets[index] + counts[index]
-                if level == 0:
-                    node.replace_entries([
-                        LeafEntry(point, oid)
-                        for point, oid in zip(
-                            self.points[start:stop].tolist(),
-                            self.oids[start:stop].tolist(),
-                        )
-                    ])
-                else:
-                    child_ids = self.level_page_ids[level - 1][start:stop]
-                    node.replace_entries(
-                        [nodes[pid] for pid in child_ids.tolist()]
+        nodes: Dict[int, Node] = {
+            page_id: Node(page_id, view.level)
+            for page_id, view in self.pages.items()
+        }
+        for page_id, view in self.pages.items():
+            node = nodes[page_id]
+            if view.level == 0:
+                start = view.entry_offset
+                stop = start + view.entry_count
+                node.replace_entries([
+                    LeafEntry(point, oid) for point, oid in zip(
+                        self.points[start:stop].tolist(),
+                        self.oids[start:stop].tolist(),
                     )
-                node.object_count = objects[index]
-                if counts[index]:
-                    node.mbr = Rect._raw(
-                        tuple(lows[index].tolist()),
-                        tuple(highs[index].tolist()),
-                    )
-                else:
-                    node.mbr = None
+                ])
+            else:
+                node.replace_entries([nodes[p] for p in view.child_pages()])
+            node.object_count = view.object_count
+            node.mbr = view.mbr
         tree.pages = nodes
         tree.root = nodes[self.root_page_id]
         tree.root.parent = None

@@ -371,7 +371,7 @@ class ServingFrontend:
                     f"deletes; updates need a ParallelRStarTree (an X-tree "
                     f"is one)"
                 )
-            self.latch = ReadWriteLock(env)
+            self.latch = ReadWriteLock(env, timeline)
 
     # -- arrival processes ------------------------------------------------
 

@@ -14,7 +14,9 @@
   unit became the fetch round — moved here verbatim, except that the
   kernels' names lost their ``batch_`` prefix and the method became a
   function taking the neighbor list, which the per-node leaf scan
-  calls.  The round scans must return the concatenation of the
+  calls, and that scan reads a frozen leaf's answer points from the
+  tree's packed rows, not from the ``leaf_data`` under test.  The
+  round scans must return the concatenation of the
   per-node scans, the broadcast kernels the loops' floats, and the
   filtered block offer the loop's heap.
 * ``NeighborList.offer_computed``, the per-entry offer pointer leaves
@@ -35,7 +37,9 @@
   concatenation of the per-node, per-region scans.
 * Both ``Dmm`` loops (the per-axis rect kernel and the SR dispatcher)
   took the kernels' clamp to ``Dmin`` when the kernels did, so a
-  rounding that puts ``Dmm`` below ``Dmin`` can never prune the answer.
+  rounding that puts ``Dmm`` below ``Dmin`` can never prune the answer;
+  the SR ``Dmax`` dispatcher took the SR kernel's clamp to ``Dmm`` the
+  same way.
 * ``repro.extensions.tvtree.TVRegion`` and ``TVTreeView.project``, and
   the branch objects ``repro.core.protocol.child_refs`` built for every
   scan before scans returned rows — moved here when their last caller
@@ -372,7 +376,8 @@ def region_maximum_distance_sq(point: Sequence[float], region) -> float:
     """Squared farthest distance ``Dmax`` for any region shape.
 
     For a composite region no object can exceed either part's ``Dmax``,
-    so the smaller of the two is the valid bound.
+    so the smaller of the two is the valid bound, clamped to the
+    region's ``Dmm`` as the kernel clamps it.
     """
     if isinstance(region, Rect):
         return rect_maximum_distance_sq(point, region)
@@ -383,9 +388,12 @@ def region_maximum_distance_sq(point: Sequence[float], region) -> float:
         return reach * reach
     if isinstance(region, TVRegion):
         return tv_maximum_distance_sq(region, point)
-    return min(
-        region_maximum_distance_sq(point, region.rect),
-        region_maximum_distance_sq(point, region.sphere),
+    return max(
+        min(
+            region_maximum_distance_sq(point, region.rect),
+            region_maximum_distance_sq(point, region.sphere),
+        ),
+        region_minmax_distance_sq(point, region),
     )
 
 
@@ -538,8 +546,13 @@ def offer_leaf(
     if bounds is not None:
         distances = kernels.batch_point_distance_sq(query, bounds[0])
         if isinstance(node, FlatNode):
-            oids, points = node.leaf_data
-            offer_block(neighbors, distances, oids, points)
+            # The packed rows themselves, not the node's ``leaf_data``:
+            # the oracle builds its answer points independently.
+            tree = node.tree
+            start = node.entry_offset
+            stop = start + node.entry_count
+            offer_block(neighbors, distances, tree.oids[start:stop],
+                        tree.points[start:stop])
             return
         for entry, dist_sq in zip(node.entries, distances.tolist()):
             offer_computed(neighbors, dist_sq, entry.point, entry.oid)

@@ -5,8 +5,9 @@ On duplicate points, zero-extent MBRs, float32-rounded coordinates and
 their rounded values need not be ordered: ``Dmm``'s ``far_total - far
 + near`` used to land one ulp below ``Dmin``, after which BBSS's Rule 1
 pruned the branch holding the answer.  The kernels clamp ``Dmm`` to
-``Dmin``; these tests hold all four algorithms to the brute-force
-oracle on such data, and the kernels to ``Dmin <= Dmm``.
+``Dmin``, and the SR ``Dmax`` to its ``Dmm``; these tests hold all four
+algorithms to the brute-force oracle on such data, and every kernel
+family to ``Dmin <= Dmm <= Dmax``.
 """
 
 import math
@@ -108,3 +109,45 @@ def test_sr_minmax_holds_where_the_sphere_rounds_below_the_rect():
     assert KERNELS["sphere", "dmm"](query, corner, np.zeros(1))[0] < 0.25390625
     assert KERNELS["sr", "dmin"](query, *arrays).tolist() == [0.25390625]
     assert KERNELS["sr", "dmm"](query, *arrays).tolist() == [0.25390625]
+
+
+def _family_arrays(lows, highs, radius):
+    """The four region families' arrays over the same 2-d boxes.
+
+    SR regions pair each box with a sphere about its centre, so the
+    intersection always holds the centre; TV regions take the first
+    axis as the head and the second as the tail.
+    """
+    centers = (lows + highs) / 2.0
+    radii = np.full(len(lows), radius)
+    return {
+        "rect": (lows, highs),
+        "sphere": (centers, radii),
+        "sr": (lows, highs, centers, radii),
+        "tv": (lows[:, :1], highs[:, :1], lows[:, 1:], highs[:, 1:]),
+    }
+
+
+#: A one-point SR node at squared distance 2.0: the sphere's near side
+#: ``sqrt(2.0) ** 2`` rounds one ulp above the rect's ``Dmax``.
+SR_ABOVE_DMAX = ([((0.0, 0.0), (0.0, 0.0))], (1.0, 1.0), 0.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(point, point), min_size=1, max_size=8),
+    point,
+    st.floats(0.0, 1.0, width=32),
+)
+@example(*SR_ABOVE_DMAX)
+def test_every_family_orders_its_three_bounds(boxes, query, radius):
+    """``Dmin <= Dmm <= Dmax`` for every :data:`KERNELS` family."""
+    lows = np.array([np.minimum(a, b) for a, b in boxes], dtype=np.float64)
+    highs = np.array([np.maximum(a, b) for a, b in boxes], dtype=np.float64)
+    for family, arrays in _family_arrays(lows, highs, radius).items():
+        dmin, dmm, dmax = (
+            KERNELS[family, metric](query, *arrays)
+            for metric in ("dmin", "dmm", "dmax")
+        )
+        assert (dmin <= dmm).all(), family
+        assert (dmm <= dmax).all(), family

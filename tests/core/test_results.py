@@ -121,7 +121,7 @@ class TestOfferBlock:
         dist_sq = (diff * diff).sum(axis=1)
 
         block = NeighborList(query, k)
-        block.offer_block(dist_sq, oids, points)
+        block.offer_block(dist_sq, oids, raw_points)
 
         loop = NeighborList(query, k)
         for i, point in enumerate(raw_points):
@@ -134,7 +134,7 @@ class TestOfferBlock:
         import numpy as np
 
         query = (0.0, 0.0)
-        points = np.asarray([[1.0, 0.0]] * 5, dtype=np.float64)
+        points = [(1.0, 0.0)] * 5
         oids = np.asarray([9, 3, 7, 1, 5], dtype=np.int64)
         dist_sq = np.ones(5, dtype=np.float64)
         neighbors = NeighborList(query, 3)

@@ -133,6 +133,37 @@ def test_a_class_deadline_counts_the_latch_wait():
         assert query.record.breakdown.admission_wait == query.admission_wait
 
 
+def test_the_timeline_shows_the_latch_queue():
+    """The deadline test's busy scenario queues at the latch, and the
+    timeline draws it: writers hold it, readers share it, and requests
+    wait for it.  A read-only run has no latch and no latch tracks."""
+    timeline = TimelineSampler()
+    serve_scenario(
+        fresh_tree(), factory,
+        mixed_scenario(sample_queries(DATA, 40, seed=94), 5.0,
+                       uniform(120, 2, seed=95), 100.0),
+        policy=no_admission_policy(deadline=0.5), seed=4, timeline=timeline,
+    )
+    tracks = {track.name: track for track in timeline}
+    assert tracks["latch.queue"].max > 0
+    assert tracks["latch.writer"].max == 1
+    assert tracks["latch.readers"].max >= 1
+    for name in ("latch.readers", "latch.writer", "latch.queue"):
+        assert tracks[name].last == 0
+    quiet = TimelineSampler()
+    serve_scenario(
+        fresh_tree(), factory,
+        TrafficScenario(
+            name="read-only",
+            queries=tuple(sample_queries(DATA, 10, seed=94)),
+            interarrivals=tuple(workload_interarrivals(5.0, 10, seed=1)),
+            seed=1,
+        ),
+        policy=no_admission_policy(), seed=4, timeline=quiet,
+    )
+    assert not [name for name in quiet.names if name.startswith("latch.")]
+
+
 def test_admitted_is_logged_when_the_latch_is_granted():
     """Beside updates a query admitted at the door starts only once the
     shared latch is granted; its lifecycle ``admitted`` event carries
