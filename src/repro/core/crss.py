@@ -82,7 +82,7 @@ class CRSS(SearchAlgorithm):
             fetched: Mapping[int, Node] = yield FetchRequest(batch)
             leaves, internal = self.split_round(batch, fetched, pending)
             # UPDATE mode: new data objects refine the k-th best.
-            offer_leaf(self.query, leaves, neighbors)
+            offer_leaf(self.query_vector, leaves, neighbors)
             leaves_in_batch = bool(leaves)
             reached_leaves = reached_leaves or leaves_in_batch
 
@@ -92,7 +92,7 @@ class CRSS(SearchAlgorithm):
             # 1 is evaluated only then, so skipping Dmax otherwise
             # cannot change an answer.
             scan = scan_children(
-                self.query, internal,
+                self.query_vector, internal,
                 want_dmm=True, want_dmax=not reached_leaves,
             )
             frontier = scan.pages

@@ -93,44 +93,49 @@ class CountingExecutor:
     def _fetch(
         self, request: FetchRequest, stats: SearchStats, explain=None
     ) -> Dict[int, Node]:
+        pages = request.pages
+        unavailable = self.unavailable
+        page = self._tree.page
+        pages_spanned = self._pages_spanned
+        disk_of = self._disk_of
+        per_disk = stats.per_disk
+        fetched_pages = stats.pages
         fetched: Dict[int, Optional[Node]] = {}
-        round_disks: Counter = Counter()
+        round_disks: Dict[int, int] = {}
         withheld: List[int] = []
-        for page_id in request.pages:
-            if page_id in self.unavailable:
+        visited = leaves = 0
+        for page_id in pages:
+            if page_id in unavailable:
                 fetched[page_id] = None
-                stats.unreachable_pages += 1
                 withheld.append(page_id)
                 continue
-            node = self._tree.page(page_id)
-            fetched[page_id] = node
-            spanned = self._pages_spanned(page_id)
-            stats.nodes_visited += spanned
-            stats.pages.append(page_id)
+            node = fetched[page_id] = page(page_id)
+            spanned = pages_spanned(page_id)
+            visited += spanned
             if node.is_leaf:
-                stats.leaf_nodes += spanned
-            disk = self._disk_of(page_id)
-            stats.per_disk[disk] += spanned
-            round_disks[disk] += spanned
+                leaves += spanned
+            fetched_pages.append(page_id)
+            disk = disk_of(page_id)
+            per_disk[disk] += spanned
+            round_disks[disk] = round_disks.get(disk, 0) + spanned
+        stats.nodes_visited += visited
+        stats.leaf_nodes += leaves
+        stats.unreachable_pages += len(withheld)
         stats.rounds += 1
-        stats.max_batch = max(stats.max_batch, len(request.pages))
+        stats.max_batch = max(stats.max_batch, len(pages))
         if explain is not None:
             explain.observe_round(
-                [p for p in request.pages if p not in self.unavailable],
-                withheld,
+                [p for p in pages if p not in unavailable], withheld
             )
-        if round_disks:
-            stats.critical_path += max(round_disks.values())
-        else:
-            stats.critical_path += 1
+        stats.critical_path += max(round_disks.values()) if round_disks else 1
         if self.tracer.enabled:
             self.tracer.instant(
                 "executor", "fetch_round", "logical",
                 ts=float(stats.rounds - 1),
                 args={
-                    "pages": list(request.pages),
+                    "pages": list(pages),
                     "disks": dict(round_disks),
-                    "batch": len(request.pages),
+                    "batch": len(pages),
                 },
             )
         return fetched

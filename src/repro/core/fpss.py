@@ -39,10 +39,10 @@ class FPSS(SearchAlgorithm):
         while batch:
             fetched: Mapping[int, Node] = yield FetchRequest(batch)
             leaves, internal = self.split_round(batch, fetched, pending)
-            offer_leaf(self.query, leaves, neighbors)
+            offer_leaf(self.query_vector, leaves, neighbors)
             # One round scan yields both the Dmin used for the
             # intersection filter and the Dmax Lemma 1 needs.
-            scan = scan_children(self.query, internal, want_dmax=True)
+            scan = scan_children(self.query_vector, internal, want_dmax=True)
             pending = self._activate(scan, neighbors)
             batch = list(pending)
         if self.explain is not None:

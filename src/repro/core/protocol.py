@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from typing import Generator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.point import Point, validate_point
 from repro.rtree.node import Node
 
@@ -43,7 +45,11 @@ class FetchRequest:
     __slots__ = ("pages",)
 
     def __init__(self, pages: Sequence[int]):
-        unique = tuple(dict.fromkeys(int(p) for p in pages))
+        if len(pages) == 1:
+            # BBSS's every request, and a lone CRSS activation.
+            unique = (int(pages[0]),)
+        else:
+            unique = tuple(dict.fromkeys(int(p) for p in pages))
         if not unique:
             raise ValueError("a fetch request must name at least one page")
         self.pages: Tuple[int, ...] = unique
@@ -81,6 +87,9 @@ class SearchAlgorithm:
 
     def __init__(self, query: Sequence[float], k: int, num_disks: int = 1):
         self.query: Point = validate_point(query)
+        #: The query as a float64 vector, converted once per search for
+        #: every kernel call it makes.
+        self.query_vector = np.asarray(self.query, dtype=np.float64)
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         if num_disks < 1:

@@ -21,6 +21,10 @@ BBSS / FPSS / CRSS / WOPTSS run unmodified over every tree.
 * ``tv`` — ``(head lows, head highs, tail lows, tail highs)``: the
   head box's bound plus the tail box's, ``Dmm = Dmax``.
 
+``(family, "dmin_dmm")`` scores both bounds a search round needs in
+one pass and returns ``(Dmin, Dmm)``, bit for bit what the two
+single-metric kernels return; it counts as one call of each.
+
 A sphere has no MINMAXDIST analogue (no face an object is guaranteed to
 touch), so the only safe existence bound for a non-empty sphere is its
 far side; likewise no face guarantee survives the TV projection.  Both
@@ -39,18 +43,23 @@ from __future__ import annotations
 
 from repro.perf import kernels
 
-#: (region family, metric) -> batch kernel ``(query, *arrays) -> (n,)``.
+#: (region family, metric) -> batch kernel ``(query, *arrays) -> (n,)``;
+#: the ``"dmin_dmm"`` kernels return a ``(Dmin, Dmm)`` pair.
 KERNELS = {
     ("rect", "dmin"): kernels.batch_minimum_distance_sq,
     ("rect", "dmm"): kernels.batch_minmax_distance_sq,
     ("rect", "dmax"): kernels.batch_maximum_distance_sq,
+    ("rect", "dmin_dmm"): kernels.batch_minimum_minmax_distance_sq,
     ("sphere", "dmin"): kernels.batch_sphere_minimum_distance_sq,
     ("sphere", "dmm"): kernels.batch_sphere_maximum_distance_sq,
     ("sphere", "dmax"): kernels.batch_sphere_maximum_distance_sq,
+    ("sphere", "dmin_dmm"): kernels.batch_sphere_minimum_maximum_distance_sq,
     ("sr", "dmin"): kernels.batch_sr_minimum_distance_sq,
     ("sr", "dmm"): kernels.batch_sr_minmax_distance_sq,
     ("sr", "dmax"): kernels.batch_sr_maximum_distance_sq,
+    ("sr", "dmin_dmm"): kernels.batch_sr_minimum_minmax_distance_sq,
     ("tv", "dmin"): kernels.batch_tv_minimum_distance_sq,
     ("tv", "dmm"): kernels.batch_tv_maximum_distance_sq,
     ("tv", "dmax"): kernels.batch_tv_maximum_distance_sq,
+    ("tv", "dmin_dmm"): kernels.batch_tv_minimum_maximum_distance_sq,
 }

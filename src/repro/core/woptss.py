@@ -68,8 +68,8 @@ class WOPTSS(SearchAlgorithm):
         while batch:
             fetched: Mapping[int, Node] = yield FetchRequest(batch)
             leaves, internal = self.split_round(batch, fetched, pending)
-            offer_leaf(self.query, leaves, neighbors)
-            scan = scan_children(self.query, internal)
+            offer_leaf(self.query_vector, leaves, neighbors)
+            scan = scan_children(self.query_vector, internal)
             if explain is not None:
                 for page_id, d in zip(scan.pages, scan.dmin_sq):
                     if d > radius_sq:

@@ -3,11 +3,15 @@
 On duplicate points, zero-extent MBRs, float32-rounded coordinates and
 ``-0.0`` the three branch bounds are equal in exact arithmetic, and
 their rounded values need not be ordered: ``Dmm``'s ``far_total - far
-+ near`` used to land one ulp below ``Dmin``, after which BBSS's Rule 1
-pruned the branch holding the answer.  The kernels clamp ``Dmm`` to
-``Dmin``, and the SR ``Dmax`` to its ``Dmm``; these tests hold all four
-algorithms to the brute-force oracle on such data, and every kernel
-family to ``Dmin <= Dmm <= Dmax``.
++ near`` used to land one ulp below ``Dmin``, or below the distance of
+the very object its face guarantees, after which BBSS's Rule 1 pruned
+the branch holding the answer.  The rect ``Dmm`` now folds each axis's
+guarantee on its own, in the point kernel's axis order, so monotone
+rounding keeps it above both with no clamp; the SR ``Dmm`` is clamped to
+its ``Dmin`` and the SR ``Dmax`` to its ``Dmm``.  These tests hold all
+four algorithms to the brute-force oracle on such data, every kernel
+family to ``Dmin <= Dmm <= Dmax``, and the rect ``Dmm`` to the nearest
+object of its box.
 """
 
 import math
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import BBSS, CRSS, FPSS, WOPTSS, CountingExecutor
 from repro.core.regions import KERNELS
+from repro.perf import kernels
 from repro.parallel import build_parallel_tree
 from tests.conftest import brute_force_knn
 
@@ -26,6 +31,12 @@ FLOAT32_004 = float(np.float32(0.004))
 
 #: The defect's reproduction: BBSS returned ``[]`` here, the others ``[0]``.
 REPRODUCTION = ([(0.0, 0.0)] * 4 + [(1.0, 0.0)], (0.0, FLOAT32_004))
+
+#: A ``Dmm`` that undercut its face object: the box ``[0, a] x [0, 1]``
+#: scored ``(a² + 1) - 1``, one ulp below ``a²``, and BBSS pruned the
+#: leaf holding oid 0 (it returned oid 6 at the same distance).
+A = 0.03343293443322182
+FACE_REPRODUCTION = ([(A, 0.0)] * 8 + [(0.0, 1.0)], (0.0, 0.0))
 
 coordinate = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, FLOAT32_004, 5e-324]),
@@ -66,9 +77,16 @@ def test_bbss_keeps_the_answer_rule_1_used_to_prune():
         assert [oid for _, oid in got] == [0], name
 
 
+def test_bbss_keeps_the_answer_its_face_guarantees():
+    points, query = FACE_REPRODUCTION
+    for name, got in answers(points, query, 1).items():
+        assert [oid for _, oid in got] == [0], name
+
+
 @settings(max_examples=150, deadline=None)
 @given(degenerate_sets())
 @example(REPRODUCTION)
+@example(FACE_REPRODUCTION)
 def test_all_algorithms_match_brute_force_on_degenerate_geometry(case):
     points, query = case
     for k in sorted({1, 2, len(points)}):
@@ -151,3 +169,16 @@ def test_every_family_orders_its_three_bounds(boxes, query, radius):
         )
         assert (dmin <= dmm).all(), family
         assert (dmm <= dmax).all(), family
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(point, min_size=1, max_size=8), point)
+@example([(A, 0.0), (0.0, 1.0)], (0.0, 0.0))
+def test_rect_dmm_never_undercuts_every_object(points, query):
+    """Every face of an MBR touches one of its objects, so ``Dmm`` is at
+    least the computed distance of the nearest of them."""
+    matrix = np.array(points, dtype=np.float64)
+    lows = matrix.min(axis=0, keepdims=True)
+    highs = matrix.max(axis=0, keepdims=True)
+    dmm = KERNELS["rect", "dmm"](query, lows, highs)[0]
+    assert dmm >= kernels.batch_point_distance_sq(query, matrix).min()

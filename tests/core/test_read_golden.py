@@ -2,8 +2,10 @@
 
 Recorded before the scan layer's unit became the fetch round (one kernel
 call per metric over all of a round's nodes instead of one per node) and
-never re-recorded: how the pages of a round are scored may change, what
-any caller can observe may not.  Per data set and algorithm, one sha256
+never re-recorded for that: how the pages of a round are scored may
+change, what any caller can observe may not.  Only the two lattice
+digests were re-recorded, when the rect ``Dmm`` took its exact-monotone
+form: ties between equal-``Dmin`` pages broke the other way.  Per data set and algorithm, one sha256
 covers every query run over the pointer tree *and* over its freeze, with
 and without an ``unavailable`` page set and with and without an
 :class:`~repro.obs.explain.ExplainRecorder`:
@@ -88,14 +90,20 @@ GOLDEN = {
     ("gaussian10d", "WOPTSS"): (
         "22b6e9902c779375208fe4a1bbf2559c232e9f8507e7b02654027856dc03c0e4"
     ),
+    # Re-recorded with the exact-monotone rect Dmm (no clamp): query
+    # (0.25, 0.25) visits the Dmin-tied leaves 6 and 7 as 7, 6, their
+    # Dmm (BBSS's second sort key) now rounding the other way.
     ("lattice", "BBSS"): (
-        "bb1dc3ba6495221afcfc31bdaa5beccae4109c55c4156c9c3fc13520ba75250f"
+        "152ddc4f561e803ab2544592c0c9b5881893c3c0f22546562b5b4a747f5249cd"
     ),
     ("lattice", "FPSS"): (
         "8bbafbe036a6ba257873c4899924fcb57f44362d5edc37586fb31454cfd356cc"
     ),
+    # Re-recorded with the same Dmm: query (0.5, 0.5) fetches pages
+    # 29, 27 before 28, 24 (the Dmm of 29 and 27 dropped one ulp); same
+    # answers, page count and rounds.
     ("lattice", "CRSS"): (
-        "159453b24594b6ff07066d9ed241fade024cdfa4c6a84016610a0b9c9aa668f2"
+        "7a53a18a5a07c7d4adb726b6d694f986cf1d5250cf3b696846cb068c0c01faa5"
     ),
     ("lattice", "WOPTSS"): (
         "80a6b094df616daf2871244164a423d4b58affc98a4c77ffad19444dbbd84494"

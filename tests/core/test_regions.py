@@ -160,7 +160,11 @@ def _boxes(draw, centers, spread):
 
 def _kernel_lists(family, query, arrays):
     matrices = [np.asarray(a, dtype=np.float64) for a in arrays]
-    return [KERNELS[family, m](query, *matrices).tolist() for m in METRICS]
+    results = [KERNELS[family, m](query, *matrices) for m in METRICS]
+    # The one-pass pair returns the two single-metric kernels' bytes.
+    pair = KERNELS[family, "dmin_dmm"](query, *matrices)
+    assert [a.tobytes() for a in pair] == [a.tobytes() for a in results[:2]]
+    return [a.tolist() for a in results]
 
 
 def _oracle_lists(query, regions):
@@ -219,7 +223,9 @@ def test_tv_kernels_equal_the_oracle(batch, data):
 def test_every_family_has_every_metric():
     families = {family for family, _ in KERNELS}
     assert families == {"rect", "sphere", "sr", "tv"}
-    assert set(KERNELS) == {(f, m) for f in families for m in METRICS}
+    assert set(KERNELS) == {
+        (f, m) for f in families for m in (*METRICS, "dmin_dmm")
+    }
 
 
 def test_mismatched_arrays_are_rejected():

@@ -140,3 +140,36 @@ class TestOfferBlock:
         neighbors = NeighborList(query, 3)
         neighbors.offer_block(dist_sq, oids, points)
         assert [n.oid for n in neighbors.as_sorted()] == [1, 3, 5]
+
+    def test_full_list_offered_nothing_within_its_bound_is_untouched(self):
+        import numpy as np
+
+        neighbors = NeighborList((0.0, 0.0), 3)
+        neighbors.offer_block(
+            np.array([1.0, 2.0, 3.0]), np.array([4, 5, 6]),
+            [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)],
+        )
+        heap = neighbors._heap
+        items = list(heap)
+        neighbors.offer_block(
+            np.array([3.5, 9.0]), np.array([1, 2]), [(7.0, 0.0)] * 2
+        )
+        assert neighbors._heap is heap
+        assert len(heap) == len(items)
+        assert all(a is b for a, b in zip(heap, items))
+
+    def test_tie_at_a_full_lists_bound_is_decided_by_oid(self):
+        import numpy as np
+
+        neighbors = NeighborList((0.0, 0.0), 2)
+        neighbors.offer_block(
+            np.array([1.0, 2.0]), np.array([5, 9]), [(1.0, 0.0), (2.0, 0.0)]
+        )
+        # Both sit at the k-th distance: the larger oid stays out, the
+        # smaller one evicts oid 9.
+        neighbors.offer_block(
+            np.array([2.0, 2.0]), np.array([12, 7]), [(0.0, 2.0), (2.0, 0.0)]
+        )
+        assert [(n.oid, n.point) for n in neighbors.as_sorted()] == [
+            (5, (1.0, 0.0)), (7, (2.0, 0.0)),
+        ]

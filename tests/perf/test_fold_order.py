@@ -11,6 +11,11 @@ object counts, stay exact integers, as they do on 3.12) and still
 requires the kernels' bits, which holds only if the scalar code never
 calls ``sum()`` on floats.
 
+The kernels' own fold has two paths, a loop of ``op`` calls and one
+``op.accumulate`` call, picked by block size; both must give the same
+bytes on every input, ``-0.0``, subnormals, infinities and NaNs
+included, and the fused rect pass the single kernels' bytes.
+
 The same goes for the means the run reports and bench documents print
 (``disk_mean``, the explain fanout ratios and threshold tightness,
 ``response_mean_s``): with ``fsum`` as their modules' ``sum`` the CLI
@@ -125,6 +130,87 @@ def test_sphere_tree_builds_are_unchanged(fsum_everywhere, name):
     assert (
         access_golden.structure_digest(build(points()))
         == access_golden.STRUCTURE_GOLDEN[name]
+    )
+
+
+def _loop_fold(op, sides):
+    """The fold as a plain loop from term 0: the reference for both of
+    :func:`repro.perf.kernels._fold`'s paths."""
+    result = sides[0]
+    for axis in range(1, sides.shape[0]):
+        result = op(result, sides[axis])
+    return result
+
+
+SPECIALS = [-0.0, 0.0, 5e-324, -2.5e-310, math.inf, -math.inf, math.nan]
+
+#: Term shapes on both sides of ``_ACCUMULATE_MAX_TERM`` (64), among
+#: them ``(a, b)`` slabs like the overlap kernel's.
+TERM_SHAPES = [(1,), (17,), (64,), (65,), (2000,), (4, 16), (4, 17), (17, 55)]
+
+
+def _terms(terms, shape, seed):
+    rng = np.random.default_rng(seed)
+    sides = rng.normal(0.0, 3.0, (terms, *shape))
+    sides *= 10.0 ** rng.integers(-200, 200, sides.shape)
+    specials = rng.random(sides.shape) < 0.1
+    sides[specials] = rng.choice(SPECIALS, int(specials.sum()))
+    return sides
+
+
+@pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
+@pytest.mark.parametrize("shape", TERM_SHAPES, ids=str)
+@np.errstate(all="ignore")
+def test_both_fold_paths_give_the_same_bytes(op, shape):
+    for terms in range(1, 17):
+        sides = _terms(terms, shape, seed=terms * 31 + len(shape))
+        expected = _loop_fold(op, sides).tobytes()
+        assert kernels._fold(op, sides).tobytes() == expected, terms
+        assert op.accumulate(sides, axis=0)[-1].tobytes() == expected, terms
+        # The kernels fold transposed (dims, n) views of (n, dims) rows.
+        rows = np.ascontiguousarray(np.moveaxis(sides, 0, -1))
+        view = np.moveaxis(rows, -1, 0)
+        assert kernels._fold(op, view).tobytes() == expected, terms
+
+
+def test_the_fold_switch_sits_on_both_sides_of_the_ledger():
+    """10-d nodes of 17 boxes take ``accumulate``; 2-d folds and
+    2 000-row rounds take the loop (a patched ``accumulate`` is never
+    reached)."""
+    calls = []
+
+    class Spy:
+        def __init__(self, op):
+            self.op = op
+
+        def __call__(self, *args, **kwargs):
+            return self.op(*args, **kwargs)
+
+        def accumulate(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return self.op.accumulate(*args, **kwargs)
+
+    spy = Spy(np.add)
+    for shape in [(10, 17), (2, 136), (10, 2000), (2, 17)]:
+        kernels._fold(spy, np.ones(shape))
+    assert calls == [(10, 17)]
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 10])
+@pytest.mark.parametrize("n", [1, 6, 17, 95, 300])
+def test_the_fused_pass_returns_the_single_kernels_bytes(dims, n):
+    lows, highs, query = _rows(dims, n, seed=70 + dims + n)
+    # Degenerate rows: zero extent, the query on a face, -0.0 corners.
+    highs[::3] = lows[::3]
+    lows[1::4, 0] = query[0]
+    lows[2::5] = -0.0
+    highs[2::5] = np.maximum(highs[2::5], 0.0)
+    dmin, dmm = kernels.batch_minimum_minmax_distance_sq(query, lows, highs)
+    assert dmin.tobytes() == (
+        kernels.batch_minimum_distance_sq(query, lows, highs).tobytes()
+    )
+    assert dmm.tobytes() == (
+        kernels.batch_minmax_distance_sq(query, lows, highs).tobytes()
     )
 
 
