@@ -18,6 +18,7 @@ once — the computational saving the guard/run organization buys.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, NamedTuple, Optional
 
 
@@ -26,6 +27,9 @@ class Candidate(NamedTuple):
 
     dmin_sq: float
     page_id: int
+
+
+_by_dmin = attrgetter("dmin_sq")
 
 
 class CandidateStack:
@@ -55,7 +59,7 @@ class CandidateStack:
         at the first candidate outside the query sphere.
         """
         if candidates:
-            self._runs.append(sorted(candidates, key=lambda c: c.dmin_sq))
+            self._runs.append(sorted(candidates, key=_by_dmin))
 
     def pop_run(self) -> Optional[List[Candidate]]:
         """Pop the most recent run (``None`` when the stack is empty)."""

@@ -65,7 +65,7 @@ class ParallelSphereSearch(SearchAlgorithm):
                             ))
             # Every branch of the round's internal nodes in one scan.
             scan = scan_children(
-                self.query, [node for node in nodes if not node.is_leaf]
+                self.query_vector, [node for node in nodes if not node.is_leaf]
             )
             batch = [
                 page_id
