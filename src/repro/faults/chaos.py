@@ -17,13 +17,17 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.geometry.point import Point
 from repro.simulation.parameters import SystemParameters
+
+if TYPE_CHECKING:
+    from repro.serving.frontend import ServingResult
+    from repro.simulation.simulator import WorkloadResult
 
 
 @dataclass
@@ -61,6 +65,60 @@ class ChaosReport:
     health: Optional[Dict[str, object]] = None
     hedge: Optional[Dict[str, object]] = None
     rebuild: Optional[Dict[str, object]] = None
+    #: The served run's workload result, for a full RunReport of the
+    #: same run (never serialised).
+    result: Optional[WorkloadResult] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @classmethod
+    def from_served(
+        cls,
+        served: ServingResult,
+        *,
+        algorithm: str,
+        raid: str,
+        k: int,
+        seed: int,
+        deadline: Optional[float],
+        plan: FaultPlan,
+    ) -> "ChaosReport":
+        """Distil one served run (see :func:`run_chaos`).
+
+        The health section closes open-breaker time at the makespan,
+        not at the run's last event as ``served.health`` does.
+        """
+        result = served.result
+        monitor = served.system.health
+        return cls(
+            algorithm=algorithm,
+            raid=raid,
+            num_queries=len(result.records),
+            k=k,
+            seed=seed,
+            deadline=deadline,
+            mean_response=result.mean_response,
+            max_response=result.max_response,
+            makespan=result.makespan,
+            retries=result.total_retries,
+            fetch_failures=result.total_fetch_failures,
+            failovers=result.total_failovers,
+            complete_queries=len(result.records) - result.partial_queries,
+            partial_queries=result.partial_queries,
+            aborted_queries=result.aborted_queries,
+            deadline_exceeded_queries=result.deadline_exceeded_queries,
+            certified_radii=result.certified_radii,
+            breakdown=result.breakdown.as_dict(),
+            plan=_plan_summary(plan),
+            health=(
+                monitor.describe(result.makespan)
+                if monitor is not None
+                else None
+            ),
+            hedge=served.hedge,
+            rebuild=served.rebuild,
+            result=result,
+        )
 
     @property
     def certified_radius_stats(self) -> Dict[str, float]:
@@ -75,32 +133,15 @@ class ChaosReport:
         }
 
     def as_dict(self) -> Dict[str, object]:
-        """Plain-dict rendering for JSON export."""
-        doc: Dict[str, object] = {
-            "algorithm": self.algorithm,
-            "raid": self.raid,
-            "num_queries": self.num_queries,
-            "k": self.k,
-            "seed": self.seed,
-            "deadline": self.deadline,
-            "mean_response": self.mean_response,
-            "max_response": self.max_response,
-            "makespan": self.makespan,
-            "retries": self.retries,
-            "fetch_failures": self.fetch_failures,
-            "failovers": self.failovers,
-            "complete_queries": self.complete_queries,
-            "partial_queries": self.partial_queries,
-            "aborted_queries": self.aborted_queries,
-            "deadline_exceeded_queries": self.deadline_exceeded_queries,
-            "certified_radius": self.certified_radius_stats,
-            "breakdown": self.breakdown,
-            "plan": self.plan,
-        }
+        """Plain-dict rendering for JSON export: every field but
+        ``result``, the radii as their stats, and a tail section only
+        when its feature was on."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        del doc["result"], doc["certified_radii"]
+        doc["certified_radius"] = self.certified_radius_stats
         for key in ("health", "hedge", "rebuild"):
-            section = getattr(self, key)
-            if section is not None:
-                doc[key] = section
+            if doc[key] is None:
+                del doc[key]
         return doc
 
     def to_json(self, indent: int = 2) -> str:
@@ -212,7 +253,6 @@ def run_chaos(
     :param raid: ``"raid0"`` (striped, the paper's model) or
         ``"raid1"`` (mirrored pairs with failover).
     :param arrival_rate: Poisson λ, or ``None`` for single-user serial.
-    :param params: system timing parameters (default: the paper's).
     :param seed: seeds arrivals and rotational latencies.
     :param fault_plan: what goes wrong when (default: nothing — but the
         retry machinery still runs, so a no-fault chaos run is a
@@ -220,77 +260,40 @@ def run_chaos(
     :param retry_policy: retry/timeout/backoff policy (default:
         :class:`~repro.faults.policy.RetryPolicy`'s defaults).
     :param deadline: optional per-query deadline in simulated seconds.
-    :param metrics: optional metrics registry to populate.
-    :param timeline: optional
-        :class:`~repro.obs.timeline.TimelineSampler` recording the
-        run's simulated-time series (see the workload runners).
     :param explain: optional
         :class:`~repro.obs.explain.WorkloadExplain` collector; every
         query's algorithm gets a per-query decision recorder attached
         (bit-identity-neutral — answers and timings are unchanged).
-    :param health: optional :class:`~repro.faults.health.HealthPolicy`
-        — attaches a circuit-breaker health monitor over the physical
-        drives (RAID-0 fetches then fail fast against open breakers;
-        RAID-1 routes to the healthy replica).
-    :param hedge: optional :class:`~repro.faults.health.HedgePolicy`
-        enabling hedged mirrored reads (RAID-1 only).
-    :param rebuild: optional
-        :class:`~repro.faults.health.RebuildPolicy` enabling online
-        rebuild of finite-repair crash windows (RAID-1 only).
-    :returns: the distilled :class:`ChaosReport`.  The underlying
-        :class:`~repro.simulation.simulator.WorkloadResult` rides along
-        as ``report.result`` (not serialized) so callers can build a
-        full RunReport from the same run.
+    :param params / metrics / timeline / health / hedge / rebuild:
+        passed to :func:`~repro.serving.frontend.serve_scenario` as
+        they are (see there).
+    :returns: the distilled :class:`ChaosReport`; its ``result`` field
+        holds the workload result (never serialised) so callers can
+        build a full RunReport from the same run.
     """
-    # Imported here: the workload runner pulls in the whole simulation
+    # Imported here: the serving layer pulls in the whole simulation
     # stack, and `repro.faults` must stay importable on its own.
     from repro.experiments.setup import make_factory
-    from repro.simulation.simulator import simulate_workload
+    from repro.serving import (
+        no_admission_policy,
+        serve_scenario,
+        workload_scenario,
+    )
 
     name = algorithm.strip().upper()
     factory = make_factory(name, tree, k)
     if explain is not None:
         factory = explain.attach(factory)
     plan = fault_plan if fault_plan is not None else FaultPlan(seed=seed)
-    policy = retry_policy if retry_policy is not None else RetryPolicy()
-
-    result = simulate_workload(
-        tree, factory, queries,
-        arrival_rate=arrival_rate, params=params, seed=seed,
-        metrics=metrics, timeline=timeline,
-        fault_plan=plan, retry_policy=policy, deadline=deadline,
-        health=health, raid=raid, hedge=hedge, rebuild=rebuild,
+    retry = retry_policy if retry_policy is not None else RetryPolicy()
+    served = serve_scenario(
+        tree, factory, workload_scenario(queries, arrival_rate, seed),
+        policy=no_admission_policy(deadline), params=params, seed=seed,
+        metrics=metrics, timeline=timeline, fault_plan=plan,
+        retry_policy=retry, raid=raid, health=health, hedge=hedge,
+        rebuild=rebuild,
     )
-    system = result.system
-    monitor = system.health
-
-    report = ChaosReport(
-        algorithm=name,
-        raid=raid,
-        num_queries=len(result.records),
-        k=k,
-        seed=seed,
-        deadline=deadline,
-        mean_response=result.mean_response,
-        max_response=result.max_response,
-        makespan=result.makespan,
-        retries=result.total_retries,
-        fetch_failures=result.total_fetch_failures,
-        failovers=result.total_failovers,
-        complete_queries=len(result.records) - result.partial_queries,
-        partial_queries=result.partial_queries,
-        aborted_queries=result.aborted_queries,
-        deadline_exceeded_queries=result.deadline_exceeded_queries,
-        certified_radii=result.certified_radii,
-        breakdown=result.breakdown.as_dict(),
-        plan=_plan_summary(plan),
-        health=(
-            monitor.describe(result.makespan) if monitor is not None else None
-        ),
-        hedge=system.hedge_section() if hedge is not None else None,
-        rebuild=system.rebuild_section() if rebuild is not None else None,
+    return ChaosReport.from_served(
+        served, algorithm=name, raid=raid, k=k, seed=seed,
+        deadline=deadline, plan=plan,
     )
-    # Ride-along for RunReport building; deliberately not a dataclass
-    # field so as_dict()/to_json() stay unchanged.
-    report.result = result
-    return report

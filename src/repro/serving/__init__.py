@@ -40,6 +40,7 @@ from repro.serving.traffic import (
     poisson_trace,
     scenario_from_arrivals,
     workload_interarrivals,
+    workload_scenario,
 )
 
 __all__ = [
@@ -67,4 +68,5 @@ __all__ = [
     "scenario_from_arrivals",
     "serve_scenario",
     "workload_interarrivals",
+    "workload_scenario",
 ]

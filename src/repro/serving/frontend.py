@@ -156,7 +156,8 @@ class ServedQuery:
 
 @dataclass
 class ServingResult:
-    """Everything one :func:`serve_scenario` run produced."""
+    """Everything one :func:`serve_scenario` run produced: the one
+    record of a run, which the other run results are views of."""
 
     scenario: TrafficScenario
     policy: ServingPolicy
@@ -182,6 +183,18 @@ class ServingResult:
     #: SLO section (None without an SLOTracker attached, keeping
     #: pre-PR10 report bodies byte-identical).
     slo: Optional[Dict[str, object]] = None
+    #: Never serialised: the simulated array (e.g. for buffer-pool
+    #: invariants), the finished updates in completion order, and the
+    #: index latch (None without updates).
+    system: Optional[DiskArraySystem] = field(
+        default=None, repr=False, compare=False
+    )
+    updates: List[UpdateRecord] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    latch: Optional[ReadWriteLock] = field(
+        default=None, repr=False, compare=False
+    )
 
     def outcome_counts(self) -> Dict[str, int]:
         """How many offered queries ended in each outcome."""
@@ -600,7 +613,7 @@ def serve_scenario(
 ) -> ServingResult:
     """Serve a traffic scenario over the simulated disk array.
 
-    :param tree: a placed tree (the ``simulate_workload`` interface).
+    :param tree: a placed tree (:class:`~repro.rtree.placed.PlacedTree`).
     :param factory: builds the algorithm instance per query point.
     :param scenario: the traffic to serve (arrivals + query points +
         optional per-query class labels + optional update streams,
@@ -635,7 +648,7 @@ def serve_scenario(
     :param slo: optional :class:`~repro.obs.slo.SLOTracker`; when
         attached, :attr:`ServingResult.slo` carries the evaluated
         section (write-only observer).
-    :returns: a :class:`ServingResult`.
+    :returns: the :class:`ServingResult`, the one record of the run.
     """
     if policy is None:
         policy = ServingPolicy()
@@ -663,12 +676,12 @@ def serve_scenario(
             f"{len(leftovers)} offered queries never settled — "
             f"serving frontend bug"
         )
-    result = WorkloadResult(records=frontend.records)
+    result = WorkloadResult(records=frontend.records, system=system)
     collect_system_stats(result, system, env)
     if metrics is not None and result.records:
         record_workload_metrics(metrics, result, system)
     controller = frontend.controller
-    serving = ServingResult(
+    return ServingResult(
         scenario=scenario,
         policy=policy,
         queries=[q for q in frontend.served if q is not None],
@@ -688,11 +701,7 @@ def serve_scenario(
         ),
         rebuild_shed=frontend.rebuild_shed,
         slo=(slo.section(result.makespan) if slo is not None else None),
+        system=system,
+        updates=frontend.updates,
+        latch=frontend.latch,
     )
-    # Ride-alongs for tests and benches (not dataclass fields, never
-    # serialized): the simulated array, e.g. for buffer-pool invariants,
-    # the finished updates and the index latch (None without updates).
-    serving.system = system
-    serving.updates = frontend.updates
-    serving.latch = frontend.latch
-    return serving

@@ -24,8 +24,9 @@ inserts and deletes.  Interarrival *deltas* rather than absolute times are
 stored: the frontend advances the simulation clock by successive
 ``timeout(delta)`` events, so a scenario built from
 :func:`workload_interarrivals` replays the paper's Poisson arrivals
-float for float — :func:`~repro.simulation.simulator.simulate_workload`
-is exactly that scenario under the unrestricted policy.
+float for float — :func:`workload_scenario` builds that scenario, and
+:func:`~repro.simulation.simulator.simulate_workload` serves it under
+the unrestricted policy.
 """
 
 from __future__ import annotations
@@ -195,11 +196,10 @@ def diurnal_trace(
 def workload_interarrivals(
     rate: float, count: int, seed: int = 0
 ) -> List[float]:
-    """The Poisson interarrival stream of :func:`simulate_workload`.
+    """The Poisson interarrival stream of :func:`workload_scenario`.
 
     Seeds the arrival RNG as ``random.Random(seed ^ 0xA5A5A5)`` and
-    draws one ``expovariate(rate)`` per query.  ``simulate_workload``
-    builds its open scenario from this stream, so any serving run fed
+    draws one ``expovariate(rate)`` per query, so any serving run fed
     it replays the *same* arrivals as a plain workload run.
     """
     if rate <= 0:
@@ -308,6 +308,37 @@ def scenario_from_arrivals(
         queries=tuple(queries),
         interarrivals=tuple(_to_interarrivals(arrival_times)),
         classes=tuple(classes),
+        seed=seed,
+    )
+
+
+def workload_scenario(
+    queries: Sequence[Point],
+    arrival_rate: Optional[float] = None,
+    seed: int = 0,
+) -> TrafficScenario:
+    """The traffic of the paper's multi-user experiment.
+
+    Poisson arrivals at *arrival_rate* drawn by
+    :func:`workload_interarrivals`, or, with no rate, one zero-think
+    closed-loop client (single-user mode: the next query arrives when
+    the previous one completes).  ``simulate_workload``, ``run_chaos``
+    and the CLI's ``simulate`` / ``chaos`` serve this scenario.
+    """
+    if not queries:
+        raise ValueError("a workload needs at least one query")
+    if arrival_rate is not None and arrival_rate <= 0:
+        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
+    if arrival_rate is None:
+        return TrafficScenario(
+            name="serial", queries=tuple(queries), clients=1, seed=seed
+        )
+    return TrafficScenario(
+        name="poisson",
+        queries=tuple(queries),
+        interarrivals=tuple(
+            workload_interarrivals(arrival_rate, len(queries), seed)
+        ),
         seed=seed,
     )
 

@@ -140,6 +140,11 @@ class WorkloadResult:
     bus_utilization: float = 0.0
     #: CPU busy fraction over the makespan.
     cpu_utilization: float = 0.0
+    #: The simulated array, e.g. for hedge / rebuild / health sections
+    #: built from its counters (never serialised).
+    system: Optional[DiskArraySystem] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def mean_response(self) -> float:
@@ -815,7 +820,10 @@ def simulate_workload(
     hedge: Optional[HedgePolicy] = None,
     rebuild: Optional[RebuildPolicy] = None,
 ) -> WorkloadResult:
-    """Simulate a stream of k-NN queries against a placed tree.
+    """Simulate a stream of k-NN queries against a placed tree: the
+    :func:`~repro.serving.traffic.workload_scenario` of *queries*
+    served by :func:`~repro.serving.frontend.serve_scenario` under the
+    unrestricted policy.
 
     :param tree: a placed tree (:class:`~repro.rtree.placed.PlacedTree`),
         e.g. a :class:`~repro.parallel.tree.ParallelRStarTree`.
@@ -824,74 +832,26 @@ def simulate_workload(
     :param arrival_rate: Poisson arrival rate λ (queries/second); if
         ``None``, queries run back-to-back (single-user mode — the next
         query arrives when the previous one completes).
-    :param params: system parameters (default: the paper's).
     :param seed: seeds interarrival sampling and rotational latencies.
-    :param tracer: optional :class:`~repro.obs.trace.Tracer` capturing
-        the full span trace of the run.
-    :param metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`
-        populated with response-time/batch-width histograms, queue-depth
-        gauges and I/O counters.
-    :param timeline: optional
-        :class:`~repro.obs.timeline.TimelineSampler` recording
-        simulated-time series (queue depths, busy indicators, buffer
-        hit rate, in-flight queries, CRSS stack depth).  Sampling is
-        event-driven: attaching one does not change the run.
-    :param fault_plan: optional :class:`~repro.faults.plan.FaultPlan`
-        injecting disk faults (see :mod:`repro.faults`).
-    :param retry_policy: retry/timeout/backoff policy for faulty runs.
     :param deadline: optional per-query deadline in simulated seconds.
-    :param health: optional :class:`~repro.faults.health.HealthPolicy`
-        — attaches a circuit-breaker monitor over the physical drives:
-        RAID-0 fetches then fail fast (reason ``"ejected"``) against
-        open-breaker disks instead of waiting out retries; RAID-1 reads
-        route to the healthy replica.
-    :param raid: ``"raid0"`` (declustered, the default — the paper's
-        model) or ``"raid1"`` (mirrored pairs; fault-plan disk ids then
-        address physical drives, ``logical * 2 + replica``).
-    :param hedge: optional :class:`~repro.faults.health.HedgePolicy`
-        enabling hedged mirrored reads (RAID-1 only).
-    :param rebuild: optional
-        :class:`~repro.faults.health.RebuildPolicy` enabling online
-        rebuild of finite-repair crash windows (RAID-1 only).
-    :returns: per-query records plus aggregate statistics.  The
-        simulated array rides along as ``result.system`` (never
-        serialized) for callers building hedge/rebuild/health report
-        sections from its counters.
+    :param params / tracer / metrics / timeline / fault_plan /
+        retry_policy / health / raid / hedge / rebuild: passed to
+        ``serve_scenario`` as they are (see there).
+    :returns: per-query records plus aggregate statistics, the
+        simulated array included (``result.system``).
+    :raises ValueError: with no query, or a rate that is not positive.
     """
-    if not queries:
-        raise ValueError("a workload needs at least one query")
-    if arrival_rate is not None and arrival_rate <= 0:
-        raise ValueError(f"arrival_rate must be positive, got {arrival_rate}")
-
     # Imported here: the serving layer builds on this module.
     from repro.serving import (
-        TrafficScenario,
         no_admission_policy,
         serve_scenario,
-        workload_interarrivals,
+        workload_scenario,
     )
 
-    if arrival_rate is None:
-        # Single-user mode: one closed-loop client with zero think time.
-        scenario = TrafficScenario(
-            name="serial", queries=tuple(queries), clients=1, seed=seed
-        )
-    else:
-        scenario = TrafficScenario(
-            name="poisson",
-            queries=tuple(queries),
-            interarrivals=tuple(
-                workload_interarrivals(arrival_rate, len(queries), seed)
-            ),
-            seed=seed,
-        )
-    served = serve_scenario(
-        tree, factory, scenario,
+    return serve_scenario(
+        tree, factory, workload_scenario(queries, arrival_rate, seed),
         policy=no_admission_policy(deadline),
         params=params, seed=seed, tracer=tracer, metrics=metrics,
         timeline=timeline, fault_plan=fault_plan, retry_policy=retry_policy,
         raid=raid, health=health, hedge=hedge, rebuild=rebuild,
-    )
-    result = served.result
-    result.system = served.system
-    return result
+    ).result

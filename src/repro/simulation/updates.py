@@ -78,7 +78,7 @@ class MixedWorkloadResult:
 
     @property
     def mean_update_response(self) -> float:
-        """Mean insertion response time."""
+        """Mean update response time, inserts and deletes alike."""
         return statistics.fmean(u.response_time for u in self.updates)
 
 
